@@ -12,7 +12,10 @@ Three complementary mechanisms:
   iteration space, recording which iteration of a candidate parallel loop
   touches which elements.  Exact but budget-limited; when the space
   exceeds the budget the oracle is *skipped* (the symbolic proof stands on
-  its own) rather than failing the certification.
+  its own) rather than failing the certification.  "Over budget" is
+  decided before enumerating, by an exact early-exit count of the accesses
+  the walk would record (:func:`_count_accesses`), so a skip costs time
+  proportional to the loop structure, not to the budget.
 
 The transform passes call :func:`certify_parallel` /
 :func:`certify_interchange`; see ``tests/test_dependence.py`` and the
@@ -30,9 +33,13 @@ from repro.errors import AnalysisError
 from repro.ir.affine import Affine
 from repro.ir.expr import loads_in
 from repro.ir.program import Program
-from repro.ir.stmt import Block, For, LocalAssign, Stmt, Store, find_loop
+from repro.ir.stmt import Block, For, LocalAssign, Stmt, Store, find_loop, loops_in
 
 MAX_CERTIFY_POINTS = 2_000_000
+#: Oracle budget of the certifying transform passes (``Parallelize``,
+#: ``Interchange``): small enough that figure-size builds skip the
+#: cross-check, which then costs only the access count.
+PASS_CERTIFY_POINTS = 200_000
 
 
 class EnumerationBudgetError(AnalysisError):
@@ -138,6 +145,60 @@ def _enclosing_vars(stmt: Stmt, var: str, path: Tuple[str, ...] = ()) -> Optiona
     return None
 
 
+def _budget_error(budget: int) -> EnumerationBudgetError:
+    return EnumerationBudgetError(
+        f"iteration space too large to certify (> {budget} accesses); "
+        "certify at a smaller size of the same kernel family"
+    )
+
+
+def _leaf_weight(stmt: Stmt) -> int:
+    """Accesses one execution of a ``Store``/``LocalAssign`` records."""
+    weight = sum(1 for load in loads_in(stmt.value) if load.array.scope == "global")
+    return weight + (isinstance(stmt, Store) and stmt.array.scope == "global")
+
+
+def _count_accesses(
+    stmt: Stmt, env: Dict[str, int], loop_var: Optional[str], limit: int
+) -> int:
+    """The final ``counter[0]`` that :func:`_accesses` reaches on ``stmt``,
+    computed without recording a single access.
+
+    Counts global loads plus one per global store, only inside the
+    candidate loop ``loop_var`` (everywhere when ``None``).  An innermost
+    loop collapses to trip count times body weight; any other loop walks
+    its iterations and stops as soon as the running total exceeds
+    ``limit``, returning that partial total (some value > ``limit``).
+    """
+    if isinstance(stmt, Block):
+        total = 0
+        for child in stmt.stmts:
+            total += _count_accesses(child, env, loop_var, limit - total)
+            if total > limit:
+                break
+        return total
+    if isinstance(stmt, For):
+        inside = loop_var is None or loop_var in env or stmt.var == loop_var
+        if not inside and all(loop.var != loop_var for loop in loops_in(stmt.body)):
+            return 0  # entirely outside the candidate loop
+        body = stmt.body.stmts if isinstance(stmt.body, Block) else (stmt.body,)
+        if all(isinstance(s, (Store, LocalAssign)) for s in body):
+            return stmt.trip_count(env) * sum(_leaf_weight(s) for s in body)
+        total = 0
+        for value in stmt.iter_values(env):
+            env[stmt.var] = value
+            total += _count_accesses(stmt.body, env, loop_var, limit - total)
+            if total > limit:
+                break
+        env.pop(stmt.var, None)
+        return total
+    if isinstance(stmt, (Store, LocalAssign)):
+        if loop_var is not None and loop_var not in env:
+            return 0
+        return _leaf_weight(stmt)
+    raise AnalysisError(f"unknown statement {stmt!r}")
+
+
 def _accesses(
     stmt: Stmt,
     env: Dict[str, int],
@@ -172,10 +233,7 @@ def _accesses(
                 continue
             counter[0] += 1
             if counter[0] > budget:
-                raise EnumerationBudgetError(
-                    f"iteration space too large to certify (> {budget} accesses); "
-                    "certify at a smaller size of the same kernel family"
-                )
+                raise _budget_error(budget)
             out.append(
                 Access(
                     load.array.name,
@@ -188,6 +246,8 @@ def _accesses(
             )
         if isinstance(stmt, Store) and stmt.array.scope == "global":
             counter[0] += 1
+            if counter[0] > budget:
+                raise _budget_error(budget)
             element = tuple(ix.evaluate(env) for ix in stmt.indices)
             if stmt.accumulate:
                 out.append(Access(stmt.array.name, element, False, loop_value, counter[0], outer))
@@ -207,6 +267,8 @@ def loop_conflicts(
     implicit barrier — where at least one access is a write.
     """
     find_loop(program.body, var)  # raises if the loop does not exist
+    if _count_accesses(program.body, {}, var, budget) > budget:
+        raise _budget_error(budget)
     enclosing = _enclosing_vars(program.body, var) or ()
     accesses: List[Access] = []
     env: Dict[str, int] = {}
@@ -278,6 +340,8 @@ def execution_order_signature(
     element is preserved; for certification we compare the per-element
     write sequences and final values instead (see certify_interchange).
     """
+    if _count_accesses(program.body, {}, None, budget) > budget:
+        raise _budget_error(budget)
     accesses: List[Access] = []
     _accesses(program.body, {}, None, accesses, [0], budget)
     return [(a.array, a.element, a.is_write) for a in accesses]

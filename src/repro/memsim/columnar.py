@@ -72,7 +72,7 @@ resolved by :func:`resolve_engine` and threaded through
 with replacement policies outside :data:`FAST_POLICIES` (tree-PLRU
 ablations) fall back to the exact engine as a whole; everything else
 falls back per batch and per set as described above.  The exact
-simulator remains the oracle: ``tests/test_columnar.py`` asserts
+simulator remains the oracle: ``tests/test_fast_engine.py`` asserts
 bit-identity on every counter both engines expose.
 """
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Union
 
+from repro.analysis.dependence import PASS_CERTIFY_POINTS
 from repro.errors import TransformError
 from repro.ir.program import Program
 from repro.ir.stmt import Block, For, Stmt, map_loops
@@ -45,7 +46,7 @@ class Interchange(Pass):
         outer_var: str,
         inner_var: str,
         certify: Union[bool, str] = "symbolic",
-        certify_budget: int = 200_000,
+        certify_budget: int = PASS_CERTIFY_POINTS,
     ):
         if certify is True:
             certify = "symbolic"

@@ -4,9 +4,11 @@ The pass marks a loop parallel with a schedule.  Legality (no loop-carried
 dependence) is certified by default through the symbolic dependence engine
 (:func:`repro.analysis.dependence.certify_parallel`), which is size-generic
 and cheap; concrete enumeration cross-checks the proof when the iteration
-space fits the budget.  Opting out with ``certify=False`` no longer skips
-silently: the skip is recorded in ``program.meta`` and surfaces as an
-``RPR005`` lint diagnostic.
+space fits the budget.  Over budget the cross-check is skipped, decided by
+an exact access count whose cost scales with the loop structure, not with
+the budget, so a skipped oracle stays cheap at figure sizes.  Opting out
+with ``certify=False`` no longer skips silently: the skip is recorded in
+``program.meta`` and surfaces as an ``RPR005`` lint diagnostic.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import logging
 from typing import Optional, Union
 
+from repro.analysis.dependence import PASS_CERTIFY_POINTS
 from repro.errors import AnalysisError, TransformError
 from repro.ir.program import Program
 from repro.ir.stmt import For, Stmt, map_loops
@@ -39,7 +42,7 @@ class Parallelize(Pass):
         schedule: str = "static",
         chunk: Optional[int] = None,
         certify: Union[bool, str] = "symbolic",
-        certify_budget: int = 200_000,
+        certify_budget: int = PASS_CERTIFY_POINTS,
     ):
         if certify is True:
             certify = "symbolic"
