@@ -38,8 +38,8 @@ def test_tracegen_throughput(benchmark):
 
     def run():
         count = 0
-        for _ in generator.core_stream(0):
-            count += 1
+        for batch in generator.core_stream(0):
+            count += len(batch.ref)
         return count
 
     assert benchmark(run) > 0
@@ -167,8 +167,10 @@ def _measure_cell(paper_n, sim_n, key, variant, block, scale):
         for hierarchy in hierarchies:
             hierarchy.attach_pmu()
         start = time.perf_counter()
-        for hierarchy, segments in zip(hierarchies, streams):
-            hierarchy.run(segments)
+        for hierarchy, batches in zip(hierarchies, streams):
+            for batch in batches:
+                hierarchy.process_segments(batch)
+            hierarchy.drain()
         out[f"engine_{engine}_s"] = time.perf_counter() - start
         snaps[engine] = [snapshot(h).as_dict() for h in hierarchies]
     if snaps["exact"] != snaps["fast"]:

@@ -23,7 +23,8 @@ DEVICE = visionfive_jh7100().scaled(16)
 def reuse_summary(program, capacity_lines: int) -> float:
     """Predicted fully-associative miss ratio at a given capacity."""
     generator = TraceGenerator(program, num_cores=1)
-    histogram = reuse_histogram(lines_of_segments(generator.core_stream(0)))
+    segments = (seg for batch in generator.core_stream(0) for seg in batch.segments())
+    histogram = reuse_histogram(lines_of_segments(segments))
     return histogram.miss_ratio(capacity_lines)
 
 

@@ -115,7 +115,7 @@ def extract_groups(
     gen = TraceGenerator(program, num_cores=num_cores, layout=layout)
     streams: List[List[Segment]] = []
     for core in range(num_cores):
-        streams.append(list(gen.core_stream(core)))
+        streams.append([seg for batch in gen.core_stream(core) for seg in batch.segments()])
     refs = gen.references()
     groups: Dict[Tuple[int, int], SegmentGroup] = {}
     order: List[Tuple[int, int]] = []

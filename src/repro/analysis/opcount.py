@@ -144,6 +144,12 @@ def _count_stmt(stmt: Stmt, env: Dict[str, int]) -> OpCounts:
         total = _sum_counts_over_range(counts_at, lo, hi, stmt.step)
         total.int_ops += stmt.trip_count(env)  # induction updates
         return total
+    return leaf_counts(stmt)
+
+
+def leaf_counts(stmt: Stmt) -> OpCounts:
+    """Operation counts of one execution of a leaf statement (a ``Store``
+    or ``LocalAssign``); they do not depend on the loop variables."""
     if isinstance(stmt, Store):
         counts = count_expr(stmt.value)
         counts.iterations += 1
@@ -239,11 +245,14 @@ def count_program(program: Program) -> OpCounts:
 
 
 def iteration_cost(loop: For, value: int, env: Mapping[str, int] = None) -> int:
-    """Approximate cost (ops) of one iteration of ``loop`` at ``value``.
+    """Cost (ops) of one iteration of ``loop`` at ``value``: one, plus the
+    trips of every loop execution and the flops, loads, stores and integer
+    ops of every leaf execution in its body.
 
-    Used by the dynamic-schedule simulator to decide which core picks up the
-    next chunk — mirroring how real OpenMP dynamic scheduling balances the
-    triangular transpose loop.
+    The dynamic-schedule simulator weighs chunks by this cost — mirroring
+    how real OpenMP dynamic scheduling balances the triangular transpose
+    loop.  It computes the same quantity for all values at once over the
+    trace generator's loop expansion; this scalar form is its reference.
     """
     inner_env = dict(env or {})
     inner_env[loop.var] = value

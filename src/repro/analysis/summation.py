@@ -68,41 +68,6 @@ def sum_over_range(fn: Callable[[int], int], lo: int, hi: int, step: int = 1) ->
     return total
 
 
-def polynomial_map(fn: Callable[[int], int], values) -> list:
-    """Exact ``[fn(v) for v in values]`` in O(degree) calls to ``fn`` when
-    ``values`` is an arithmetic progression and ``fn`` is polynomial of
-    degree <= MAX_DEGREE.
-
-    The fit is validated the same way as :func:`sum_over_range` (one extra
-    probe plus the last point); any mismatch — or a non-progression input —
-    falls back to brute-force evaluation, so the result is always exact.
-    The dynamic-schedule simulator uses this to cost every chunk of a
-    triangular loop with a handful of evaluations instead of one per
-    iteration.
-    """
-    n = len(values)
-    if n <= MAX_DEGREE + 2:
-        return [fn(v) for v in values]
-    step = values[1] - values[0]
-    if any(values[i + 1] - values[i] != step for i in range(n - 1)):
-        return [fn(v) for v in values]
-    samples = [fn(values[t]) for t in range(MAX_DEGREE + 2)]
-    fit = samples[: MAX_DEGREE + 1]
-    last_t = n - 1
-    last = fn(values[last_t])
-    diffs = _forward_diffs(fit)
-    if (
-        _eval_diffs(diffs, MAX_DEGREE + 1) != samples[MAX_DEGREE + 1]
-        or _eval_diffs(diffs, last_t) != last
-    ):
-        return samples + [fn(values[t]) for t in range(MAX_DEGREE + 2, n)]
-    return (
-        samples
-        + [_eval_diffs(diffs, t) for t in range(MAX_DEGREE + 2, last_t)]
-        + [last]
-    )
-
-
 def _forward_diffs(samples) -> list:
     """Leading forward differences ``[p(0), Δp(0), Δ²p(0), ...]``."""
     out = []
@@ -115,8 +80,7 @@ def _forward_diffs(samples) -> list:
 
 def _eval_diffs(diffs, t: int):
     """Evaluate the Newton polynomial from precomputed differences at
-    integer ``t`` — the per-point cost when the same fit is evaluated
-    many times (``comb(t, k)`` built by the integer recurrence)."""
+    integer ``t`` (``comb(t, k)`` built by the integer recurrence)."""
     total = diffs[0]
     c = 1
     for k in range(1, len(diffs)):

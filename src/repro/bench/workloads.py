@@ -83,6 +83,12 @@ def _materialize_streams(program, device) -> Tuple[Any, List[List[Any]], int]:
     return generator, streams, cores
 
 
+def _replay(hierarchy, batches) -> None:
+    for batch in batches:
+        hierarchy.process_segments(batch)
+    hierarchy.drain()
+
+
 def _build_fig_slice(variant: str) -> Callable[[], Any]:
     """Phased figure-cell pipeline: tracegen → replay → timing → cache I/O."""
     from repro.kernels import transpose as tr
@@ -103,8 +109,8 @@ def _build_fig_slice(variant: str) -> Callable[[], Any]:
         with phase_span("replay"):
             hierarchies = device.build_hierarchies(cores, engine=engine)
             baselines = [snapshot(h) for h in hierarchies]
-            for hierarchy, segments in zip(hierarchies, streams):
-                hierarchy.run(segments)
+            for hierarchy, batches in zip(hierarchies, streams):
+                _replay(hierarchy, batches)
         with phase_span("timing"):
             deltas = [
                 snapshot(h) - base for h, base in zip(hierarchies, baselines)
@@ -136,8 +142,8 @@ def _build_tracegen(variant: str) -> Callable[[], Any]:
         with phase_span("tracegen"):
             generator = TraceGenerator(program, num_cores=1)
             count = 0
-            for _ in generator.core_stream(0):
-                count += 1
+            for batch in generator.core_stream(0):
+                count += len(batch.ref)
         return count
 
     return run
@@ -154,10 +160,8 @@ def _build_replay(engine: str) -> Callable[[], Any]:
     def run() -> None:
         with phase_span("replay"):
             hierarchies = device.build_hierarchies(cores, engine=engine)
-            for hierarchy, segments in zip(hierarchies, streams):
-                hierarchy.run(segments)
-            for hierarchy in hierarchies:
-                hierarchy.drain()
+            for hierarchy, batches in zip(hierarchies, streams):
+                _replay(hierarchy, batches)
 
     return run
 

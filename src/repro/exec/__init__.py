@@ -2,12 +2,12 @@
 
 * :mod:`repro.exec.interp` — numpy-backed correctness interpreter;
 * :mod:`repro.exec.trace` — compressed segment trace representation;
-* :mod:`repro.exec.tracegen` — per-core symbolic trace generation with
-  OpenMP-style schedule simulation.
+* :mod:`repro.exec.tracegen` — per-core symbolic trace generation in
+  column batches, with OpenMP-style schedule simulation.
 """
 
 from repro.exec.interp import Interpreter, run_program
-from repro.exec.trace import CoreWork, RefInfo, Reference, Segment
+from repro.exec.trace import CoreWork, RefInfo, Reference, Segment, SegmentBatch
 from repro.exec.tracegen import TraceGenerator, split_dynamic, split_static
 
 __all__ = [
@@ -16,6 +16,7 @@ __all__ = [
     "RefInfo",
     "Reference",
     "Segment",
+    "SegmentBatch",
     "TraceGenerator",
     "run_program",
     "split_dynamic",

@@ -14,7 +14,9 @@ touches, not 512 events), while op counts are tracked exactly on the side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import List, NamedTuple, Optional
+
+import numpy as np
 
 from repro.analysis.opcount import OpCounts
 
@@ -122,6 +124,26 @@ class Segment(NamedTuple):
                 return None  # every access straddles a boundary
             return LineRun(self.base // line_size, self.stride // line_size, self.count)
         return None  # drifting walk: lines repeat/skip irregularly
+
+
+class SegmentBatch(NamedTuple):
+    """A run of segments in stream order, as parallel NumPy columns.
+
+    Row ``k`` of the columns is one :class:`Segment`; the trace generator
+    yields these so consumers can take whole columns (the native replay
+    engine does) instead of one object per segment.
+    """
+
+    ref: np.ndarray        # int64
+    base: np.ndarray       # int64
+    stride: np.ndarray     # int64
+    count: np.ndarray      # int64
+    is_write: np.ndarray   # bool
+    elem_size: np.ndarray  # int64
+
+    def segments(self) -> List[Segment]:
+        """The rows as :class:`Segment` objects."""
+        return list(map(Segment._make, zip(*(col.tolist() for col in self))))
 
 
 class Reference(NamedTuple):

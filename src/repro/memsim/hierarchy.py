@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.exec.trace import Segment
+from repro.exec.trace import Segment, SegmentBatch
 from repro.memsim.cache import Cache
 from repro.memsim.dram import DramCounters
 from repro.memsim.prefetch import NO_PREFETCH, PrefetcherSpec, StridePrefetcher
@@ -170,6 +170,13 @@ class MemoryHierarchy:
         access = self._access_line
         for index, line in enumerate(line_list):
             access(line, is_write, index >= uncovered_prefix, pmu)
+
+    def process_segments(self, batch: SegmentBatch) -> None:
+        """Process a batch of segments in order, as consecutive
+        :meth:`process_segment` calls would."""
+        process = self.process_segment
+        for seg in batch.segments():
+            process(seg)
 
     def _strided_lines(self, base: int, stride: int, count: int, elem_size: int) -> List[int]:
         line_size = self.line_size

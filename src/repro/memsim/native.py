@@ -44,17 +44,16 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.exec.trace import Segment
+from repro.exec.trace import Segment, SegmentBatch
 from repro.memsim.cache import CacheStats, set_mask
 from repro.memsim.columnar import _NP_MIN, _PRNG_SEED
 
 # The compiled replay loops make per-op cost tiny, so the economics differ
 # from the pure-Python engine: the dominant cost is the *fixed* numpy/ffi
-# overhead per drained batch.  Buffer aggressively — segments of any size
-# accumulate until the op buffer reaches ``_BUF_OPS`` — and only bypass the
-# buffer for segments at least that large themselves (one drain's fixed
-# cost amortized over >= _BUF_OPS ops is noise, and buffering them would
-# only grow peak memory).
+# overhead per drained batch.  Buffer aggressively: segments of any size
+# accumulate, and the buffer drains right after the segment that brings
+# it to ``_BUF_OPS`` queued ops, whether segments arrive one at a time or
+# as column batches.
 _BUF_OPS = 32768
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.prefetch import NO_PREFETCH, PrefetcherSpec
@@ -1152,6 +1151,9 @@ class NativeHierarchy(MemoryHierarchy):
         if tlb is not None:
             self.tlb = NativeTlb(tlb)
         self._pmu_states: List[object] = [None] * len(self.caches)
+        # Queued work in stream order: column batches, then the segments
+        # queued one at a time since the last batch.
+        self._buf_cols: List[SegmentBatch] = []
         self._buf_segs: List[Segment] = []
         self._buf_ops = 0
         # Cross-segment prefetch stream table, owned here so the compiled
@@ -1168,6 +1170,7 @@ class NativeHierarchy(MemoryHierarchy):
     # -- buffer management ---------------------------------------------------
 
     def _clear_buffers(self) -> None:
+        self._buf_cols = []
         self._buf_segs = []
         self._buf_ops = 0
         self._pf_n[0] = 0
@@ -1214,23 +1217,67 @@ class NativeHierarchy(MemoryHierarchy):
         if self._buf_ops >= _BUF_OPS:
             self._drain_buffer()
 
-    # -- deferred replay -----------------------------------------------------
+    def process_segments(self, batch: SegmentBatch) -> None:
+        """Queue a batch's columns as they are, draining at exactly the
+        segments where :meth:`process_segment` would drain."""
+        count = batch.count
+        positive = count > 0
+        if not positive.all():
+            batch = SegmentBatch(*(col[positive] for col in batch))
+            count = batch.count
+        n = len(count)
+        if not n:
+            return
+        self._stage_segments()
+        cum = np.cumsum(count) + self._buf_ops
+        start = 0
+        while True:
+            stop = int(np.searchsorted(cum, _BUF_OPS, side="left")) + 1
+            if stop > n:
+                self._buf_cols.append(SegmentBatch(*(col[start:] for col in batch)))
+                self._buf_ops = int(cum[-1])
+                return
+            self._buf_cols.append(SegmentBatch(*(col[start:stop] for col in batch)))
+            self._drain_buffer()
+            if stop == n:
+                return
+            cum -= cum[stop - 1]
+            start = stop
 
-    def _drain_buffer(self) -> None:
+    def _stage_segments(self) -> None:
+        """Move the one-at-a-time queue into the column queue."""
         segs = self._buf_segs
         if not segs:
             return
         self._buf_segs = []
-        self._buf_ops = 0
         nseg = len(segs)
+        self._buf_cols.append(SegmentBatch(
+            np.fromiter((s.ref for s in segs), np.int64, nseg),
+            np.fromiter((s.base for s in segs), np.int64, nseg),
+            np.fromiter((s.stride for s in segs), np.int64, nseg),
+            np.fromiter((s.count for s in segs), np.int64, nseg),
+            np.fromiter((s.is_write for s in segs), np.bool_, nseg),
+            np.fromiter((s.elem_size for s in segs), np.int64, nseg),
+        ))
+
+    # -- deferred replay -----------------------------------------------------
+
+    def _drain_buffer(self) -> None:
+        self._stage_segments()
+        queued = self._buf_cols
+        if not queued:
+            return
+        self._buf_cols = []
+        self._buf_ops = 0
         lib = _lib
 
-        base = np.fromiter((s.base for s in segs), np.int64, nseg)
-        stride = np.fromiter((s.stride for s in segs), np.int64, nseg)
-        count = np.fromiter((s.count for s in segs), np.int64, nseg)
-        elem = np.fromiter((s.elem_size for s in segs), np.int64, nseg)
-        write = np.fromiter((s.is_write for s in segs), np.uint8, nseg)
-        refs = np.fromiter((s.ref for s in segs), np.int64, nseg)
+        if len(queued) == 1:
+            columns = [np.ascontiguousarray(col) for col in queued[0]]
+        else:
+            columns = [np.concatenate(cols) for cols in zip(*queued)]
+        refs, base, stride, count, write, elem = columns
+        write = write.view(np.uint8)
+        nseg = len(refs)
 
         # Line/page expansion: measure, prefix-sum, fill.
         tlb_on = 1 if self.tlb is not None else 0

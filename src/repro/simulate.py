@@ -170,14 +170,14 @@ def simulate(
                 baselines = [snapshot(h) for h in hierarchies]
                 works = [CoreWork() for _ in range(active_cores)]
             for core, hierarchy in enumerate(hierarchies):
-                run = hierarchy.process_segment
+                run = hierarchy.process_segments
                 # Trace generation and cache simulation are one pipeline:
-                # the span covers both (segments are consumed as emitted).
+                # the span covers both (batches are consumed as emitted).
                 with tracer.span(
                     "trace+memsim", cat="memsim", core=core, repetition=rep
                 ):
-                    for seg in generator.core_stream(core):
-                        run(seg)
+                    for batch in generator.core_stream(core):
+                        run(batch)
                     hierarchy.drain()
             # ``core_stream`` resets ``generator.work[core]`` on entry, so
             # after the loop it holds exactly this repetition's counts;

@@ -24,6 +24,11 @@ def device(device_key):
     return get_device(device_key)
 
 
+def stream_segments(generator, core: int = 0):
+    """Every segment of one core's stream, flattened out of its batches."""
+    return [seg for batch in generator.core_stream(core) for seg in batch.segments()]
+
+
 def triad_program(n: int, parallel: bool = False):
     """A tiny STREAM-triad-shaped program, built inline so IR tests do not
     depend on the kernels package."""

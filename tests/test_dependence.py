@@ -15,11 +15,9 @@ from repro.analysis import (
 )
 from repro.errors import AnalysisError
 from repro.ir import Affine, DType, LoopBuilder
-from repro.ir.expr import Const, Load
-from repro.ir.program import Array
-from repro.ir.stmt import Block, For, LocalAssign, Store
 
 from tests.conftest import transpose_program, triad_program
+from tests.strategies import nests
 from tests.test_symbolic import _loop_vars, _shift_program
 
 
@@ -225,55 +223,8 @@ class TestAccessCount:
         )
 
 
-# Random affine nests: triangular lower bounds (``j in [i+k, hi)``), steps,
-# sibling loops, and bodies mixing leaves with loops, over global and
-# thread-local arrays.
-_ARRAYS = (
-    Array("g", DType.F64, (64,)),
-    Array("h", DType.F64, (64,)),
-    Array("s", DType.F64, (64,), scope="local"),
-)
-
-
-@st.composite
-def _nests(draw):
-    names = iter(f"v{k}" for k in range(64))
-
-    def subscript(bound):
-        used = [v for v in bound if draw(st.booleans())]
-        return Affine(draw(st.integers(0, 3)), {v: 1 for v in used})
-
-    def leaf(bound):
-        value = Const(1.0)
-        for _ in range(draw(st.integers(0, 3))):
-            value = value + Load(draw(st.sampled_from(_ARRAYS)), [subscript(bound)])
-        if draw(st.booleans()):
-            return LocalAssign("t", value, draw(st.booleans()))
-        target = draw(st.sampled_from(_ARRAYS))
-        return Store(target, [subscript(bound)], value, draw(st.booleans()))
-
-    def body(bound, depth):
-        stmts = []
-        for _ in range(draw(st.integers(1, 3))):
-            if depth < 3 and draw(st.booleans()):
-                var = next(names)
-                if bound and draw(st.booleans()):
-                    lo = Affine.var(draw(st.sampled_from(bound))) + draw(st.integers(0, 2))
-                else:
-                    lo = draw(st.integers(0, 3))
-                stmts.append(
-                    For(var, lo, draw(st.integers(0, 6)), body(bound + [var], depth + 1),
-                        step=draw(st.integers(1, 2)))
-                )
-            else:
-                stmts.append(leaf(bound))
-        return Block(stmts)
-
-    return body([], 0)
-
-
 @settings(max_examples=150, deadline=None)
-@given(nest=_nests(), limit=st.integers(0, 300))
+@given(nest=nests(), limit=st.integers(0, 300))
 def test_count_equals_walker_on_random_nests(nest, limit):
     for var in _loop_vars(nest, []) + [None]:
         exact = _assert_count_exact(nest, var)

@@ -23,6 +23,7 @@ from repro.ir import Affine, Block, DType, For, Program, Store
 from repro.ir.expr import BinOp, Const, Load
 from repro.ir.program import Array, MemoryLayout
 from repro.ir.validate import validate_program
+from tests.conftest import stream_segments
 
 DIM = 6  # every array axis and loop range is [0, DIM)
 
@@ -104,7 +105,7 @@ def test_trace_footprint_matches_exact_enumeration(program):
     layout = MemoryLayout(program)
     generator = TraceGenerator(program, num_cores=1, layout=layout)
     traced = set()
-    for seg in generator.core_stream(0):
+    for seg in stream_segments(generator, 0):
         for k in range(seg.count):
             traced.add((seg.base + k * seg.stride, seg.is_write))
 
@@ -175,7 +176,7 @@ def test_parallel_cores_cover_serial_footprint(program, cores):
         generator = TraceGenerator(prog, num_cores=n_cores, layout=layout)
         touched = set()
         for core in range(n_cores):
-            for seg in generator.core_stream(core):
+            for seg in stream_segments(generator, core):
                 for k in range(seg.count):
                     touched.add((seg.base + k * seg.stride, seg.is_write))
         return touched

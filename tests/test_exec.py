@@ -9,7 +9,7 @@ from repro.exec import Segment, TraceGenerator, run_program, split_dynamic, spli
 from repro.ir import DType, LoopBuilder, MemoryLayout
 from repro.transforms import Parallelize, apply_passes
 
-from tests.conftest import transpose_program, triad_program
+from tests.conftest import stream_segments, transpose_program, triad_program
 
 
 class TestInterpreter:
@@ -100,7 +100,7 @@ class TestTraceGenerator:
     def test_triad_segments(self):
         n = 64
         gen = TraceGenerator(triad_program(n), num_cores=1)
-        segments = list(gen.core_stream(0))
+        segments = stream_segments(gen, 0)
         # One segment per reference: loads of b and c, store of a.
         assert len(segments) == 3
         reads = [s for s in segments if not s.is_write]
@@ -134,7 +134,7 @@ class TestTraceGenerator:
     def test_serial_program_only_runs_on_core0(self):
         gen = TraceGenerator(triad_program(16), num_cores=2)
         assert list(gen.core_stream(1)) == []
-        assert len(list(gen.core_stream(0))) == 3
+        assert len(stream_segments(gen, 0)) == 3
 
     def test_line_footprint_matches_exact_enumeration(self):
         """The compressed segments touch exactly the element footprint."""
@@ -143,7 +143,7 @@ class TestTraceGenerator:
         layout = MemoryLayout(program)
         gen = TraceGenerator(program, num_cores=1, layout=layout)
         touched = set()
-        for seg in gen.core_stream(0):
+        for seg in stream_segments(gen, 0):
             for k in range(seg.count):
                 touched.add(seg.base + k * seg.stride)
         base = layout.address_of(program.array("mat"))
@@ -166,7 +166,7 @@ class TestTraceGenerator:
         gen = TraceGenerator(program, num_cores=1)
         merged_bytes = set()
         merged_segments = 0
-        for seg in gen.core_stream(0):
+        for seg in stream_segments(gen, 0):
             merged_segments += 1
             for k in range(seg.count):
                 merged_bytes.add((seg.base + k * seg.stride, seg.is_write))
@@ -199,7 +199,7 @@ class TestTraceGenerator:
             with b.loop("c", 0, 3) as c:
                 b.accumulate(r, c, a[i * 3 + c])
         gen = TraceGenerator(b.build(), num_cores=1)
-        segments = list(gen.core_stream(0))
+        segments = stream_segments(gen, 0)
         assert all(seg.base >= 0x10000 for seg in segments)
         # only reads of `a`
         assert all(not seg.is_write for seg in segments)

@@ -11,10 +11,11 @@ attribution state — is exactly equal, including on runs that cross the
 certified-skip/replay boundary mid-stream.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exec.trace import Segment
+from repro.exec.trace import Segment, SegmentBatch
 from repro.memsim import (
     C906_PREFETCH,
     Cache,
@@ -25,7 +26,7 @@ from repro.memsim import (
 )
 from repro.memsim.cache import set_indices, set_mask
 from repro.memsim.columnar import FastHierarchy, fast_cache
-from repro.memsim.native import NativeHierarchy, native_available, native_cache
+from repro.memsim.native import _BUF_OPS, NativeHierarchy, native_available, native_cache
 
 TLB = TlbSpec(l1_entries=4, l1_ways=0, l2_entries=16, l2_ways=2, walk_cycles=40)
 
@@ -144,6 +145,89 @@ class TestRandomTraceDifferential:
     @given(segments_strategy)
     def test_flush_writebacks_bit_identical(self, segments):
         assert_engines_agree(run_all(segments, flush=True))
+
+
+# ---------------------------------------------------------------------------
+# Batch intake: process_segments(batch) == process_segment per segment
+# ---------------------------------------------------------------------------
+
+def _program_stream():
+    """A real trace (two programs back to back, with an empty segment
+    between them) long enough to cross the native drain threshold."""
+    from repro.exec.tracegen import TraceGenerator
+    from repro.kernels import transpose
+
+    stream = []
+    for program in (transpose.naive(160), transpose.manual_blocking(128, block=16)):
+        for batch in TraceGenerator(program).core_stream(0):
+            stream.extend(batch.segments())
+        stream.append(seg(4096, 8, 0, ref=9))
+    return stream
+
+
+def _as_batch(segments):
+    columns = list(zip(*segments))
+    return SegmentBatch(
+        *(np.array(col, dtype=np.bool_ if k == 4 else np.int64) for k, col in enumerate(columns))
+    )
+
+
+def _intake_state(hier, p):
+    hier.drain()
+    prefetcher = hier.prefetcher
+    return {
+        "snapshot": snapshot(hier),
+        "pmu": pmu_state(p),
+        "prefetch": (prefetcher.covered_lines, prefetcher.uncovered_lines, prefetcher.late_lines),
+    }
+
+
+class TestBatchIntake:
+    def test_batch_sizes_do_not_change_any_counter(self):
+        stream = _program_stream()
+        assert sum(s.count for s in stream) > 2 * _BUF_OPS
+        whole = _as_batch(stream)
+        reference = None
+        for name in build_engines():
+            hier = build_engines()[name]
+            p = hier.attach_pmu()
+            for s in stream:
+                hier.process_segment(s)
+            per_segment = _intake_state(hier, p)
+            if reference is None:
+                reference = per_segment
+            assert per_segment == reference, name
+            for size in (1, 7, len(stream)):
+                hier = build_engines()[name]
+                p = hier.attach_pmu()
+                for a in range(0, len(stream), size):
+                    hier.process_segments(SegmentBatch(*(col[a : a + size] for col in whole)))
+                assert _intake_state(hier, p) == reference, (name, size)
+
+    def test_native_drains_where_per_segment_intake_drains(self, monkeypatch):
+        if not native_available():
+            pytest.skip("no C toolchain for the native engine")
+        stream = _program_stream()
+        drained = {}
+        for mode in ("segments", "batch"):
+            hier = build_engines()["native"]
+            sizes = drained[mode] = []
+            original = hier._drain_buffer
+
+            def spy(original=original, sizes=sizes, hier=hier):
+                hier._stage_segments()
+                sizes.append(sum(len(cols.ref) for cols in hier._buf_cols))
+                original()
+
+            monkeypatch.setattr(hier, "_drain_buffer", spy)
+            if mode == "segments":
+                for s in stream:
+                    hier.process_segment(s)
+            else:
+                hier.process_segments(_as_batch(stream))
+            hier.drain()
+        assert drained["segments"] == drained["batch"]
+        assert len([n for n in drained["batch"] if n]) > 2
 
 
 # ---------------------------------------------------------------------------
