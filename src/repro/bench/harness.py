@@ -204,7 +204,7 @@ def host_fingerprint() -> Dict[str, Any]:
         "engine": resolve_engine(None),
         "env": {
             name: os.environ[name]
-            for name in ("REPRO_ENGINE", "REPRO_NATIVE", "REPRO_PMU", "REPRO_JOBS")
+            for name in ("REPRO_ENGINE", "REPRO_PMU", "REPRO_JOBS")
             if name in os.environ
         },
     }

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 from repro.errors import DeviceError
 from repro.memsim.cache import Cache
-from repro.memsim.columnar import FastHierarchy, fast_cache, supports_fast
+from repro.memsim.columnar import supports_fast
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.prefetch import NO_PREFETCH, PrefetcherSpec
 from repro.memsim.tlb import TlbSpec
@@ -118,12 +118,13 @@ class DeviceSpec:
 
         ``engine`` selects the replay implementation: ``"exact"`` builds
         the per-reference :class:`~repro.memsim.hierarchy.MemoryHierarchy`;
-        ``"fast"`` the bit-identical batched engine — the runtime-compiled
-        C core (:class:`~repro.memsim.native.NativeHierarchy`) when a
-        toolchain is available and ``REPRO_NATIVE`` allows it, else the
-        pure-Python :class:`~repro.memsim.columnar.FastHierarchy`.
-        Devices with a replacement policy the fast engine does not model
-        (``plru`` ablations) silently fall back to exact hierarchies.
+        ``"fast"`` the bit-identical runtime-compiled C core
+        (:class:`~repro.memsim.native.NativeHierarchy`).  ``"fast"``
+        builds exact hierarchies instead when the device uses a
+        replacement policy the native engine does not model (``plru``
+        ablations) or when the native core cannot load; the latter logs
+        one warning per process.  Each hierarchy's ``engine`` attribute
+        names the engine that replays it.
         """
         if not 1 <= active_cores <= self.cores:
             raise DeviceError(
@@ -133,19 +134,18 @@ class DeviceSpec:
             raise DeviceError(
                 f"{self.key}: unknown engine {engine!r}; pick 'exact' or 'fast'"
             )
-        fast = engine == "fast" and supports_fast(
-            [spec.policy for spec in self.caches]
-        )
-        if fast:
-            from repro.memsim.native import native_available, native_cache, NativeHierarchy
+        make_cache, hierarchy_cls = Cache, MemoryHierarchy
+        if engine == "fast" and supports_fast([spec.policy for spec in self.caches]):
+            from repro.memsim import native
 
-            native = native_available()
-        out = []
-        for _core in range(active_cores):
-            if fast:
-                build_cache = native_cache if native else fast_cache
-                caches = [
-                    build_cache(
+            if native.native_available():
+                make_cache, hierarchy_cls = native.native_cache, native.NativeHierarchy
+            else:
+                native.warn_exact_fallback()
+        return [
+            hierarchy_cls(
+                [
+                    make_cache(
                         spec.name,
                         spec.per_core_size(active_cores),
                         spec.ways,
@@ -153,28 +153,13 @@ class DeviceSpec:
                         spec.policy,
                     )
                     for spec in self.caches
-                ]
-                hierarchy_cls = NativeHierarchy if native else FastHierarchy
-                out.append(
-                    hierarchy_cls(
-                        caches, prefetch=self.prefetch, tlb=self.tlb, line_size=LINE_SIZE
-                    )
-                )
-                continue
-            caches = [
-                Cache(
-                    spec.name,
-                    spec.per_core_size(active_cores),
-                    spec.ways,
-                    LINE_SIZE,
-                    spec.policy,
-                )
-                for spec in self.caches
-            ]
-            out.append(
-                MemoryHierarchy(caches, prefetch=self.prefetch, tlb=self.tlb, line_size=LINE_SIZE)
+                ],
+                prefetch=self.prefetch,
+                tlb=self.tlb,
+                line_size=LINE_SIZE,
             )
-        return out
+            for _core in range(active_cores)
+        ]
 
     def scaled(self, factor: int) -> "DeviceSpec":
         """A geometrically scaled copy: cache capacities divided by

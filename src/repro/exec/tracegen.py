@@ -29,7 +29,7 @@ Key properties:
   execution.  The per-iteration interleaving of references *within* one
   innermost iteration is abstracted away.  That abstraction is not yet
   validated against the exact per-access order (DESIGN.md §5.1, ROADMAP
-  item 5).
+  item 4).
 * **Per-core streams are independent**: a consumer can process core 0's
   stream to completion before core 1's.  Shared cache levels are handled
   by the hierarchy model (capacity partitioning), DRAM contention by the

@@ -7,25 +7,22 @@
 * :mod:`repro.memsim.tlb` — two-level Sv39-style TLBs;
 * :mod:`repro.memsim.dram` — DRAM traffic counters;
 * :mod:`repro.memsim.hierarchy` — the composed per-core hierarchy;
-* :mod:`repro.memsim.columnar` — the batched columnar replay engine
-  (``REPRO_ENGINE=fast``, the default), bit-identical to the exact
-  per-reference loop;
+* :mod:`repro.memsim.native` — the fast replay engine, a runtime-compiled
+  C core bit-identical to the per-reference exact loop;
+* :mod:`repro.memsim.columnar` — replay-engine selection
+  (``REPRO_ENGINE=exact|fast``, default fast; exact, with a warning,
+  when the native core cannot load) and skip-path telemetry;
 * :mod:`repro.memsim.stats` — snapshot/delta statistics;
 * :mod:`repro.memsim.pmu` — the simulated PMU: 3C miss attribution,
   per-set conflict histograms and prefetch-accuracy counters.
 """
 
-from repro.memsim.cache import Cache, CacheStats, set_indices, set_mask
+from repro.memsim.cache import Cache, CacheStats, set_mask
 from repro.memsim.columnar import (
     ENGINE_ENV,
     ENGINE_EXACT,
     ENGINE_FAST,
     FAST_POLICIES,
-    FastHierarchy,
-    FastLruCache,
-    FastRandomCache,
-    FastTlb,
-    fast_cache,
     resolve_engine,
     supports_fast,
 )
@@ -61,10 +58,6 @@ __all__ = [
     "ENGINE_EXACT",
     "ENGINE_FAST",
     "FAST_POLICIES",
-    "FastHierarchy",
-    "FastLruCache",
-    "FastRandomCache",
-    "FastTlb",
     "HierarchySnapshot",
     "LevelPmu",
     "LevelSnapshot",
@@ -84,10 +77,8 @@ __all__ = [
     "U74_PREFETCH",
     "XEON_PREFETCH",
     "add_counters",
-    "fast_cache",
     "make_policy",
     "resolve_engine",
-    "set_indices",
     "set_mask",
     "snapshot",
     "supports_fast",

@@ -23,22 +23,9 @@ def set_mask(num_sets: int) -> Optional[int]:
     The single source of set-indexing truth: power-of-two set counts
     index with ``line & mask``; others (the Xeon's 15 MiB 12-way L3 has
     20480 sets) fall back to ``line % num_sets``.  Both the exact and
-    the fast engines derive their set indices from this mask.
+    the native engines derive their set indices from this mask.
     """
     return num_sets - 1 if not (num_sets & (num_sets - 1)) else None
-
-
-def set_indices(lines, num_sets: int, mask: Optional[int]) -> List[int]:
-    """Vectorizable counterpart of :meth:`Cache.set_index` over a batch.
-
-    Applies exactly the mask/modulo rule :func:`set_mask` encodes to a
-    whole sequence of line addresses (the columnar engine's per-segment
-    batches).  Kept next to the scalar rule so a geometry change cannot
-    make the two paths disagree.
-    """
-    if mask is not None:
-        return [line & mask for line in lines]
-    return [line % num_sets for line in lines]
 
 
 @dataclass
@@ -135,8 +122,8 @@ class Cache:
 
     def set_index(self, line: int) -> int:
         """Set a line maps to — the one mask/modulo rule (:func:`set_mask`),
-        shared by :meth:`access`, the hierarchy's writeback path and (in
-        batch form, :func:`set_indices`) the columnar engine."""
+        shared by :meth:`access` and the hierarchy's writeback path; the
+        native engine's caches derive the same rule from :func:`set_mask`."""
         mask = self._set_mask
         return line & mask if mask is not None else line % self.num_sets
 

@@ -32,6 +32,9 @@ from repro.memsim.tlb import PAGE_SIZE, TlbSpec
 class MemoryHierarchy:
     """A single core's view of the memory system."""
 
+    #: Replay engine this class implements (``SimulationResult.engine``).
+    engine = "exact"
+
     def __init__(
         self,
         caches: Sequence[Cache],

@@ -1,11 +1,13 @@
-"""Runtime-compiled C core for the fast replay engine.
+"""The fast replay engine: a runtime-compiled C core.
 
-The batched columnar engine (:mod:`repro.memsim.columnar`) removed the
-per-reference Python call chain, but its scalar fallbacks — per-op dict
-replay of conflicting set groups, the per-op PMU observation loop — are
-still interpreter-bound.  This module compiles those loops to C at first
-use and drives them over NumPy op columns:
+The exact simulator (:mod:`repro.memsim.hierarchy`) walks every distinct
+line of every segment through every cache level one Python call at a
+time.  This module replays the same semantics over NumPy op columns with
+loops compiled to C at first use:
 
+* ``seg_measure`` / ``seg_expand`` — closed-form expansion of compressed
+  affine segments into their distinct lines and pages;
+* ``coverage_batch`` — stride-prefetcher training and coverage flags;
 * ``lru_batch`` / ``rand_batch`` — per-set array replay of one op batch
   (LRU order as a position array, linear way scan; the xorshift64 PRNG
   sequence of the random policy in chronological global order);
@@ -18,12 +20,11 @@ use and drives them over NumPy op columns:
 * ``assemble`` — construction of the next level's op stream (dirty
   eviction installs preceding demand probes, source order preserved).
 
-Everything is semantics-for-semantics the same as the pure-Python fast
-engine, which remains both the oracle's twin and the fallback: the
-toolchain is probed once, and any failure (no compiler, no cffi, a
-read-only tree) silently selects the Python classes.  ``REPRO_NATIVE=0``
-forces the fallback explicitly (the differential tests use it to cover
-all three engines).
+Every counter is bit-identical to the exact engine, which stays the
+oracle and the fallback: the toolchain is probed once per process, and
+if it fails (no compiler, no cffi, a read-only tree)
+``DeviceSpec.build_hierarchies`` builds exact hierarchies and logs one
+warning carrying :func:`native_status`.
 
 Compilation uses cffi in ABI (``dlopen``) mode — a plain shared object
 built with the system C compiler, no Python headers or setuptools
@@ -35,9 +36,9 @@ pipeline's worker pool may import this module from many processes).
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import subprocess
-import sys
 import tempfile
 from typing import Dict, List, Optional
 
@@ -46,21 +47,19 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.exec.trace import Segment, SegmentBatch
 from repro.memsim.cache import CacheStats, set_mask
-from repro.memsim.columnar import _NP_MIN, _PRNG_SEED
-
-# The compiled replay loops make per-op cost tiny, so the economics differ
-# from the pure-Python engine: the dominant cost is the *fixed* numpy/ffi
-# overhead per drained batch.  Buffer aggressively: segments of any size
-# accumulate, and the buffer drains right after the segment that brings
-# it to ``_BUF_OPS`` queued ops, whether segments arrive one at a time or
-# as column batches.
-_BUF_OPS = 32768
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.prefetch import NO_PREFETCH, PrefetcherSpec
+from repro.memsim.replacement import RANDOM_SEED
 from repro.memsim.tlb import PAGE_SIZE, TlbSpec
 
-#: Environment variable gating the native core ("0"/"off"/"no" disables).
-NATIVE_ENV = "REPRO_NATIVE"
+LOG = logging.getLogger("repro.memsim.native")
+
+# The dominant cost of the compiled replay loops is the *fixed*
+# numpy/ffi overhead per drained batch.  Buffer aggressively: segments of
+# any size accumulate, and the buffer drains right after the segment that
+# brings it to ``_BUF_OPS`` queued ops, whether segments arrive one at a
+# time or as column batches.
+_BUF_OPS = 32768
 
 #: Environment variable overriding the build cache directory.
 NATIVE_CACHE_ENV = "REPRO_NATIVE_CACHE"
@@ -143,8 +142,8 @@ static int64_t pmod(int64_t a, int64_t b)
 
 /* ---- set-associative LRU replay ------------------------------------- */
 /* Per set: lines in LRU order (slot 0 = victim, slot occ-1 = MRU) plus a
- * parallel dirty byte; identical observable behaviour to the ordered-dict
- * state of the Python fast engine. */
+ * parallel dirty byte; identical observable behaviour to the exact
+ * Cache with an LRU policy. */
 
 void lru_batch(int64_t num_sets, int64_t ways, int64_t mask,
                int64_t *ln, uint8_t *dy, int32_t *occ,
@@ -774,7 +773,7 @@ void coverage_batch(const int64_t *refs, const int64_t *bases,
 
 _lib = None
 _ffi = None
-_STATE = {"tried": False, "error": None}
+_STATE = {"tried": False, "error": None, "warned": False}
 
 
 def _repo_build_dir() -> str:
@@ -868,19 +867,27 @@ def _selftest(ffi, lib) -> None:
 
 
 def native_available() -> bool:
-    """Is the compiled core usable (and not disabled via ``REPRO_NATIVE``)?"""
-    if os.environ.get(NATIVE_ENV, "").strip().lower() in ("0", "off", "no"):
-        return False
+    """Is the compiled core usable?"""
     return _load() is not None
 
 
 def native_status() -> str:
     """Human-readable availability (``repro perf``/debugging)."""
-    if os.environ.get(NATIVE_ENV, "").strip().lower() in ("0", "off", "no"):
-        return "disabled (REPRO_NATIVE)"
     if _load() is not None:
         return "available"
     return f"unavailable ({_STATE['error']})"
+
+
+def warn_exact_fallback() -> None:
+    """Log, once per process, that ``engine="fast"`` replays on the
+    exact engine because the native core did not load."""
+    if _STATE["warned"]:
+        return
+    _STATE["warned"] = True
+    LOG.warning(
+        "native replay core %s; the fast engine falls back to exact replay "
+        "(same results, slower)", native_status(),
+    )
 
 
 def _i64(arr: np.ndarray):
@@ -955,8 +962,18 @@ class _NativeCacheBase:
         return bool(hits[0]), None if ev < 0 else ev
 
     def process_batch(self, lines, probe, fill):
-        """Same contract as ``FastLruCache.process_batch`` with array
-        outputs (``evict`` uses ``-1`` for "none")."""
+        """Replay one op batch at this level.
+
+        ``lines`` is the op line addresses in stream order; ``probe`` is
+        ``None`` (every op is a demand probe) or a parallel flag array
+        where ``0`` marks a writeback install from the level above;
+        ``fill`` is the dirty bit a probe fill acquires — a bool, or a
+        parallel per-op flag array.
+
+        Returns ``(hits, missed, evict)`` arrays parallel to ``lines``:
+        probe hit / install-found-present flags, fill-allocated flags,
+        and the dirty line evicted by each op (``-1`` if none).
+        """
         arr = lines if isinstance(lines, np.ndarray) else np.asarray(lines, dtype=np.int64)
         n = len(arr)
         hits = np.empty(n, dtype=np.uint8)
@@ -1016,11 +1033,11 @@ class NativeRandomCache(_NativeCacheBase):
 
     def __init__(self, name: str, size_bytes: int, ways: int, line_size: int = 64):
         super().__init__(name, size_bytes, ways, line_size)
-        self._rand_state = _PRNG_SEED
+        self._rand_state = RANDOM_SEED
 
     def reset(self) -> None:
         super().reset()
-        self._rand_state = _PRNG_SEED
+        self._rand_state = RANDOM_SEED
 
     def _batch(self, arr, probe, fill_arr, fill_u, hits, missed, evict, st) -> None:
         self._rand_state = int(
@@ -1134,11 +1151,13 @@ class NativeHierarchy(MemoryHierarchy):
     """Memory hierarchy driving the compiled replay core.
 
     Same construction contract, counters, flush and snapshot behaviour
-    as the exact hierarchy and the Python fast engine; segments small
-    enough to buffer are concatenated into cross-segment op batches with
-    per-segment TLB/PMU bookkeeping deferred to the (order-preserving)
-    drain, so the per-segment Python overhead is a few appends.
+    as the exact hierarchy; segments small enough to buffer are
+    concatenated into cross-segment op batches with per-segment TLB/PMU
+    bookkeeping deferred to the (order-preserving) drain, so the
+    per-segment Python overhead is a few appends.
     """
+
+    engine = "fast"
 
     def __init__(
         self,

@@ -18,6 +18,10 @@ from typing import List
 
 from repro.errors import SimulationError
 
+#: Initial xorshift64 state of the random policy; the native engine's
+#: random-replacement loop starts from the same seed.
+RANDOM_SEED = 0x9E3779B97F4A7C15
+
 
 class ReplacementPolicy:
     """Interface: way-level bookkeeping for one cache."""
@@ -62,7 +66,7 @@ class LruPolicy(ReplacementPolicy):
 class RandomPolicy(ReplacementPolicy):
     """Uniform-random victim selection with a deterministic xorshift64 PRNG."""
 
-    def __init__(self, num_sets: int, ways: int, seed: int = 0x9E3779B97F4A7C15):
+    def __init__(self, num_sets: int, ways: int, seed: int = RANDOM_SEED):
         super().__init__(num_sets, ways)
         self._state = seed or 1
 

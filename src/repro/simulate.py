@@ -54,9 +54,10 @@ class SimulationResult:
     # by ``repro perf annotate`` to map counters back onto IR statements.
     pmus: List[Pmu] = field(default_factory=list)
     ref_table: Dict[int, RefInfo] = field(default_factory=dict)
-    # Observability only: which replay engine ran and how many line
-    # operations each fast-path skip class absorbed.  Never part of the
-    # counter contract — snapshots/records stay engine-independent.
+    # Observability only: which replay engine actually ran (``"exact"``
+    # when ``"fast"`` fell back) and how many line operations each skip
+    # class absorbed.  Never part of the counter contract —
+    # snapshots/records stay engine-independent.
     engine: str = ""
     engine_skips: Dict[str, int] = field(default_factory=dict)
 
@@ -131,10 +132,12 @@ def simulate(
         contents and timing are byte-for-byte identical with it off.
     engine:
         Replay engine: ``"exact"`` (the per-reference oracle loop) or
-        ``"fast"`` (the batched columnar engine, bit-identical on every
+        ``"fast"`` (the runtime-compiled C core, bit-identical on every
         counter).  ``None`` resolves ``REPRO_ENGINE``, defaulting to
-        ``fast``.  Devices whose replacement policies the fast engine
-        does not model fall back to exact hierarchies automatically.
+        ``fast``.  ``fast`` replays on exact hierarchies when the native
+        core cannot load (logged once per process) or the device's
+        replacement policies are outside what it models;
+        :attr:`SimulationResult.engine` names the engine that replayed.
     """
     if repetitions < 1:
         raise SimulationError("repetitions must be >= 1")
@@ -155,6 +158,7 @@ def simulate(
     ):
         with tracer.span("build_hierarchies", cat="sim"):
             hierarchies = device.build_hierarchies(active_cores, engine=engine)
+        engine = hierarchies[0].engine
         pmus: List[Pmu] = []
         if pmu:
             pmus = [h.attach_pmu() for h in hierarchies]

@@ -448,17 +448,11 @@ def test_fault_plan_parses_tracegen_slow():
 # -- engine skip-path counters ------------------------------------------------
 
 
-def test_fast_cache_closed_form_paths_are_counted():
-    from repro.memsim.columnar import FastLruCache
+def _require_native():
+    from repro.memsim.native import native_available, native_status
 
-    cache = FastLruCache("L1", 64 * 64, ways=64, line_size=64)  # one set
-    lines = list(range(32))
-    cache.process_batch(lines, None, False)
-    assert cache.skips["streaming"] == 32 and cache.skips["resident"] == 0
-    cache.process_batch(lines, None, False)
-    assert cache.skips["resident"] == 32
-    cache.process_batch([1, 2], None, False)
-    assert cache.skips["replayed"] == 2
+    if not native_available():
+        pytest.skip(f"native engine {native_status()}")
 
 
 def test_simulate_reports_engine_skips_and_process_totals():
@@ -467,6 +461,7 @@ def test_simulate_reports_engine_skips_and_process_totals():
     from repro.memsim.columnar import process_skip_totals
     from repro.simulate import simulate
 
+    _require_native()
     before = process_skip_totals()
     result = simulate(
         tr.build("Naive", 64), get_device("mango_pi_d1").scaled(16), engine="fast"
@@ -486,13 +481,13 @@ def test_simulate_reports_engine_skips_and_process_totals():
     assert exact.engine == "exact" and exact.engine_skips == {}
 
 
-def test_perf_stat_surfaces_skip_counters():
+def test_perf_stat_surfaces_skip_counters(monkeypatch):
     from repro.observe.perf import _stat_rows, render_stat, run_perf
 
+    _require_native()
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     cell = run_perf("transpose", "Naive", "mango_pi_d1", n=64)
-    assert cell.engine in ("fast", "exact")
-    if cell.engine != "fast":
-        pytest.skip("fast engine not active")
+    assert cell.engine == "fast"
     assert sum(cell.engine_skips.values()) > 0
     names = [name for _value, name, _comment in _stat_rows(cell)]
     assert {"engine.resident", "engine.streaming", "engine.replayed"} <= set(names)
@@ -521,6 +516,7 @@ def test_serve_metrics_accumulate_engine_skips():
 def test_executor_reports_engine_skip_deltas(tmp_path):
     from repro.serve.executor import execute_job, reset_runners
 
+    _require_native()
     reset_runners()
     task = {
         "kernel": "transpose", "variant": "Naive", "device": "mango_pi_d1",
