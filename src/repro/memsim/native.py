@@ -2,29 +2,40 @@
 
 The exact simulator (:mod:`repro.memsim.hierarchy`) walks every distinct
 line of every segment through every cache level one Python call at a
-time.  This module replays the same semantics over NumPy op columns with
-loops compiled to C at first use:
+time.  This module replays the same semantics in C.  Python queues
+segment columns; each drain is **one** call, ``hier_drain``, over a C
+hierarchy state built once per :class:`NativeHierarchy` (pointers to
+each level's arrays, the TLB, the prefetch stream table, the PMU state
+and scratch op buffers the state owns and grows).  In order, it runs:
 
-* ``seg_measure`` / ``seg_expand`` — closed-form expansion of compressed
-  affine segments into their distinct lines and pages;
-* ``coverage_batch`` — stride-prefetcher training and coverage flags;
-* ``lru_batch`` / ``rand_batch`` — per-set array replay of one op batch
-  (LRU order as a position array, linear way scan; the xorshift64 PRNG
-  sequence of the random policy in chronological global order);
-* ``tlb_batch`` — the two-level TLB page walk, with per-segment walk
-  counts for PMU attribution;
-* ``pmu_batch`` — the 3C observer: an open-addressing hash set for the
-  *seen* lines plus a hash-map + doubly-linked-list fully-associative
-  LRU shadow, emitting per-op class codes that NumPy aggregates into
-  the per-reference tables;
-* ``assemble`` — construction of the next level's op stream (dirty
-  eviction installs preceding demand probes, source order preserved).
+* segment expansion — the closed-form distinct lines of each compressed
+  affine segment (``seg_lines``), written into the first op buffer with
+  each op's dirty-fill flag, prefetch-coverage flag and reference id;
+* prefetch coverage (``pf_cover``) — stride-prefetcher training over
+  the cross-segment stream table, in segment order;
+* the TLB walk (``seg_pages``) — every page of every segment through
+  the two-level TLB, with per-segment walk counts;
+* per cache level: ``lru_batch`` / ``rand_batch`` (per-set array replay;
+  LRU order as a position array with a linear way scan, or the
+  xorshift64 PRNG sequence of the random policy in chronological global
+  order), the PMU's 3C classification (``pmu_level``), and assembly of
+  the next level's op stream into the other buffer (``next_level``: dirty
+  eviction installs precede their demand probe, source order preserved);
+* DRAM line counts at the bottom.
+
+Fully-associative structures — single-set dTLB levels and the PMU's
+shadow cache — share one O(1) LRU (``falru``: an open-addressing hash
+map plus a doubly linked list).  Its map never deletes a key; for the
+PMU the value also carries the *seen* bit, so the 3C observer needs no
+second set.  Per-reference PMU tallies accumulate in dense C arrays and
+are folded into the :class:`~repro.memsim.pmu.Pmu` dictionaries after
+each drain; Python otherwise reads back counters only.
 
 Every counter is bit-identical to the exact engine, which stays the
 oracle and the fallback: the toolchain is probed once per process, and
-if it fails (no compiler, no cffi, a read-only tree)
-``DeviceSpec.build_hierarchies`` builds exact hierarchies and logs one
-warning carrying :func:`native_status`.
+if it fails (no compiler, no cffi, a read-only tree, a core that fails
+its self-test) ``DeviceSpec.build_hierarchies`` builds exact
+hierarchies and logs one warning carrying :func:`native_status`.
 
 Compilation uses cffi in ABI (``dlopen``) mode — a plain shared object
 built with the system C compiler, no Python headers or setuptools
@@ -54,15 +65,35 @@ from repro.memsim.tlb import PAGE_SIZE, TlbSpec
 
 LOG = logging.getLogger("repro.memsim.native")
 
-# The dominant cost of the compiled replay loops is the *fixed*
-# numpy/ffi overhead per drained batch.  Buffer aggressively: segments of
-# any size accumulate, and the buffer drains right after the segment that
-# brings it to ``_BUF_OPS`` queued ops, whether segments arrive one at a
-# time or as column batches.
+# Each drain has a fixed cost (one C call, a fold of its counters).
+# Buffer aggressively: segments of any size accumulate, and the buffer
+# drains right after the segment that brings it to ``_BUF_OPS`` queued
+# ops, whether segments arrive one at a time or as column batches.
 _BUF_OPS = 32768
 
 #: Environment variable overriding the build cache directory.
 NATIVE_CACHE_ENV = "REPRO_NATIVE_CACHE"
+
+#: ``process_batch``'s "no dirty eviction" marker (line ids can be
+#: negative, so ``-1`` cannot be one).
+EVICT_NONE = int(np.iinfo(np.int64).min)
+
+# Layout of a drain's counter block (``out``), mirrored in the C source.
+_OUT_TLB = 0        # dTLB-L1 hits, misses, dTLB-L2 hits, misses
+_OUT_DRAM = 4       # DRAM lines read, written
+_OUT_PF = 6         # prefetch covered, uncovered, late lines
+_OUT_PMU_PF = 9     # PMU prefetch useful, polluting
+_OUT_NREF = 11      # per-reference tally rows returned
+_OUT_NSET = 12      # (level, set, conflicts) rows returned
+_OUT_LEVELS = 13    # per level: hits, misses, fills, writebacks,
+                    # prefetch hits, replayed ops; then per level the
+                    # PMU's compulsory, capacity, conflict misses
+# A tally row: ref, bytes, accesses, TLB walks, DRAM lines read,
+# written, then per level compulsory, capacity, conflict misses.
+_ROW_FIXED = 6
+
+#: C types of the ``SegmentBatch`` columns a drain passes by pointer.
+_COLUMN_DTYPES = (np.int64, np.int64, np.int64, np.int64, np.uint8, np.int64)
 
 _CDEF = """
 void lru_batch(int64_t num_sets, int64_t ways, int64_t mask,
@@ -77,39 +108,26 @@ uint64_t rand_batch(int64_t num_sets, int64_t ways, int64_t mask,
                     const uint8_t *fill, int fill_u, int64_t n,
                     uint8_t *hits, uint8_t *missed, int64_t *evict,
                     int64_t *stats);
-void tlb_batch(int64_t n1, int64_t w1, int64_t *t1, int32_t *o1,
-               int64_t n2, int64_t w2, int64_t *t2, int32_t *o2,
-               const int64_t *pages, const int64_t *bounds, int64_t nseg,
-               int32_t *walks, int64_t *stats);
-int64_t assemble(int64_t n, const int64_t *lines, const uint8_t *probe,
-                 const uint8_t *missed, const int64_t *evict,
-                 const uint8_t *covered, const int64_t *refs,
-                 int64_t *nl, uint8_t *npb, uint8_t *ncv, int64_t *nrf,
-                 int64_t *prefetched);
-typedef struct pmu_state pmu_state_t;
-pmu_state_t *pmu_state_new(int64_t capacity_lines);
-void pmu_state_free(pmu_state_t *st);
-void pmu_state_reset(pmu_state_t *st);
-void pmu_batch(pmu_state_t *st, const int64_t *lines, const uint8_t *probe,
-               const uint8_t *hits, const uint8_t *missed,
-               const uint8_t *covered, int64_t n, int64_t num_sets,
-               int64_t mask, uint8_t *cls, int32_t *conf_sets, int64_t *out);
-void seg_measure(const int64_t *base, const int64_t *stride,
-                 const int64_t *count, const int64_t *elem, int64_t nseg,
-                 int64_t line, int64_t page, int tlb_on,
-                 int64_t *distinct, int64_t *npages);
-void seg_expand(const int64_t *base, const int64_t *stride,
-                const int64_t *count, const int64_t *elem, int64_t nseg,
-                int64_t line, const int64_t *loff, int64_t *lines_out,
-                int64_t page, int tlb_on, const int64_t *poff,
-                int64_t *pages_out);
-void coverage_batch(const int64_t *refs, const int64_t *bases,
-                    const int64_t *strides, const int64_t *distinct,
-                    int64_t nseg, int64_t line, int64_t max_stride,
-                    int64_t train, int64_t nstreams, int cross_on,
-                    int64_t *st_ref, int64_t *st_base, int64_t *st_delta,
-                    int64_t *st_conf, uint8_t *st_dvalid, int64_t *st_n,
-                    int64_t *cov_out, int64_t *counters);
+typedef struct tlb tlb_t;
+tlb_t *tlb_new(int64_t n1, int64_t w1, int64_t n2, int64_t w2);
+void tlb_free(tlb_t *t);
+void tlb_reset(tlb_t *t);
+void tlb_walk(tlb_t *t, const int64_t *pages, int64_t n, int64_t *stats);
+typedef struct hier hier_t;
+hier_t *hier_new(int64_t nlev, int64_t line, int64_t page, tlb_t *tlb,
+                 int64_t pf_max_stride, int64_t pf_train,
+                 int64_t pf_streams, int pf_cross, int64_t *out);
+void hier_level(hier_t *h, int64_t k, int64_t num_sets, int64_t ways,
+                int64_t mask, int64_t *ln, uint8_t *dy, int32_t *occ,
+                uint64_t *rng);
+void hier_pmu(hier_t *h, int on);
+void hier_reset(hier_t *h);
+void hier_release(hier_t *h);
+void hier_free(hier_t *h);
+const int64_t *hier_drain(hier_t *h, const int64_t *refs,
+                          const int64_t *base, const int64_t *stride,
+                          const int64_t *count, const uint8_t *write,
+                          const int64_t *elem, int64_t nseg);
 """
 
 _C_SRC = r"""
@@ -139,6 +157,13 @@ static int64_t pmod(int64_t a, int64_t b)
  * fdiv(addr, line) of any int64 address). */
 #define EMPTY_KEY INT64_MIN
 #define EVICT_NONE INT64_MIN
+
+static void *xalloc(int64_t n, size_t elem)
+{
+    void *p = malloc((size_t)(n > 0 ? n : 1) * elem);
+    if (!p) abort();
+    return p;
+}
 
 /* ---- set-associative LRU replay ------------------------------------- */
 /* Per set: lines in LRU order (slot 0 = victim, slot occ-1 = MRU) plus a
@@ -240,87 +265,12 @@ uint64_t rand_batch(int64_t num_sets, int64_t ways, int64_t mask,
     return x;
 }
 
-/* ---- two-level TLB walk ---------------------------------------------- */
-
-static int tlb_access(int64_t num_sets, int64_t ways, int64_t *ln,
-                      int32_t *occ, int64_t page)
-{
-    int64_t s = pmod(page, num_sets);
-    int64_t *L = ln + s * ways;
-    int32_t o = occ[s], j, k;
-    for (j = o - 1; j >= 0; j--) {
-        if (L[j] == page) {
-            for (k = j; k < o - 1; k++) L[k] = L[k + 1];
-            L[o - 1] = page;
-            return 1;
-        }
-    }
-    if (o >= ways) {
-        for (k = 0; k < o - 1; k++) L[k] = L[k + 1];
-        L[o - 1] = page;
-    } else {
-        L[o] = page; occ[s] = o + 1;
-    }
-    return 0;
-}
-
-/* Pages of several segments back to back; bounds[g]..bounds[g+1] is
- * segment g's slice, walks[g] its page-walk count (misses at the last
- * level), stats accumulates {l1 hits, l1 misses, l2 hits, l2 misses}. */
-void tlb_batch(int64_t n1, int64_t w1, int64_t *t1, int32_t *o1,
-               int64_t n2, int64_t w2, int64_t *t2, int32_t *o2,
-               const int64_t *pages, const int64_t *bounds, int64_t nseg,
-               int32_t *walks, int64_t *stats)
-{
-    int64_t h1 = 0, m1 = 0, h2 = 0, m2 = 0, g, i;
-    for (g = 0; g < nseg; g++) {
-        int32_t w = 0;
-        for (i = bounds[g]; i < bounds[g + 1]; i++) {
-            int64_t page = pages[i];
-            if (tlb_access(n1, w1, t1, o1, page)) { h1++; continue; }
-            m1++;
-            if (n2) {
-                if (tlb_access(n2, w2, t2, o2, page)) h2++;
-                else { m2++; w++; }
-            } else w++;
-        }
-        if (walks) walks[g] = w;
-    }
-    stats[0] += h1; stats[1] += m1; stats[2] += h2; stats[3] += m2;
-}
-
-/* ---- next-level op stream assembly ----------------------------------- */
-/* For each op: its dirty eviction (an install, probe=0) precedes its
- * demand probe; source order preserved; installs inherit the causing
- * op's reference id.  Returns the new op count; *prefetched counts the
- * covered demand misses (this level's prefetch_hits credit). */
-
-int64_t assemble(int64_t n, const int64_t *lines, const uint8_t *probe,
-                 const uint8_t *missed, const int64_t *evict,
-                 const uint8_t *covered, const int64_t *refs,
-                 int64_t *nl, uint8_t *npb, uint8_t *ncv, int64_t *nrf,
-                 int64_t *prefetched)
-{
-    int64_t m = 0, pf = 0, i;
-    for (i = 0; i < n; i++) {
-        if (evict[i] != EVICT_NONE) {
-            nl[m] = evict[i]; npb[m] = 0; ncv[m] = 0;
-            if (refs) nrf[m] = refs[i];
-            m++;
-        }
-        if (missed[i] && (!probe || probe[i])) {
-            uint8_t cv = covered[i];
-            nl[m] = lines[i]; npb[m] = 1; ncv[m] = cv;
-            if (refs) nrf[m] = refs[i];
-            if (cv) pf++;
-            m++;
-        }
-    }
-    *prefetched = pf;
-    return m;
-}
-
-/* ---- PMU: seen hash set + FA-LRU shadow ------------------------------- */
+/* ---- fully-associative LRU: hash map + doubly linked list ----------- */
+/* The map (open addressing, linear probing) never deletes a key: an
+ * evicted key keeps its slot with node "none".  A value is
+ * (node + 1) << 1 | seen, where node 0..cap-1 indexes the list (head =
+ * LRU, tail = MRU) and the seen bit is the PMU's "ever resident" mark,
+ * which the LRU itself neither sets nor clears. */
 
 static uint64_t mix64(uint64_t x)
 {
@@ -331,267 +281,224 @@ static uint64_t mix64(uint64_t x)
 }
 
 typedef struct {
-    int64_t *keys;       /* EMPTY_KEY = empty slot */
-    uint64_t cap;        /* power of two */
-    uint64_t size;
-} hset;
+    int64_t cap, size;       /* capacity, resident keys */
+    int32_t head, tail;
+    int32_t *prev, *next;
+    uint32_t *slot;          /* map slot of each node */
+    uint64_t mcap, mused;    /* map slots (a power of two), keys stored */
+    int64_t *mkeys;          /* EMPTY_KEY = free slot */
+    uint32_t *mvals;
+} falru_t;
 
-static hset *hset_new(uint64_t cap0)
+static void fa_init(falru_t *fa, int64_t cap)
 {
-    hset *s = (hset *)malloc(sizeof(hset));
-    s->cap = cap0; s->size = 0;
-    s->keys = (int64_t *)malloc(cap0 * sizeof(int64_t));
-    { uint64_t i; for (i = 0; i < cap0; i++) s->keys[i] = EMPTY_KEY; }
-    return s;
+    uint64_t i;
+    fa->cap = cap; fa->size = 0;
+    fa->head = fa->tail = -1;
+    fa->prev = (int32_t *)xalloc(cap, sizeof(int32_t));
+    fa->next = (int32_t *)xalloc(cap, sizeof(int32_t));
+    fa->slot = (uint32_t *)xalloc(cap, sizeof(uint32_t));
+    fa->mcap = 16;
+    while (fa->mcap < 4096 && fa->mcap < (uint64_t)(2 * cap + 16)) fa->mcap <<= 1;
+    fa->mused = 0;
+    fa->mkeys = (int64_t *)xalloc((int64_t)fa->mcap, sizeof(int64_t));
+    fa->mvals = (uint32_t *)xalloc((int64_t)fa->mcap, sizeof(uint32_t));
+    for (i = 0; i < fa->mcap; i++) fa->mkeys[i] = EMPTY_KEY;
 }
 
-static void hset_clear(hset *s)
+static void fa_free(falru_t *fa)
 {
-    s->size = 0;
-    { uint64_t i; for (i = 0; i < s->cap; i++) s->keys[i] = EMPTY_KEY; }
+    free(fa->prev); free(fa->next); free(fa->slot);
+    free(fa->mkeys); free(fa->mvals);
 }
 
-static void hset_free(hset *s) { free(s->keys); free(s); }
-
-static void hset_grow(hset *s)
+static void fa_grow(falru_t *fa)
 {
-    uint64_t ncap = s->cap * 2, mask = ncap - 1, i, j;
-    int64_t *nk = (int64_t *)malloc(ncap * sizeof(int64_t));
+    uint64_t ncap = fa->mcap * 2, mask = ncap - 1, i, j;
+    int64_t *nk = (int64_t *)xalloc((int64_t)ncap, sizeof(int64_t));
+    uint32_t *nv = (uint32_t *)xalloc((int64_t)ncap, sizeof(uint32_t));
     for (i = 0; i < ncap; i++) nk[i] = EMPTY_KEY;
-    for (i = 0; i < s->cap; i++) {
-        int64_t k = s->keys[i];
+    for (i = 0; i < fa->mcap; i++) {
+        int64_t k = fa->mkeys[i];
         if (k == EMPTY_KEY) continue;
         j = mix64((uint64_t)k) & mask;
         while (nk[j] != EMPTY_KEY) j = (j + 1) & mask;
-        nk[j] = k;
+        nk[j] = k; nv[j] = fa->mvals[i];
+        if (nv[j] >> 1) fa->slot[(nv[j] >> 1) - 1] = (uint32_t)j;
     }
-    free(s->keys);
-    s->keys = nk; s->cap = ncap;
+    free(fa->mkeys); free(fa->mvals);
+    fa->mkeys = nk; fa->mvals = nv; fa->mcap = ncap;
 }
 
-/* Add if absent; returns 1 if the key was already present. */
-static int hset_add(hset *s, int64_t key)
+/* Map slot of key, inserted (no node, unseen) if absent. */
+static uint64_t fa_find(falru_t *fa, int64_t key)
 {
-    uint64_t mask = s->cap - 1;
-    uint64_t i = mix64((uint64_t)key) & mask;
     for (;;) {
-        int64_t k = s->keys[i];
-        if (k == key) return 1;
-        if (k == EMPTY_KEY) break;
-        i = (i + 1) & mask;
-    }
-    s->keys[i] = key;
-    s->size++;
-    if (s->size * 10 >= s->cap * 7) hset_grow(s);
-    return 0;
-}
-
-/* Bounded FA-LRU: hash map line -> node, nodes on a doubly linked list
- * (head = LRU).  The map never grows (node pool is the capacity) and
- * deletes with backward-shift, so no tombstones. */
-typedef struct pmu_state {
-    int64_t cap, size;
-    int32_t head, tail, free_head;
-    int64_t *line;
-    int32_t *prev, *next;
-    uint64_t mcap;
-    int64_t *mkeys;
-    int32_t *mvals;
-    hset *seen;
-} pmu_state_t;
-
-static uint64_t pow2_at_least(uint64_t x)
-{
-    uint64_t c = 16;
-    while (c < x) c <<= 1;
-    return c;
-}
-
-pmu_state_t *pmu_state_new(int64_t capacity_lines)
-{
-    pmu_state_t *sh = (pmu_state_t *)malloc(sizeof(pmu_state_t));
-    int64_t i;
-    sh->cap = capacity_lines; sh->size = 0;
-    sh->head = sh->tail = -1;
-    sh->line = (int64_t *)malloc(capacity_lines * sizeof(int64_t));
-    sh->prev = (int32_t *)malloc(capacity_lines * sizeof(int32_t));
-    sh->next = (int32_t *)malloc(capacity_lines * sizeof(int32_t));
-    for (i = 0; i < capacity_lines; i++)
-        sh->next[i] = (int32_t)(i + 1 < capacity_lines ? i + 1 : -1);
-    sh->free_head = capacity_lines ? 0 : -1;
-    sh->mcap = pow2_at_least((uint64_t)(capacity_lines * 2 + 16));
-    sh->mkeys = (int64_t *)malloc(sh->mcap * sizeof(int64_t));
-    sh->mvals = (int32_t *)malloc(sh->mcap * sizeof(int32_t));
-    { uint64_t i; for (i = 0; i < sh->mcap; i++) sh->mkeys[i] = EMPTY_KEY; }
-    sh->seen = hset_new(1024);
-    return sh;
-}
-
-void pmu_state_free(pmu_state_t *sh)
-{
-    hset_free(sh->seen);
-    free(sh->line); free(sh->prev); free(sh->next);
-    free(sh->mkeys); free(sh->mvals);
-    free(sh);
-}
-
-void pmu_state_reset(pmu_state_t *sh)
-{
-    int64_t i;
-    sh->size = 0; sh->head = sh->tail = -1;
-    for (i = 0; i < sh->cap; i++)
-        sh->next[i] = (int32_t)(i + 1 < sh->cap ? i + 1 : -1);
-    sh->free_head = sh->cap ? 0 : -1;
-    { uint64_t i; for (i = 0; i < sh->mcap; i++) sh->mkeys[i] = EMPTY_KEY; }
-    hset_clear(sh->seen);
-}
-
-static int32_t smap_get(pmu_state_t *sh, int64_t key)
-{
-    uint64_t mask = sh->mcap - 1;
-    uint64_t i = mix64((uint64_t)key) & mask;
-    for (;;) {
-        int64_t k = sh->mkeys[i];
-        if (k == key) return sh->mvals[i];
-        if (k == EMPTY_KEY) return -1;
-        i = (i + 1) & mask;
-    }
-}
-
-static void smap_put(pmu_state_t *sh, int64_t key, int32_t val)
-{
-    uint64_t mask = sh->mcap - 1;
-    uint64_t i = mix64((uint64_t)key) & mask;
-    while (sh->mkeys[i] != EMPTY_KEY) i = (i + 1) & mask;
-    sh->mkeys[i] = key; sh->mvals[i] = val;
-}
-
-static void smap_del(pmu_state_t *sh, int64_t key)
-{
-    uint64_t mask = sh->mcap - 1;
-    uint64_t i = mix64((uint64_t)key) & mask;
-    uint64_t j, h;
-    while (sh->mkeys[i] != key) i = (i + 1) & mask;
-    j = i;
-    for (;;) {
+        uint64_t mask = fa->mcap - 1;
+        uint64_t i = mix64((uint64_t)key) & mask;
         int64_t k;
-        j = (j + 1) & mask;
-        k = sh->mkeys[j];
-        if (k == EMPTY_KEY) break;
-        h = mix64((uint64_t)k) & mask;
-        if (((j - h) & mask) >= ((j - i) & mask)) {
-            sh->mkeys[i] = k; sh->mvals[i] = sh->mvals[j];
-            i = j;
+        while ((k = fa->mkeys[i]) != EMPTY_KEY) {
+            if (k == key) return i;
+            i = (i + 1) & mask;
         }
+        if ((fa->mused + 1) * 10 <= fa->mcap * 7) {
+            fa->mkeys[i] = key; fa->mvals[i] = 0; fa->mused++;
+            return i;
+        }
+        fa_grow(fa);
     }
-    sh->mkeys[i] = EMPTY_KEY;
 }
 
-static void sl_unlink(pmu_state_t *sh, int32_t nd)
+static void fa_unlink(falru_t *fa, int32_t nd)
 {
-    int32_t p = sh->prev[nd], nx = sh->next[nd];
-    if (p >= 0) sh->next[p] = nx; else sh->head = nx;
-    if (nx >= 0) sh->prev[nx] = p; else sh->tail = p;
+    int32_t p = fa->prev[nd], nx = fa->next[nd];
+    if (p >= 0) fa->next[p] = nx; else fa->head = nx;
+    if (nx >= 0) fa->prev[nx] = p; else fa->tail = p;
 }
 
-static void sl_push_tail(pmu_state_t *sh, int32_t nd)
+static void fa_push_tail(falru_t *fa, int32_t nd)
 {
-    sh->prev[nd] = sh->tail; sh->next[nd] = -1;
-    if (sh->tail >= 0) sh->next[sh->tail] = nd; else sh->head = nd;
-    sh->tail = nd;
+    fa->prev[nd] = fa->tail; fa->next[nd] = -1;
+    if (fa->tail >= 0) fa->next[fa->tail] = nd; else fa->head = nd;
+    fa->tail = nd;
 }
 
-/* Bump if present (returns 1), else insert evicting the LRU if full
- * (returns 0) — the ``observe``/``observe_install`` shadow step. */
-static int shadow_touch(pmu_state_t *sh, int64_t line)
+/* One LRU touch: bump key to MRU if resident (returns 1), else install
+ * it, evicting the LRU key when full (returns 0).  *slot receives the
+ * key's map slot (valid until the next touch). */
+static int fa_touch(falru_t *fa, int64_t key, uint64_t *slot)
 {
-    int32_t nd = smap_get(sh, line);
+    uint64_t s = fa_find(fa, key);
+    uint32_t v = fa->mvals[s];
+    int32_t nd = (int32_t)(v >> 1) - 1;
+    *slot = s;
     if (nd >= 0) {
-        if (sh->tail != nd) { sl_unlink(sh, nd); sl_push_tail(sh, nd); }
+        if (fa->tail != nd) { fa_unlink(fa, nd); fa_push_tail(fa, nd); }
         return 1;
     }
-    if (sh->size >= sh->cap) {
-        int32_t victim = sh->head;
-        smap_del(sh, sh->line[victim]);
-        sl_unlink(sh, victim);
-        nd = victim;
-        sh->size--;
+    if (fa->size >= fa->cap) {
+        nd = fa->head;
+        fa_unlink(fa, nd);
+        fa->mvals[fa->slot[nd]] &= 1u;
     } else {
-        nd = sh->free_head; sh->free_head = sh->next[nd];
+        nd = (int32_t)fa->size++;
     }
-    sh->line[nd] = line;
-    sl_push_tail(sh, nd);
-    smap_put(sh, line, nd);
-    sh->size++;
+    fa->slot[nd] = (uint32_t)s;
+    fa->mvals[s] = ((uint32_t)(nd + 1) << 1) | (v & 1u);
+    fa_push_tail(fa, nd);
     return 0;
 }
 
-/* One level's op batch: replicate observe()/observe_install() op for op.
- * cls[i]: 0 compulsory, 1 capacity, 2 conflict, 255 unclassified (hit or
- * install).  conf_sets collects the set index of each conflict miss.
- * out = {comp, cap, conf, nconf, useful, polluting}. */
-void pmu_batch(pmu_state_t *st, const int64_t *lines, const uint8_t *probe,
-               const uint8_t *hits, const uint8_t *missed,
-               const uint8_t *covered, int64_t n, int64_t num_sets,
-               int64_t mask, uint8_t *cls, int32_t *conf_sets, int64_t *out)
+/* ---- two-level TLB ---------------------------------------------------- */
+/* Single-set levels use the FA LRU; set-associative levels keep pages in
+ * LRU order per set (slot 0 = victim), indexed by mask when the set
+ * count is a power of two. */
+
+typedef struct {
+    int64_t num_sets, ways, mask;
+    int64_t *ln;
+    int32_t *occ;
+    falru_t fa;
+} tlblvl_t;
+
+struct tlb {
+    int nlev;
+    tlblvl_t lv[2];
+};
+typedef struct tlb tlb_t;
+
+static void tlblvl_init(tlblvl_t *lv, int64_t num_sets, int64_t ways)
 {
-    int64_t comp = 0, capn = 0, conf = 0, nconf = 0, useful = 0, poll = 0, i;
-    for (i = 0; i < n; i++) {
-        int64_t ln = lines[i];
-        int in_shadow, hit;
-        if (probe && !probe[i]) {
-            /* Writeback install: tracked only when it allocated. */
-            cls[i] = 255;
-            if (missed[i]) { hset_add(st->seen, ln); shadow_touch(st, ln); }
-            continue;
-        }
-        in_shadow = shadow_touch(st, ln);
-        hit = hits[i];
-        if (covered && covered[i]) { if (hit) poll++; else useful++; }
-        if (hit) { cls[i] = 255; continue; }
-        if (!hset_add(st->seen, ln)) { comp++; cls[i] = 0; }
-        else if (in_shadow) {
-            conf++; cls[i] = 2;
-            conf_sets[nconf++] =
-                (int32_t)(mask >= 0 ? (ln & mask) : pmod(ln, num_sets));
-        } else { capn++; cls[i] = 1; }
+    lv->num_sets = num_sets; lv->ways = ways;
+    lv->mask = (num_sets & (num_sets - 1)) ? -1 : num_sets - 1;
+    lv->ln = 0; lv->occ = 0;
+    if (num_sets == 1) { fa_init(&lv->fa, ways); return; }
+    lv->ln = (int64_t *)xalloc(num_sets * ways, sizeof(int64_t));
+    lv->occ = (int32_t *)calloc((size_t)num_sets, sizeof(int32_t));
+    if (!lv->occ) abort();
+}
+
+static void tlblvl_free(tlblvl_t *lv)
+{
+    if (lv->num_sets == 1) fa_free(&lv->fa);
+    else { free(lv->ln); free(lv->occ); }
+}
+
+tlb_t *tlb_new(int64_t n1, int64_t w1, int64_t n2, int64_t w2)
+{
+    tlb_t *t = (tlb_t *)xalloc(1, sizeof(tlb_t));
+    t->nlev = n2 ? 2 : 1;
+    tlblvl_init(&t->lv[0], n1, w1);
+    if (n2) tlblvl_init(&t->lv[1], n2, w2);
+    return t;
+}
+
+void tlb_free(tlb_t *t)
+{
+    int k;
+    for (k = 0; k < t->nlev; k++) tlblvl_free(&t->lv[k]);
+    free(t);
+}
+
+void tlb_reset(tlb_t *t)
+{
+    int k;
+    for (k = 0; k < t->nlev; k++) {
+        tlblvl_t *lv = &t->lv[k];
+        tlblvl_free(lv);
+        tlblvl_init(lv, lv->num_sets, lv->ways);
     }
-    out[0] = comp; out[1] = capn; out[2] = conf;
-    out[3] = nconf; out[4] = useful; out[5] = poll;
+}
+
+static int tlblvl_access(tlblvl_t *lv, int64_t page)
+{
+    int64_t s, *L;
+    int32_t o, j, k;
+    if (lv->num_sets == 1) {
+        uint64_t slot;
+        return fa_touch(&lv->fa, page, &slot);
+    }
+    s = lv->mask >= 0 ? (page & lv->mask) : pmod(page, lv->num_sets);
+    L = lv->ln + s * lv->ways;
+    o = lv->occ[s];
+    for (j = o - 1; j >= 0; j--) {
+        if (L[j] == page) {
+            for (k = j; k < o - 1; k++) L[k] = L[k + 1];
+            L[o - 1] = page;
+            return 1;
+        }
+    }
+    if (o >= lv->ways) {
+        for (k = 0; k < o - 1; k++) L[k] = L[k + 1];
+        L[o - 1] = page;
+    } else {
+        L[o] = page; lv->occ[s] = o + 1;
+    }
+    return 0;
+}
+
+/* One page through both levels; stats += {l1 hit, l1 miss, l2 hit, l2
+ * miss}.  Returns 1 for a page walk (a miss at the last level). */
+static int tlb_page(tlb_t *t, int64_t page, int64_t *stats)
+{
+    if (tlblvl_access(&t->lv[0], page)) { stats[0]++; return 0; }
+    stats[1]++;
+    if (t->nlev == 1) return 1;
+    if (tlblvl_access(&t->lv[1], page)) { stats[2]++; return 0; }
+    stats[3]++;
+    return 1;
+}
+
+void tlb_walk(tlb_t *t, const int64_t *pages, int64_t n, int64_t *stats)
+{
+    int64_t i;
+    for (i = 0; i < n; i++) tlb_page(t, pages[i], stats);
 }
 
 /* ---- segment expansion ---------------------------------------------- */
 /* Distinct lines / pages of one affine segment, by the exact engine's
  * rules (floor division throughout; straddling elements contribute their
  * last line with consecutive-duplicate suppression). */
-
-/* kind of a segment's line walk: 0 span, 1 arithmetic, 2 general */
-static int seg_kind(int64_t stride, int64_t count, int64_t base,
-                    int64_t elem, int64_t line,
-                    int64_t *lo, int64_t *hi, int64_t *step)
-{
-    if (stride == 0 || count == 1) {
-        *lo = fdiv(base, line);
-        *hi = fdiv(base + elem - 1, line);
-        *step = 1;
-        return 0;
-    }
-    if ((0 < stride && stride < line) || (-line < stride && stride < 0)) {
-        int64_t lob = stride > 0 ? base : base + stride * (count - 1);
-        int64_t hib = (stride > 0 ? base + stride * (count - 1) : base) + elem - 1;
-        *lo = fdiv(lob, line);
-        *hi = fdiv(hib, line);
-        *step = stride > 0 ? 1 : -1;
-        return 0;
-    }
-    if (stride % line == 0 && pmod(base, line) + elem <= line) {
-        *lo = fdiv(base, line);
-        *step = stride / line;
-        *hi = count;  /* trip count, not a bound */
-        return 1;
-    }
-    return 2;
-}
 
 static int64_t walk_lines(int64_t base, int64_t stride, int64_t count,
                           int64_t elem, int64_t line, int64_t *out)
@@ -615,159 +522,511 @@ static int64_t walk_lines(int64_t base, int64_t stride, int64_t count,
     return n;
 }
 
-void seg_measure(const int64_t *base, const int64_t *stride,
-                 const int64_t *count, const int64_t *elem, int64_t nseg,
-                 int64_t line, int64_t page, int tlb_on,
-                 int64_t *distinct, int64_t *npages)
+/* The segment's distinct lines in access order into out (when given);
+ * returns their count. */
+static int64_t seg_lines(int64_t base, int64_t stride, int64_t count,
+                         int64_t elem, int64_t line, int64_t *out)
 {
-    int64_t i;
-    for (i = 0; i < nseg; i++) {
-        int64_t lo, hi, step;
-        int kind = seg_kind(stride[i], count[i], base[i], elem[i], line,
-                            &lo, &hi, &step);
-        if (kind == 0) distinct[i] = hi - lo + 1;
-        else if (kind == 1) distinct[i] = hi;
-        else distinct[i] = walk_lines(base[i], stride[i], count[i],
-                                      elem[i], line, (int64_t *)0);
-        if (!tlb_on) { npages[i] = 0; continue; }
-        if (stride[i] == 0 || count[i] == 1) {
-            npages[i] = fdiv(base[i] + elem[i] - 1, page) - fdiv(base[i], page) + 1;
-        } else if (stride[i] <= page && stride[i] >= -page) {
-            int64_t lob = stride[i] > 0 ? base[i] : base[i] + stride[i] * (count[i] - 1);
-            int64_t hib = (stride[i] > 0 ? base[i] + stride[i] * (count[i] - 1)
-                                         : base[i]) + elem[i] - 1;
-            npages[i] = fdiv(hib, page) - fdiv(lob, page) + 1;
-        } else {
-            /* |stride| > page: successive accesses always change page. */
-            npages[i] = count[i];
+    int64_t lo, hi, n, k;
+    if (stride == 0 || count == 1 || (0 < stride && stride < line)
+        || (-line < stride && stride < 0)) {
+        /* One contiguous run of lines, walked in the access direction. */
+        int64_t span = count > 1 ? stride * (count - 1) : 0;
+        lo = fdiv(span < 0 ? base + span : base, line);
+        hi = fdiv((span > 0 ? base + span : base) + elem - 1, line);
+        n = hi - lo + 1;
+        if (out) {
+            if (span >= 0) for (k = 0; k < n; k++) out[k] = lo + k;
+            else for (k = 0; k < n; k++) out[k] = hi - k;
         }
+        return n;
+    }
+    if (stride % line == 0 && pmod(base, line) + elem <= line) {
+        if (out) {
+            int64_t step = stride / line;
+            lo = fdiv(base, line);
+            for (k = 0; k < count; k++) out[k] = lo + k * step;
+        }
+        return count;
+    }
+    return walk_lines(base, stride, count, elem, line, out);
+}
+
+/* Walk the segment's pages (in access order) through the TLB; returns
+ * its page walks. */
+static int64_t seg_pages(tlb_t *t, int64_t base, int64_t stride,
+                         int64_t count, int64_t elem, int64_t page,
+                         int64_t *stats)
+{
+    int64_t w = 0, p, k;
+    if (stride == 0 || count == 1) {
+        int64_t p1 = fdiv(base + elem - 1, page);
+        for (p = fdiv(base, page); p <= p1; p++) w += tlb_page(t, p, stats);
+    } else if (stride <= page && stride >= -page) {
+        int64_t lob = stride > 0 ? base : base + stride * (count - 1);
+        int64_t hib = (stride > 0 ? base + stride * (count - 1) : base) + elem - 1;
+        int64_t p0 = fdiv(lob, page), p1 = fdiv(hib, page);
+        if (stride > 0) for (p = p0; p <= p1; p++) w += tlb_page(t, p, stats);
+        else for (p = p1; p >= p0; p--) w += tlb_page(t, p, stats);
+    } else {
+        /* |stride| > page: successive accesses always change page. */
+        for (k = 0; k < count; k++)
+            w += tlb_page(t, fdiv(base + k * stride, page), stats);
+    }
+    return w;
+}
+
+/* ---- the hierarchy state ---------------------------------------------- */
+
+/* Layout of the counter block a drain writes (mirrored in Python). */
+#define OUT_TLB 0
+#define OUT_DRAM 4
+#define OUT_PF 6
+#define OUT_PMU_PF 9
+#define OUT_NREF 11
+#define OUT_NSET 12
+#define OUT_LEVELS 13
+/* Tally row: ref + 1 (0 = untouched this drain), bytes, accesses, TLB
+ * walks, DRAM lines read, written, then 3C misses per level. */
+#define ROW_FIXED 6
+
+typedef struct {
+    int64_t num_sets, ways, mask;   /* mask -1: index by modulo */
+    int64_t *ln;
+    uint8_t *dy;
+    int32_t *occ;
+    uint64_t *rng;                  /* random policy state; NULL = LRU */
+} level_t;
+
+typedef struct {
+    falru_t sh;                     /* FA-LRU shadow + seen bits */
+    int64_t *sconf;                 /* conflict misses per set, this drain */
+    int32_t *stouch;                /* sets with sconf != 0 */
+    int64_t nstouch;
+} pmulvl_t;
+
+typedef struct {                    /* one level's op stream */
+    int64_t cap, rcap;
+    int64_t *lines, *refs;
+    uint8_t *probe, *fill, *cov;
+} opbuf_t;
+
+struct hier {
+    int64_t nlev, line, page, width, nout;
+    level_t *lv;
+    tlb_t *tlb;
+    /* stride prefetcher: stream slots in insertion order (eviction
+     * removes the oldest, like the Python dict) */
+    int64_t pf_max, pf_train, pf_streams, st_n;
+    int pf_cross;
+    int64_t *st_ref, *st_base, *st_delta, *st_conf;
+    uint8_t *st_dvalid;
+    /* PMU (NULL when none is attached) and its dense per-ref tallies */
+    pmulvl_t *pmu;
+    int64_t *tally, tcap;
+    int64_t *tlist, ntl;
+    /* scratch, grown on demand and freed by hier_release */
+    int64_t *dist, dcap;
+    opbuf_t buf[2];
+    uint8_t *hits, *missed;
+    int64_t *evict, rescap;
+    int64_t *fold, fcap;
+    int64_t *out;
+};
+typedef struct hier hier_t;
+
+hier_t *hier_new(int64_t nlev, int64_t line, int64_t page, tlb_t *tlb,
+                 int64_t pf_max_stride, int64_t pf_train,
+                 int64_t pf_streams, int pf_cross, int64_t *out)
+{
+    hier_t *h = (hier_t *)calloc(1, sizeof(hier_t));
+    if (!h) abort();
+    h->nlev = nlev; h->line = line; h->page = page; h->tlb = tlb;
+    h->width = ROW_FIXED + 3 * nlev;
+    h->nout = OUT_LEVELS + 9 * nlev;
+    h->lv = (level_t *)calloc((size_t)nlev, sizeof(level_t));
+    if (!h->lv) abort();
+    h->pf_max = pf_max_stride; h->pf_train = pf_train;
+    h->pf_streams = pf_streams; h->pf_cross = pf_cross;
+    h->st_ref = (int64_t *)xalloc(pf_streams, sizeof(int64_t));
+    h->st_base = (int64_t *)xalloc(pf_streams, sizeof(int64_t));
+    h->st_delta = (int64_t *)xalloc(pf_streams, sizeof(int64_t));
+    h->st_conf = (int64_t *)xalloc(pf_streams, sizeof(int64_t));
+    h->st_dvalid = (uint8_t *)xalloc(pf_streams, sizeof(uint8_t));
+    h->out = out;
+    return h;
+}
+
+void hier_level(hier_t *h, int64_t k, int64_t num_sets, int64_t ways,
+                int64_t mask, int64_t *ln, uint8_t *dy, int32_t *occ,
+                uint64_t *rng)
+{
+    level_t *L = &h->lv[k];
+    L->num_sets = num_sets; L->ways = ways; L->mask = mask;
+    L->ln = ln; L->dy = dy; L->occ = occ; L->rng = rng;
+}
+
+static void pmu_drop(hier_t *h)
+{
+    int64_t k;
+    if (!h->pmu) return;
+    for (k = 0; k < h->nlev; k++) {
+        fa_free(&h->pmu[k].sh);
+        free(h->pmu[k].sconf); free(h->pmu[k].stouch);
+    }
+    free(h->pmu); h->pmu = 0;
+    free(h->tally); free(h->tlist);
+    h->tally = 0; h->tlist = 0; h->tcap = 0; h->ntl = 0;
+}
+
+/* Drop any PMU state; with on, start a fresh one (empty shadows, nothing
+ * seen) — attach_pmu on a warm hierarchy. */
+void hier_pmu(hier_t *h, int on)
+{
+    int64_t k;
+    pmu_drop(h);
+    if (!on) return;
+    h->pmu = (pmulvl_t *)xalloc(h->nlev, sizeof(pmulvl_t));
+    for (k = 0; k < h->nlev; k++) {
+        pmulvl_t *p = &h->pmu[k];
+        int64_t sets = h->lv[k].num_sets;
+        fa_init(&p->sh, sets * h->lv[k].ways);
+        p->sconf = (int64_t *)calloc((size_t)sets, sizeof(int64_t));
+        if (!p->sconf) abort();
+        p->stouch = (int32_t *)xalloc(sets, sizeof(int32_t));
+        p->nstouch = 0;
     }
 }
 
-void seg_expand(const int64_t *base, const int64_t *stride,
-                const int64_t *count, const int64_t *elem, int64_t nseg,
-                int64_t line, const int64_t *loff, int64_t *lines_out,
-                int64_t page, int tlb_on, const int64_t *poff,
-                int64_t *pages_out)
+void hier_reset(hier_t *h)
 {
-    int64_t i, k;
-    for (i = 0; i < nseg; i++) {
-        int64_t lo, hi, step;
-        int64_t *dst = lines_out + loff[i];
-        int kind = seg_kind(stride[i], count[i], base[i], elem[i], line,
-                            &lo, &hi, &step);
-        if (kind == 0) {
-            int64_t n = hi - lo + 1;
-            if (step > 0) for (k = 0; k < n; k++) dst[k] = lo + k;
-            else for (k = 0; k < n; k++) dst[k] = hi - k;
-        } else if (kind == 1) {
-            for (k = 0; k < hi; k++) dst[k] = lo + k * step;
-        } else {
-            walk_lines(base[i], stride[i], count[i], elem[i], line, dst);
-        }
-        if (!tlb_on) continue;
-        dst = pages_out + poff[i];
-        if (stride[i] == 0 || count[i] == 1) {
-            int64_t p0 = fdiv(base[i], page);
-            int64_t n = fdiv(base[i] + elem[i] - 1, page) - p0 + 1;
-            for (k = 0; k < n; k++) dst[k] = p0 + k;
-        } else if (stride[i] <= page && stride[i] >= -page) {
-            int64_t lob = stride[i] > 0 ? base[i] : base[i] + stride[i] * (count[i] - 1);
-            int64_t hib = (stride[i] > 0 ? base[i] + stride[i] * (count[i] - 1)
-                                         : base[i]) + elem[i] - 1;
-            int64_t p0 = fdiv(lob, page), p1 = fdiv(hib, page);
-            int64_t n = p1 - p0 + 1;
-            if (stride[i] > 0) for (k = 0; k < n; k++) dst[k] = p0 + k;
-            else for (k = 0; k < n; k++) dst[k] = p1 - k;
-        } else {
-            for (k = 0; k < count[i]; k++)
-                dst[k] = fdiv(base[i] + k * stride[i], page);
-        }
+    h->st_n = 0;
+    if (h->pmu) hier_pmu(h, 1);
+}
+
+static void opbuf_free(opbuf_t *b)
+{
+    free(b->lines); free(b->refs); free(b->probe); free(b->fill); free(b->cov);
+    memset(b, 0, sizeof(*b));
+}
+
+void hier_release(hier_t *h)
+{
+    opbuf_free(&h->buf[0]); opbuf_free(&h->buf[1]);
+    free(h->dist); free(h->hits); free(h->missed); free(h->evict); free(h->fold);
+    h->dist = 0; h->hits = h->missed = 0; h->evict = 0; h->fold = 0;
+    h->dcap = h->rescap = h->fcap = 0;
+}
+
+void hier_free(hier_t *h)
+{
+    hier_release(h);
+    pmu_drop(h);
+    free(h->st_ref); free(h->st_base); free(h->st_delta); free(h->st_conf);
+    free(h->st_dvalid); free(h->lv);
+    free(h);
+}
+
+static void opbuf_reserve(opbuf_t *b, int64_t n, int with_fill, int with_refs)
+{
+    if (n > b->cap) {
+        free(b->lines); free(b->probe); free(b->fill); free(b->cov);
+        b->lines = (int64_t *)xalloc(n, sizeof(int64_t));
+        b->probe = (uint8_t *)xalloc(n, 1);
+        b->cov = (uint8_t *)xalloc(n, 1);
+        b->fill = 0;
+        b->cap = n;
+    }
+    if (with_fill && !b->fill) b->fill = (uint8_t *)xalloc(b->cap, 1);
+    if (with_refs && n > b->rcap) {
+        free(b->refs);
+        b->refs = (int64_t *)xalloc(n, sizeof(int64_t));
+        b->rcap = n;
     }
 }
 
-/* ---- stride prefetcher ---------------------------------------------- */
-/* Per-segment coverage with the cross-segment stream table: slots kept
- * in insertion order (eviction removes the oldest), matching the Python
- * dict's behaviour exactly. */
-
-void coverage_batch(const int64_t *refs, const int64_t *bases,
-                    const int64_t *strides, const int64_t *distinct,
-                    int64_t nseg, int64_t line, int64_t max_stride,
-                    int64_t train, int64_t nstreams, int cross_on,
-                    int64_t *st_ref, int64_t *st_base, int64_t *st_delta,
-                    int64_t *st_conf, uint8_t *st_dvalid, int64_t *st_n,
-                    int64_t *cov_out, int64_t *counters)
+/* The tally row of ref (ref >= -1), marking it touched this drain. */
+static int64_t *tally_row(hier_t *h, int64_t ref)
 {
-    int64_t covered_total = counters[0], uncovered_total = counters[1];
-    int64_t late_total = counters[2];
-    int64_t n = *st_n;
-    int64_t i;
-    for (i = 0; i < nseg; i++) {
-        int64_t d = distinct[i];
-        int64_t within = 0, cross = 0, covered;
-        int trainable = 0;
-        if (max_stride <= 0 || d == 0) {
-            uncovered_total += d;
-            cov_out[i] = 0;
+    int64_t idx = ref + 1, *row;
+    if (idx >= h->tcap) {
+        int64_t ncap = h->tcap * 2 > idx + 1 ? h->tcap * 2 : idx + 16;
+        int64_t *nt = (int64_t *)calloc((size_t)(ncap * h->width), sizeof(int64_t));
+        int64_t *nl = (int64_t *)xalloc(ncap, sizeof(int64_t));
+        if (!nt) abort();
+        if (h->tally) memcpy(nt, h->tally, (size_t)(h->tcap * h->width) * sizeof(int64_t));
+        if (h->tlist) memcpy(nl, h->tlist, (size_t)h->ntl * sizeof(int64_t));
+        free(h->tally); free(h->tlist);
+        h->tally = nt; h->tlist = nl; h->tcap = ncap;
+    }
+    row = h->tally + idx * h->width;
+    if (!row[0]) { row[0] = idx + 1; h->tlist[h->ntl++] = idx; }
+    return row;
+}
+
+/* Prefetch coverage of one segment: its covered line count; the stream
+ * table and the covered/uncovered/late counters update in place. */
+static int64_t pf_cover(hier_t *h, int64_t ref, int64_t base,
+                        int64_t stride, int64_t d)
+{
+    int64_t *c = h->out + OUT_PF;
+    int64_t within = 0, cross = 0, covered, n = h->st_n, max = h->pf_max;
+    int trainable = 0;
+    if (max <= 0 || d == 0) { c[1] += d; return 0; }
+    if (d > 1) {
+        int64_t step = (stride < 0 ? -stride : stride) / h->line;
+        if (step < 1) step = 1;
+        if (step <= max) {
+            trainable = 1;
+            within = d - h->pf_train;
+            if (within < 0) within = 0;
+        }
+    }
+    if (h->pf_cross) {
+        int64_t slot = -1, j;
+        for (j = 0; j < n; j++)
+            if (h->st_ref[j] == ref) { slot = j; break; }
+        if (slot < 0) {
+            if (n >= h->pf_streams) {
+                for (j = 1; j < n; j++) {
+                    h->st_ref[j - 1] = h->st_ref[j];
+                    h->st_base[j - 1] = h->st_base[j];
+                    h->st_delta[j - 1] = h->st_delta[j];
+                    h->st_conf[j - 1] = h->st_conf[j];
+                    h->st_dvalid[j - 1] = h->st_dvalid[j];
+                }
+                n--;
+            }
+            h->st_ref[n] = ref;
+            h->st_base[n] = base;
+            h->st_conf[n] = 0;
+            h->st_dvalid[n] = 0;
+            h->st_n = n + 1;
+        } else {
+            int64_t delta = base - h->st_base[slot];
+            int64_t dl = (delta < 0 ? -delta : delta) / h->line;
+            if (h->st_dvalid[slot] && h->st_delta[slot] == delta && delta != 0)
+                h->st_conf[slot]++;
+            else
+                h->st_conf[slot] = 0;
+            h->st_delta[slot] = delta;
+            h->st_dvalid[slot] = 1;
+            h->st_base[slot] = base;
+            if (h->st_conf[slot] >= 1 && dl > 0 && dl <= max) cross = d;
+        }
+    }
+    covered = within > cross ? within : cross;
+    if (covered > d) covered = d;
+    c[0] += covered;
+    c[1] += d - covered;
+    if (trainable) c[2] += d - covered;
+    return covered;
+}
+
+/* The PMU's observe()/observe_install() over one level's op batch: 3C
+ * classes into the level counters, the per-ref tallies and the per-set
+ * conflict counts; prefetch accuracy from the covered flags (level 0). */
+static void pmu_level(hier_t *h, int64_t k, const opbuf_t *b,
+                      const uint8_t *probe, const uint8_t *cov, int64_t n)
+{
+    falru_t *sh = &h->pmu[k].sh;
+    pmulvl_t *p = &h->pmu[k];
+    const level_t *L = &h->lv[k];
+    int64_t *o = h->out + OUT_LEVELS + 6 * h->nlev + 3 * k;
+    int64_t useful = 0, poll = 0, i, col = ROW_FIXED + 3 * k;
+    for (i = 0; i < n; i++) {
+        int64_t ln = b->lines[i], *row;
+        uint64_t slot;
+        int in_shadow;
+        if (probe && !probe[i]) {
+            /* Writeback install: tracked only when it allocated. */
+            if (h->missed[i]) { fa_touch(sh, ln, &slot); sh->mvals[slot] |= 1u; }
             continue;
         }
-        if (d > 1) {
-            int64_t s = strides[i] < 0 ? -strides[i] : strides[i];
-            int64_t step = s / line;
-            if (step < 1) step = 1;
-            if (step <= max_stride) {
-                trainable = 1;
-                within = d - train;
-                if (within < 0) within = 0;
-            }
+        in_shadow = fa_touch(sh, ln, &slot);
+        if (cov && cov[i]) { if (h->hits[i]) poll++; else useful++; }
+        if (h->hits[i]) continue;
+        row = h->tally + (b->refs[i] + 1) * h->width + col;
+        if (!(sh->mvals[slot] & 1u)) {
+            sh->mvals[slot] |= 1u;
+            o[0]++; row[0]++;
+        } else if (in_shadow) {
+            int64_t s = L->mask >= 0 ? (ln & L->mask) : pmod(ln, L->num_sets);
+            if (p->sconf[s]++ == 0) p->stouch[p->nstouch++] = (int32_t)s;
+            o[2]++; row[2]++;
+        } else {
+            o[1]++; row[1]++;
         }
-        if (cross_on) {
-            int64_t ref = refs[i], slot = -1, j;
-            for (j = 0; j < n; j++)
-                if (st_ref[j] == ref) { slot = j; break; }
-            if (slot < 0) {
-                if (n >= nstreams) {
-                    for (j = 1; j < n; j++) {
-                        st_ref[j - 1] = st_ref[j];
-                        st_base[j - 1] = st_base[j];
-                        st_delta[j - 1] = st_delta[j];
-                        st_conf[j - 1] = st_conf[j];
-                        st_dvalid[j - 1] = st_dvalid[j];
-                    }
-                    n--;
-                }
-                st_ref[n] = ref;
-                st_base[n] = bases[i];
-                st_conf[n] = 0;
-                st_dvalid[n] = 0;
-                n++;
-            } else {
-                int64_t delta = bases[i] - st_base[slot];
-                int64_t dl = delta < 0 ? -delta : delta;
-                dl /= line;
-                if (st_dvalid[slot] && st_delta[slot] == delta && delta != 0)
-                    st_conf[slot]++;
-                else
-                    st_conf[slot] = 0;
-                st_delta[slot] = delta;
-                st_dvalid[slot] = 1;
-                st_base[slot] = bases[i];
-                if (st_conf[slot] >= 1 && dl > 0 && dl <= max_stride)
-                    cross = d;
-            }
-        }
-        covered = within > cross ? within : cross;
-        if (covered > d) covered = d;
-        cov_out[i] = covered;
-        covered_total += covered;
-        uncovered_total += d - covered;
-        if (trainable) late_total += d - covered;
     }
-    *st_n = n;
-    counters[0] = covered_total;
-    counters[1] = uncovered_total;
-    counters[2] = late_total;
+    if (cov) { h->out[OUT_PMU_PF] += useful; h->out[OUT_PMU_PF + 1] += poll; }
+}
+
+/* Next level's op stream: each op's dirty eviction (an install, probe
+ * 0) precedes its demand probe; source order preserved; both inherit
+ * the op's reference id.  Returns the covered demand misses (this
+ * level's prefetch hits). */
+static int64_t next_level(const opbuf_t *b, const uint8_t *probe,
+                          int64_t n, const uint8_t *missed,
+                          const int64_t *evict, opbuf_t *nb, int with_refs)
+{
+    int64_t m = 0, pf = 0, i;
+    for (i = 0; i < n; i++) {
+        if (evict[i] != EVICT_NONE) {
+            nb->lines[m] = evict[i]; nb->probe[m] = 0; nb->cov[m] = 0;
+            if (with_refs) nb->refs[m] = b->refs[i];
+            m++;
+        }
+        if (missed[i] && (!probe || probe[i])) {
+            uint8_t cv = b->cov[i];
+            nb->lines[m] = b->lines[i]; nb->probe[m] = 1; nb->cov[m] = cv;
+            if (with_refs) nb->refs[m] = b->refs[i];
+            pf += cv;
+            m++;
+        }
+    }
+    return pf;
+}
+
+/* Move every touched tally row and per-set conflict count into the fold
+ * buffer (rows first, then (level, set, count) triples) and clear them. */
+static const int64_t *fold(hier_t *h)
+{
+    int64_t nset = 0, need, t, k, j, *f, W = h->width;
+    for (k = 0; k < h->nlev; k++) nset += h->pmu[k].nstouch;
+    need = h->ntl * W + 3 * nset;
+    if (need > h->fcap) {
+        free(h->fold);
+        h->fold = (int64_t *)xalloc(need, sizeof(int64_t));
+        h->fcap = need;
+    }
+    f = h->fold;
+    for (t = 0; t < h->ntl; t++) {
+        int64_t *row = h->tally + h->tlist[t] * W;
+        memcpy(f, row, (size_t)W * sizeof(int64_t));
+        f[0] = h->tlist[t] - 1;
+        memset(row, 0, (size_t)W * sizeof(int64_t));
+        f += W;
+    }
+    for (k = 0; k < h->nlev; k++) {
+        pmulvl_t *p = &h->pmu[k];
+        for (j = 0; j < p->nstouch; j++) {
+            int32_t s = p->stouch[j];
+            f[0] = k; f[1] = s; f[2] = p->sconf[s];
+            p->sconf[s] = 0;
+            f += 3;
+        }
+        p->nstouch = 0;
+    }
+    h->out[OUT_NREF] = h->ntl;
+    h->out[OUT_NSET] = nset;
+    h->ntl = 0;
+    return h->fold;
+}
+
+/* One drain: replay nseg queued segments (parallel columns) through the
+ * whole hierarchy.  Counters go to out (zeroed first); returns the fold
+ * records (PMU attached) or out, or NULL — before touching any state —
+ * if a reference id is below -1 while a PMU is attached. */
+const int64_t *hier_drain(hier_t *h, const int64_t *refs,
+                          const int64_t *base, const int64_t *stride,
+                          const int64_t *count, const uint8_t *write,
+                          const int64_t *elem, int64_t nseg)
+{
+    int64_t *out = h->out, n = 0, at = 0, ncov = 0, g, k;
+    int pmu = h->pmu != 0, has_probe = 0;
+    opbuf_t *cur = &h->buf[0], *nxt = &h->buf[1], *tmp;
+    memset(out, 0, (size_t)h->nout * sizeof(int64_t));
+    if (nseg > h->dcap) {
+        free(h->dist);
+        h->dist = (int64_t *)xalloc(nseg, sizeof(int64_t));
+        h->dcap = nseg;
+    }
+    for (g = 0; g < nseg; g++) {
+        if (pmu && refs[g] < -1) return 0;
+        h->dist[g] = seg_lines(base[g], stride[g], count[g], elem[g], h->line, 0);
+        n += h->dist[g];
+    }
+    opbuf_reserve(cur, n, 1, pmu);
+
+    /* Expansion, prefetch coverage and the TLB walk, in segment order. */
+    for (g = 0; g < nseg; g++) {
+        int64_t d = h->dist[g];
+        int64_t cv = pf_cover(h, refs[g], base[g], stride[g], d);
+        int64_t w = 0, j;
+        if (h->tlb)
+            w = seg_pages(h->tlb, base[g], stride[g], count[g], elem[g],
+                          h->page, out + OUT_TLB);
+        seg_lines(base[g], stride[g], count[g], elem[g], h->line, cur->lines + at);
+        memset(cur->fill + at, write[g] ? 1 : 0, (size_t)d);
+        memset(cur->cov + at, 0, (size_t)(d - cv));
+        memset(cur->cov + at + d - cv, 1, (size_t)cv);
+        if (pmu) {
+            int64_t *row = tally_row(h, refs[g]);
+            row[1] += count[g] * elem[g];
+            row[2] += d;
+            row[3] += w;
+            for (j = 0; j < d; j++) cur->refs[at + j] = refs[g];
+        }
+        at += d;
+        ncov += cv;
+    }
+
+    /* Level by level; dirty evictions and demand misses flow down. */
+    for (k = 0; k < h->nlev && n; k++) {
+        level_t *L = &h->lv[k];
+        int64_t st[4] = {0, 0, 0, 0}, *o = out + OUT_LEVELS + 6 * k, m, pf;
+        const uint8_t *probe = has_probe ? cur->probe : 0;
+        const uint8_t *fill = k == 0 ? cur->fill : 0;
+        if (n > h->rescap) {
+            free(h->hits); free(h->missed); free(h->evict);
+            h->hits = (uint8_t *)xalloc(n, 1);
+            h->missed = (uint8_t *)xalloc(n, 1);
+            h->evict = (int64_t *)xalloc(n, sizeof(int64_t));
+            h->rescap = n;
+        }
+        if (L->rng)
+            *L->rng = rand_batch(L->num_sets, L->ways, L->mask, L->ln, L->dy,
+                                 L->occ, *L->rng, cur->lines, probe, fill, 0,
+                                 n, h->hits, h->missed, h->evict, st);
+        else
+            lru_batch(L->num_sets, L->ways, L->mask, L->ln, L->dy, L->occ,
+                      cur->lines, probe, fill, 0, n, h->hits, h->missed,
+                      h->evict, st);
+        o[0] += st[0]; o[1] += st[1]; o[2] += st[2]; o[3] += st[3];
+        o[5] += n;
+        if (pmu) pmu_level(h, k, cur, probe, k == 0 ? cur->cov : 0, n);
+        if (!has_probe) {
+            /* All-probe shortcuts: all hit -> nothing flows down; none
+             * hit and no dirty evictions -> the stream passes unchanged. */
+            if (st[0] == n) { n = 0; break; }
+            if (st[0] == 0 && st[3] == 0) { o[4] += ncov; continue; }
+        }
+        m = st[1] + st[3];
+        opbuf_reserve(nxt, m, 0, pmu);
+        pf = next_level(cur, probe, n, h->missed, h->evict, nxt, pmu);
+        o[4] += pf;
+        tmp = cur; cur = nxt; nxt = tmp;
+        n = m; ncov = pf; has_probe = 1;
+    }
+
+    /* Whatever passed the last level hits DRAM: probes fill from it,
+     * installs write back to it. */
+    {
+        int64_t reads = n, i;
+        if (has_probe) {
+            reads = 0;
+            for (i = 0; i < n; i++) reads += cur->probe[i];
+        }
+        out[OUT_DRAM] += reads;
+        out[OUT_DRAM + 1] += n - reads;
+        if (pmu)
+            for (i = 0; i < n; i++) {
+                int64_t *row = h->tally + (cur->refs[i] + 1) * h->width;
+                if (!has_probe || cur->probe[i]) row[4]++;
+                else row[5]++;
+            }
+    }
+    return pmu ? fold(h) : out;
 }
 """
 
@@ -840,29 +1099,57 @@ def _compile(base: str, tag: str, sofile: str) -> None:
         os.replace(tmp, sofile)
 
 
+#: The self-test drain's counter block and fold records, as the exact
+#: engine counts them (see :func:`_selftest`).
+_SELFTEST_OUT = [
+    2, 10, 0, 0, 17, 4, 5, 12, 3, 5, 0, 3, 1,
+    0, 17, 17, 6, 5, 17, 0, 17, 17, 4, 5, 23, 14, 3, 0, 14, 2, 1,
+]
+_SELFTEST_FOLD = [
+    0, 32, 4, 1, 4, 0, 4, 0, 0, 4, 0, 0,
+    1, 56, 7, 4, 7, 2, 4, 3, 0, 4, 2, 1,
+    2, 48, 6, 5, 6, 2, 6, 0, 0, 6, 0, 0,
+    1, 0, 1]
+
+
 def _selftest(ffi, lib) -> None:
-    """One LRU set, three ops: catch a miscompiled or stale library."""
-    ln = np.zeros(2, dtype=np.int64)
-    dy = np.zeros(2, dtype=np.uint8)
-    occ = np.zeros(1, dtype=np.int32)
-    ops = np.array([7, 9, 7], dtype=np.int64)
-    hits = np.empty(3, dtype=np.uint8)
-    missed = np.empty(3, dtype=np.uint8)
-    evict = np.empty(3, dtype=np.int64)
-    st = np.zeros(4, dtype=np.int64)
-    lib.lru_batch(
-        1, 2, 0,
-        ffi.cast("int64_t *", ln.ctypes.data),
-        ffi.cast("uint8_t *", dy.ctypes.data),
-        ffi.cast("int32_t *", occ.ctypes.data),
-        ffi.cast("int64_t *", ops.ctypes.data),
-        ffi.NULL, ffi.NULL, 1, 3,
-        ffi.cast("uint8_t *", hits.ctypes.data),
-        ffi.cast("uint8_t *", missed.ctypes.data),
-        ffi.cast("int64_t *", evict.ctypes.data),
-        ffi.cast("int64_t *", st.ctypes.data),
+    """Drain a few segments through a tiny two-level hierarchy (one-set
+    LRU L1, two-set random L2) with a fully-associative two-entry dTLB,
+    a prefetcher and a PMU, and compare every counter with the exact
+    engine's: catches a miscompiled or stale library in microseconds."""
+    def ptr(ctype, values, dtype):
+        arr = np.array(values, dtype=dtype)
+        keep.append(arr)
+        return ffi.cast(ctype + " *", arr.ctypes.data)
+
+    keep: List[np.ndarray] = []
+    out = np.zeros(_OUT_LEVELS + 9 * 2, dtype=np.int64)
+    tlb = ffi.gc(lib.tlb_new(1, 2, 0, 0), lib.tlb_free)
+    h = ffi.gc(
+        lib.hier_new(2, 64, PAGE_SIZE, tlb, 16, 1, 2, 1, ffi.cast("int64_t *", out.ctypes.data)),
+        lib.hier_free,
     )
-    if hits.tolist() != [0, 0, 1] or st.tolist() != [1, 2, 2, 0]:
+    random_state = ptr("uint64_t", [RANDOM_SEED], np.uint64)
+    for k, (sets, policy_state) in enumerate([(1, ffi.NULL), (2, random_state)]):
+        lib.hier_level(
+            h, k, sets, 2, sets - 1, ptr("int64_t", [0] * 2 * sets, np.int64),
+            ptr("uint8_t", [0] * 2 * sets, np.uint8), ptr("int32_t", [0] * sets, np.int32),
+            policy_state,
+        )
+    lib.hier_pmu(h, 1)
+    rec = lib.hier_drain(
+        h,
+        ptr("int64_t", [0, 1, 2, 0, 2, 1, 1], np.int64),                     # ref
+        ptr("int64_t", [0, 4096, -8192, -8000, 64 * 4096, 0, 0], np.int64),  # base
+        ptr("int64_t", [64, 4096, 64, 64, 4096, 128, 0], np.int64),          # stride
+        ptr("int64_t", [3, 3, 2, 1, 4, 3, 1], np.int64),                     # count
+        ptr("uint8_t", [1, 0, 1, 1, 0, 0, 0], np.uint8),                     # write
+        ptr("int64_t", [8] * 7, np.int64),                                   # elem
+        7,
+    )
+    got = out.tolist()
+    nfold = got[_OUT_NREF] * (_ROW_FIXED + 6) + 3 * got[_OUT_NSET]
+    if got != _SELFTEST_OUT or list(ffi.unpack(rec, nfold)) != _SELFTEST_FOLD:
         raise RuntimeError("native self-test mismatch")
 
 
@@ -959,7 +1246,7 @@ class _NativeCacheBase:
         """Scalar compatibility shim over :meth:`process_batch`."""
         hits, _missed, evict = self.process_batch([line], None, is_write)
         ev = int(evict[0])
-        return bool(hits[0]), None if ev < 0 else ev
+        return bool(hits[0]), None if ev == EVICT_NONE else ev
 
     def process_batch(self, lines, probe, fill):
         """Replay one op batch at this level.
@@ -972,7 +1259,8 @@ class _NativeCacheBase:
 
         Returns ``(hits, missed, evict)`` arrays parallel to ``lines``:
         probe hit / install-found-present flags, fill-allocated flags,
-        and the dirty line evicted by each op (``-1`` if none).
+        and the dirty line evicted by each op (:data:`EVICT_NONE` if
+        none).
         """
         arr = lines if isinstance(lines, np.ndarray) else np.asarray(lines, dtype=np.int64)
         n = len(arr)
@@ -1012,6 +1300,7 @@ class NativeLruCache(_NativeCacheBase):
     """LRU cache level replayed by the compiled ``lru_batch`` loop."""
 
     policy_name = "lru"
+    _rng = None
 
     def _batch(self, arr, probe, fill_arr, fill_u, hits, missed, evict, st) -> None:
         _lib.lru_batch(
@@ -1033,24 +1322,23 @@ class NativeRandomCache(_NativeCacheBase):
 
     def __init__(self, name: str, size_bytes: int, ways: int, line_size: int = 64):
         super().__init__(name, size_bytes, ways, line_size)
-        self._rand_state = RANDOM_SEED
+        # One-element array: the drain advances it in place.
+        self._rng = np.array([RANDOM_SEED], dtype=np.uint64)
 
     def reset(self) -> None:
         super().reset()
-        self._rand_state = RANDOM_SEED
+        self._rng[0] = RANDOM_SEED
 
     def _batch(self, arr, probe, fill_arr, fill_u, hits, missed, evict, st) -> None:
-        self._rand_state = int(
-            _lib.rand_batch(
-                self.num_sets, self.ways, self._cmask,
-                _i64(self._ln), _u8(self._dy), _i32(self._occ),
-                self._rand_state,
-                _i64(arr),
-                _u8(probe) if probe is not None else _ffi.NULL,
-                _u8(fill_arr) if fill_arr is not None else _ffi.NULL,
-                fill_u, len(arr),
-                _u8(hits), _u8(missed), _i64(evict), _i64(st),
-            )
+        self._rng[0] = _lib.rand_batch(
+            self.num_sets, self.ways, self._cmask,
+            _i64(self._ln), _u8(self._dy), _i32(self._occ),
+            int(self._rng[0]),
+            _i64(arr),
+            _u8(probe) if probe is not None else _ffi.NULL,
+            _u8(fill_arr) if fill_arr is not None else _ffi.NULL,
+            fill_u, len(arr),
+            _u8(hits), _u8(missed), _i64(evict), _i64(st),
         )
 
 
@@ -1066,7 +1354,7 @@ def native_cache(name: str, size_bytes: int, ways: int, line_size: int, policy: 
 
 
 class _NativeTlbLevel:
-    """Array twin of the exact ``_TlbLevel`` (LRU position arrays)."""
+    """Geometry and stats of one TLB level (its state lives in C)."""
 
     def __init__(self, entries: int, ways: int, name: str):
         if entries <= 0:
@@ -1079,17 +1367,12 @@ class _NativeTlbLevel:
         self.num_sets = entries // ways
         self.ways = ways
         self.stats = CacheStats()
-        self._ln = np.zeros(self.num_sets * ways, dtype=np.int64)
-        self._occ = np.zeros(self.num_sets, dtype=np.int32)
-
-    def reset(self) -> None:
-        self.stats.reset()
-        self._occ.fill(0)
 
 
 class NativeTlb:
-    """Drop-in twin of :class:`repro.memsim.tlb.Tlb` walking whole page
-    batches in C; hit/miss/walk counts identical page for page."""
+    """Drop-in twin of :class:`repro.memsim.tlb.Tlb` over the compiled
+    TLB (a single-set level is an O(1) hash-map LRU); hit/miss/walk
+    counts identical page for page."""
 
     def __init__(self, spec: TlbSpec):
         self.spec = spec
@@ -1099,37 +1382,32 @@ class NativeTlb:
             if spec.l2_entries
             else None
         )
-
-    def walk_batch(self, pages: np.ndarray, bounds: np.ndarray, walks: Optional[np.ndarray]) -> None:
-        """Walk ``pages`` (segment slices delimited by ``bounds``); when
-        ``walks`` is given it receives each segment's page-walk count."""
-        l1 = self.l1
         l2 = self.l2
-        st = np.zeros(4, dtype=np.int64)
-        _lib.tlb_batch(
-            l1.num_sets, l1.ways, _i64(l1._ln), _i32(l1._occ),
-            l2.num_sets if l2 is not None else 0,
-            l2.ways if l2 is not None else 0,
-            _i64(l2._ln) if l2 is not None else _ffi.NULL,
-            _i32(l2._occ) if l2 is not None else _ffi.NULL,
-            _i64(pages), _i64(bounds), len(bounds) - 1,
-            _i32(walks) if walks is not None else _ffi.NULL,
-            _i64(st),
+        self._tlb = _ffi.gc(
+            _lib.tlb_new(
+                self.l1.num_sets, self.l1.ways,
+                l2.num_sets if l2 is not None else 0,
+                l2.ways if l2 is not None else 0,
+            ),
+            _lib.tlb_free,
         )
-        l1.stats.hits += int(st[0])
-        l1.stats.misses += int(st[1])
-        if l2 is not None:
-            l2.stats.hits += int(st[2])
-            l2.stats.misses += int(st[3])
+
+    def _count(self, st) -> None:
+        """Add ``st[0:4]`` = {L1 hits, L1 misses, L2 hits, L2 misses}."""
+        self.l1.stats.hits += st[0]
+        self.l1.stats.misses += st[1]
+        if self.l2 is not None:
+            self.l2.stats.hits += st[2]
+            self.l2.stats.misses += st[3]
 
     def access_page(self, page: int) -> None:
-        arr = np.asarray([page], dtype=np.int64)
-        self.walk_batch(arr, np.asarray([0, 1], dtype=np.int64), None)
+        self.access_pages([page])
 
     def access_pages(self, pages) -> None:
         arr = np.fromiter(pages, dtype=np.int64)
-        if len(arr):
-            self.walk_batch(arr, np.asarray([0, len(arr)], dtype=np.int64), None)
+        st = np.zeros(4, dtype=np.int64)
+        _lib.tlb_walk(self._tlb, _i64(arr), len(arr), _i64(st))
+        self._count(st.tolist())
 
     @property
     def walks(self) -> int:
@@ -1142,19 +1420,19 @@ class NativeTlb:
         return self.walks * self.spec.walk_cycles
 
     def reset(self) -> None:
-        self.l1.reset()
+        self.l1.stats.reset()
         if self.l2 is not None:
-            self.l2.reset()
+            self.l2.stats.reset()
+        _lib.tlb_reset(self._tlb)
 
 
 class NativeHierarchy(MemoryHierarchy):
     """Memory hierarchy driving the compiled replay core.
 
     Same construction contract, counters, flush and snapshot behaviour
-    as the exact hierarchy; segments small enough to buffer are
-    concatenated into cross-segment op batches with per-segment TLB/PMU
-    bookkeeping deferred to the (order-preserving) drain, so the
-    per-segment Python overhead is a few appends.
+    as the exact hierarchy.  Segments queue as columns and drain in one
+    compiled call once ``_BUF_OPS`` accesses are queued (or when state
+    is read), so the per-segment Python overhead is a few appends.
     """
 
     engine = "fast"
@@ -1169,44 +1447,57 @@ class NativeHierarchy(MemoryHierarchy):
         super().__init__(caches, prefetch=prefetch, tlb=tlb, line_size=line_size)
         if tlb is not None:
             self.tlb = NativeTlb(tlb)
-        self._pmu_states: List[object] = [None] * len(self.caches)
         # Queued work in stream order: column batches, then the segments
         # queued one at a time since the last batch.
         self._buf_cols: List[SegmentBatch] = []
         self._buf_segs: List[Segment] = []
         self._buf_ops = 0
-        # Cross-segment prefetch stream table, owned here so the compiled
-        # coverage loop can update it in place (the Python prefetcher
-        # object keeps the spec and the covered/uncovered/late counters).
-        slots = max(1, self.prefetcher.spec.streams)
-        self._pf_ref = np.empty(slots, dtype=np.int64)
-        self._pf_base = np.empty(slots, dtype=np.int64)
-        self._pf_delta = np.empty(slots, dtype=np.int64)
-        self._pf_conf = np.empty(slots, dtype=np.int64)
-        self._pf_dvalid = np.empty(slots, dtype=np.uint8)
-        self._pf_n = np.zeros(1, dtype=np.int64)
+        # The C state: it points at the caches' arrays and the TLB, owns
+        # the prefetch stream table, the PMU state and the scratch, and
+        # writes each drain's counters into ``_out``.
+        self._out = np.zeros(_OUT_LEVELS + 9 * len(self.caches), dtype=np.int64)
+        spec = self.prefetcher.spec
+        self._state = _ffi.gc(
+            _lib.hier_new(
+                len(self.caches), line_size, PAGE_SIZE,
+                self.tlb._tlb if self.tlb is not None else _ffi.NULL,
+                spec.max_stride_lines, spec.train_lines, max(1, spec.streams),
+                1 if spec.cross_segment else 0, _i64(self._out),
+            ),
+            _lib.hier_free,
+        )
+        for k, cache in enumerate(self.caches):
+            _lib.hier_level(
+                self._state, k, cache.num_sets, cache.ways, cache._cmask,
+                _i64(cache._ln), _u8(cache._dy), _i32(cache._occ),
+                _ffi.NULL if cache._rng is None
+                else _ffi.cast("uint64_t *", cache._rng.ctypes.data),
+            )
 
     # -- buffer management ---------------------------------------------------
 
-    def _clear_buffers(self) -> None:
-        self._buf_cols = []
-        self._buf_segs = []
-        self._buf_ops = 0
-        self._pf_n[0] = 0
-
     def drain(self) -> None:
-        """Replay any buffered ops (idempotent)."""
+        """Replay any buffered ops (idempotent) and free the scratch.
+
+        Callers drain at the end of a core's stream, and ``simulate``
+        replays one core's hierarchy at a time, so only one hierarchy
+        holds grown scratch buffers at a time.
+        """
         self._drain_buffer()
+        _lib.hier_release(self._state)
 
     def attach_pmu(self):
         self._drain_buffer()
-        self._pmu_states = [None] * len(self.caches)
-        return super().attach_pmu()
+        pmu = super().attach_pmu()
+        _lib.hier_pmu(self._state, 1)
+        return pmu
 
     def reset(self) -> None:
-        self._clear_buffers()
-        self._pmu_states = [None] * len(self.caches)
+        self._buf_cols = []
+        self._buf_segs = []
+        self._buf_ops = 0
         super().reset()
+        _lib.hier_reset(self._state)
 
     def flush(self) -> None:
         self._drain_buffer()
@@ -1282,265 +1573,92 @@ class NativeHierarchy(MemoryHierarchy):
     # -- deferred replay -----------------------------------------------------
 
     def _drain_buffer(self) -> None:
+        """Replay the queue in one compiled call, then fold its counters."""
         self._stage_segments()
         queued = self._buf_cols
         if not queued:
             return
         self._buf_cols = []
         self._buf_ops = 0
-        lib = _lib
-
         if len(queued) == 1:
-            columns = [np.ascontiguousarray(col) for col in queued[0]]
+            columns = queued[0]
         else:
             columns = [np.concatenate(cols) for cols in zip(*queued)]
-        refs, base, stride, count, write, elem = columns
-        write = write.view(np.uint8)
-        nseg = len(refs)
-
-        # Line/page expansion: measure, prefix-sum, fill.
-        tlb_on = 1 if self.tlb is not None else 0
-        dist = np.empty(nseg, dtype=np.int64)
-        npages = np.empty(nseg, dtype=np.int64)
-        line_size = self.line_size
-        lib.seg_measure(
-            _i64(base), _i64(stride), _i64(count), _i64(elem), nseg,
-            line_size, PAGE_SIZE, tlb_on, _i64(dist), _i64(npages),
+        refs, base, stride, count, write, elem = (
+            np.ascontiguousarray(col, dtype)
+            for col, dtype in zip(columns, _COLUMN_DTYPES)
         )
-        loff = np.empty(nseg + 1, dtype=np.int64)
-        loff[0] = 0
-        np.cumsum(dist, out=loff[1:])
-        poff = np.empty(nseg + 1, dtype=np.int64)
-        poff[0] = 0
-        np.cumsum(npages, out=poff[1:])
-        lines = np.empty(int(loff[-1]), dtype=np.int64)
-        pages = np.empty(int(poff[-1]) if tlb_on else 0, dtype=np.int64)
-        lib.seg_expand(
-            _i64(base), _i64(stride), _i64(count), _i64(elem), nseg,
-            line_size, _i64(loff), _i64(lines),
-            PAGE_SIZE, tlb_on, _i64(poff), _i64(pages),
+        rec = _lib.hier_drain(
+            self._state, _i64(refs), _i64(base), _i64(stride), _i64(count),
+            _u8(write), _i64(elem), len(refs),
         )
-
-        # Prefetcher coverage (sequential training, segment order).
+        if rec == _ffi.NULL:
+            raise SimulationError(
+                f"reference ids below -1 cannot be attributed (min {int(refs.min())})"
+            )
+        o = self._out.tolist()
+        if self.tlb is not None:
+            self.tlb._count(o[_OUT_TLB:])
+        self.dram.read_lines += o[_OUT_DRAM]
+        self.dram.written_lines += o[_OUT_DRAM + 1]
         prefetcher = self.prefetcher
-        spec = prefetcher.spec
-        cov = np.empty(nseg, dtype=np.int64)
-        counters = np.zeros(3, dtype=np.int64)
-        lib.coverage_batch(
-            _i64(refs), _i64(base), _i64(stride), _i64(dist), nseg,
-            line_size, spec.max_stride_lines, spec.train_lines,
-            len(self._pf_ref), 1 if spec.cross_segment else 0,
-            _i64(self._pf_ref), _i64(self._pf_base), _i64(self._pf_delta),
-            _i64(self._pf_conf), _u8(self._pf_dvalid), _i64(self._pf_n),
-            _i64(cov), _i64(counters),
-        )
-        prefetcher.covered_lines += int(counters[0])
-        prefetcher.uncovered_lines += int(counters[1])
-        prefetcher.late_lines += int(counters[2])
-        ncov = int(counters[0])  # == cov.sum(): the covered delta
-
-        pmu = self.pmu
-
-        # Deferred per-segment TLB walks (segment order preserved).
-        if tlb_on and len(pages):
-            if pmu is not None:
-                walks = np.zeros(nseg, dtype=np.int32)
-                self.tlb.walk_batch(pages, poff, walks)
-                note = pmu.note_tlb
-                for i in np.flatnonzero(walks).tolist():
-                    note(int(refs[i]), int(walks[i]))
-            else:
-                self.tlb.walk_batch(pages, poff, None)
-
-        # Deferred PMU segment accounting (order-free per-ref sums; the
-        # byte/line magnitudes stay far below 2**53, so the float
-        # accumulation in ``bincount`` is exact).
-        if pmu is not None:
-            uref, inv = np.unique(refs, return_inverse=True)
-            byt = np.bincount(inv, weights=count * elem).astype(np.int64)
-            acc = np.bincount(inv, weights=dist).astype(np.int64)
-            rb = pmu.ref_bytes
-            ra = pmu.ref_accesses
-            for r, b, a in zip(uref.tolist(), byt.tolist(), acc.tolist()):
-                rb[r] = rb.get(r, 0) + b
-                ra[r] = ra.get(r, 0) + a
-            pmu.current_ref = int(refs[-1])
-
-        # Column construction and replay.
-        fill_col = np.repeat(write, dist)
-        if ncov:
-            counts2 = np.empty(2 * nseg, dtype=np.int64)
-            counts2[0::2] = dist - cov
-            counts2[1::2] = cov
-            cov_col = np.repeat(
-                np.tile(np.asarray([0, 1], dtype=np.uint8), nseg), counts2
-            )
-        else:
-            cov_col = np.zeros(len(lines), dtype=np.uint8)
-        refs_col = np.repeat(refs, dist) if pmu is not None else 0
-        self._replay(lines, fill_col, cov_col, refs_col, ncov)
-
-    def _replay(self, lines, fill, covered, refs, ncov) -> None:
-        """Walk one op batch through the levels and into DRAM (compiled
-        per-level loops; Python only aggregates)."""
-        pmu = self.pmu
-        lib = _lib
-        probe: Optional[np.ndarray] = None
-        n = len(lines)
-        if n == 0:
-            return
-        per_op_refs = isinstance(refs, np.ndarray)
-        for level, cache in enumerate(self.caches):
-            if level == 0 and isinstance(fill, np.ndarray):
-                fill_arr: Optional[np.ndarray] = fill
-                fill_u = 0
-            else:
-                fill_arr = None
-                fill_u = 1 if (level == 0 and fill) else 0
-            hits = np.empty(n, dtype=np.uint8)
-            missed = np.empty(n, dtype=np.uint8)
-            evict = np.empty(n, dtype=np.int64)
-            st = np.zeros(4, dtype=np.int64)
-            cache._batch(lines, probe, fill_arr, fill_u, hits, missed, evict, st)
+        prefetcher.covered_lines += o[_OUT_PF]
+        prefetcher.uncovered_lines += o[_OUT_PF + 1]
+        prefetcher.late_lines += o[_OUT_PF + 2]
+        at = _OUT_LEVELS
+        for cache in self.caches:
             stats = cache.stats
-            h = int(st[0])
-            stats.hits += h
-            stats.misses += int(st[1])
-            stats.fills += int(st[2])
-            stats.writebacks += int(st[3])
-            cache.skips["replayed"] += n
-            if pmu is not None:
-                self._pmu_batch(
-                    pmu, level, cache, lines, probe, hits, missed,
-                    covered if level == 0 else None, refs, n,
-                )
-            if probe is None:
-                # All-probe shortcuts from the stats deltas: all hit ->
-                # nothing flows down; none hit and no dirty evictions ->
-                # the stream passes through unchanged.
-                if h == n:
-                    return
-                if h == 0 and not int(st[3]):
-                    if ncov:
-                        stats.prefetch_hits += ncov
-                    continue
-            nl = np.empty(2 * n, dtype=np.int64)
-            npb = np.empty(2 * n, dtype=np.uint8)
-            ncv = np.empty(2 * n, dtype=np.uint8)
-            nrf = np.empty(2 * n, dtype=np.int64) if per_op_refs else None
-            pf = np.zeros(1, dtype=np.int64)
-            m = int(
-                lib.assemble(
-                    n, _i64(lines),
-                    _u8(probe) if probe is not None else _ffi.NULL,
-                    _u8(missed), _i64(evict), _u8(covered),
-                    _i64(refs) if per_op_refs else _ffi.NULL,
-                    _i64(nl), _u8(npb), _u8(ncv),
-                    _i64(nrf) if per_op_refs else _ffi.NULL,
-                    _i64(pf),
-                )
-            )
-            pfn = int(pf[0])
-            if pfn:
-                stats.prefetch_hits += pfn
-            if m == 0:
-                return
-            lines = nl[:m]
-            probe = npb[:m]
-            covered = ncv[:m]
-            if per_op_refs:
-                refs = nrf[:m]
-            ncov = pfn
-            n = m
+            stats.hits += o[at]
+            stats.misses += o[at + 1]
+            stats.fills += o[at + 2]
+            stats.writebacks += o[at + 3]
+            stats.prefetch_hits += o[at + 4]
+            cache.skips["replayed"] += o[at + 5]
+            at += 6
+        if self.pmu is not None:
+            self._fold_pmu(o, at, rec, int(refs[-1]))
 
-        # Whatever passed the last level hits DRAM: probes fill from it,
-        # installs write back to it.
-        if probe is None:
-            reads, writes = n, 0
-        else:
-            reads = int(probe.sum())
-            writes = n - reads
-        self.dram.read_lines += reads
-        self.dram.written_lines += writes
-        if pmu is not None and (reads or writes):
-            if not per_op_refs:
-                if reads:
-                    t = pmu.ref_dram_read_lines
-                    t[refs] = t.get(refs, 0) + reads
-                if writes:
-                    t = pmu.ref_dram_written_lines
-                    t[refs] = t.get(refs, 0) + writes
-            elif probe is None:
-                vals, cnts = np.unique(refs, return_counts=True)
+    def _fold_pmu(self, o, at, rec, last_ref) -> None:
+        """Fold one drain's PMU counters and fold records (see the C
+        ``fold``) into the :class:`~repro.memsim.pmu.Pmu` dictionaries."""
+        pmu = self.pmu
+        levels = pmu.levels
+        for lvl in levels:
+            lvl.compulsory += o[at]
+            lvl.capacity += o[at + 1]
+            lvl.conflict += o[at + 2]
+            at += 3
+        pmu.prefetch_useful += o[_OUT_PMU_PF]
+        pmu.prefetch_polluting += o[_OUT_PMU_PF + 1]
+        pmu.current_ref = last_ref
+        width = _ROW_FIXED + 3 * len(levels)
+        nrows = o[_OUT_NREF] * width
+        flat = _ffi.unpack(rec, nrows + 3 * o[_OUT_NSET])
+        rb, ra = pmu.ref_bytes, pmu.ref_accesses
+        for i in range(0, nrows, width):
+            ref, nbytes, accesses, walks, reads, writes = flat[i : i + _ROW_FIXED]
+            rb[ref] = rb.get(ref, 0) + nbytes
+            ra[ref] = ra.get(ref, 0) + accesses
+            if walks:
+                pmu.note_tlb(ref, walks)
+            if reads:
                 t = pmu.ref_dram_read_lines
-                for r, c in zip(vals.tolist(), cnts.tolist()):
-                    t[r] = t.get(r, 0) + c
-            else:
-                mask = probe != 0
-                if reads:
-                    vals, cnts = np.unique(refs[mask], return_counts=True)
-                    t = pmu.ref_dram_read_lines
-                    for r, c in zip(vals.tolist(), cnts.tolist()):
-                        t[r] = t.get(r, 0) + c
-                if writes:
-                    vals, cnts = np.unique(refs[~mask], return_counts=True)
-                    t = pmu.ref_dram_written_lines
-                    for r, c in zip(vals.tolist(), cnts.tolist()):
-                        t[r] = t.get(r, 0) + c
-
-    def _pmu_batch(self, pmu, level, cache, lines, probe, hits, missed, covered, refs, n) -> None:
-        state = self._pmu_states[level]
-        if state is None:
-            state = _ffi.gc(
-                _lib.pmu_state_new(pmu.levels[level].capacity_lines),
-                _lib.pmu_state_free,
-            )
-            self._pmu_states[level] = state
-        cls = np.empty(n, dtype=np.uint8)
-        conf = np.empty(n, dtype=np.int32)
-        out = np.zeros(6, dtype=np.int64)
-        _lib.pmu_batch(
-            state, _i64(lines),
-            _u8(probe) if probe is not None else _ffi.NULL,
-            _u8(hits), _u8(missed),
-            _u8(covered) if covered is not None else _ffi.NULL,
-            n, cache.num_sets, cache._cmask,
-            _u8(cls), _i32(conf), _i64(out),
-        )
-        lvl = pmu.levels[level]
-        comp, capn, confn, nconf, useful, poll = (int(v) for v in out)
-        lvl.compulsory += comp
-        lvl.capacity += capn
-        lvl.conflict += confn
-        if nconf:
-            vals, cnts = np.unique(conf[:nconf], return_counts=True)
-            sc = lvl.set_conflicts
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                sc[v] = sc.get(v, 0) + c
-        nm = comp + capn + confn
-        if nm:
-            per_ref = lvl.per_ref
-            if isinstance(refs, np.ndarray):
-                msk = cls < 3
-                keys = refs[msk] * 4 + cls[msk]
-                vals, cnts = np.unique(keys, return_counts=True)
-                for k, c in zip(vals.tolist(), cnts.tolist()):
-                    r = k >> 2
-                    counts = per_ref.get(r)
+                t[ref] = t.get(ref, 0) + reads
+            if writes:
+                t = pmu.ref_dram_written_lines
+                t[ref] = t.get(ref, 0) + writes
+            col = i + _ROW_FIXED
+            for lvl in levels:
+                comp, cap, conf = flat[col : col + 3]
+                col += 3
+                if comp or cap or conf:
+                    counts = lvl.per_ref.get(ref)
                     if counts is None:
-                        counts = per_ref[r] = [0, 0, 0]
-                    counts[k & 3] += c
-            else:
-                counts = per_ref.get(refs)
-                if counts is None:
-                    counts = per_ref[refs] = [0, 0, 0]
-                if capn == 0 and confn == 0:
+                        counts = lvl.per_ref[ref] = [0, 0, 0]
                     counts[0] += comp
-                else:
-                    bc = np.bincount(cls[cls < 3], minlength=3)
-                    counts[0] += int(bc[0])
-                    counts[1] += int(bc[1])
-                    counts[2] += int(bc[2])
-        if covered is not None:
-            pmu.prefetch_useful += useful
-            pmu.prefetch_polluting += poll
+                    counts[1] += cap
+                    counts[2] += conf
+        for i in range(nrows, len(flat), 3):
+            sc = levels[flat[i]].set_conflicts
+            s = flat[i + 1]
+            sc[s] = sc.get(s, 0) + flat[i + 2]

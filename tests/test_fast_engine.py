@@ -11,6 +11,7 @@ builds the native one skips (naming :func:`native_status`) when the C
 core cannot load instead of comparing the exact engine with itself.
 """
 
+import functools
 import logging
 
 import numpy as np
@@ -340,6 +341,164 @@ class TestSetIndexHelper:
 
 
 # ---------------------------------------------------------------------------
+# Edge cases of the compiled structures: fully-associative LRUs, negative
+# ids, modulo set indexing, a PMU attached to a warm hierarchy
+# ---------------------------------------------------------------------------
+
+def _random_stream(seed, n, span_lines, max_count=48):
+    """``n`` random segments over ``[-span_lines, span_lines)`` lines:
+    negative line and page ids, strides from sub-line to multi-page."""
+    rng = np.random.default_rng(seed)
+    strides = [-3 * 4096, -4096 - 64, -64, -8, 0, 8, 24, 64, 4096, 8192 + 64]
+    return [
+        seg(
+            int(rng.integers(-span_lines, span_lines)) * 64 + int(rng.integers(0, 8)) * 8,
+            int(rng.choice(strides)),
+            int(rng.integers(1, max_count)),
+            write=bool(rng.integers(0, 2)),
+            ref=int(rng.integers(-1, 4)),
+        )
+        for _ in range(n)
+    ]
+
+
+def _replay_observables(hier, stream, warm, mode, warm_pmu=False):
+    """Feed ``warm`` (under a PMU of its own if ``warm_pmu``), attach a
+    fresh PMU, feed ``stream`` (one batch or segment by segment); return
+    every observable."""
+    if warm_pmu:
+        hier.attach_pmu()
+    for s in warm:
+        hier.process_segment(s)
+    p = hier.attach_pmu()
+    if mode == "batch":
+        hier.process_segments(_as_batch(stream))
+    else:
+        for s in stream:
+            hier.process_segment(s)
+    hier.drain()
+    return {
+        "snapshot": snapshot(hier),
+        "pmu": pmu_state(p),
+        "dirty": [sorted(c.dirty_lines()) for c in hier.caches],
+    }
+
+
+def _assert_stream_identical(stream, levels, tlb, warm=(), warm_pmu=False):
+    exact = _replay_observables(
+        build_engines(levels, C906_PREFETCH, tlb)["exact"], stream, warm, "segments", warm_pmu
+    )
+    for mode in ("batch", "segments"):
+        got = _replay_observables(
+            build_engines(levels, C906_PREFETCH, tlb)["native"], stream, warm, mode, warm_pmu
+        )
+        assert got == exact, mode
+
+
+#: 1280 sets, as in the Xeon L3 at the figures' 1/16 cache scale (not a power of two).
+MODULO_LEVELS = [("L1", 4096, 4, "lru"), ("L2", 1280 * 2 * 64, 2, "lru")]
+RANDOM_MODULO_LEVELS = [("L1", 4096, 4, "lru"), ("L2", 1280 * 2 * 64, 2, "random")]
+
+
+class TestCompiledStructureEdges:
+    @pytest.mark.parametrize(
+        "l1_entries,l2", [(20, (128, 2)), (40, (512, 1)), (48, (96, 2)), (48, None)]
+    )
+    def test_single_set_tlb_levels(self, l1_entries, l2):
+        """One-set dTLB levels of the paper's sizes over far more distinct
+        pages than entries (negative pages included); a 48-set L2 TLB
+        takes the modulo path."""
+        tlb = TlbSpec(
+            l1_entries=l1_entries, l1_ways=0,
+            l2_entries=l2[0] if l2 else 0, l2_ways=l2[1] if l2 else 0,
+        )
+        stream = _random_stream(seed=l1_entries, n=300, span_lines=64 * 200)
+        _assert_stream_identical(stream, SMALL_LEVELS, tlb)
+
+    @pytest.mark.parametrize("levels", [MODULO_LEVELS, RANDOM_MODULO_LEVELS], ids=["lru", "random"])
+    def test_modulo_sets_and_shadow_overflow(self, levels):
+        """More distinct lines than the 2560-line L2 holds, so its PMU
+        shadow evicts; conflict sets come from the modulo rule."""
+        stream = _random_stream(seed=7, n=400, span_lines=6000, max_count=120)
+        _assert_stream_identical(stream, levels, TLB)
+
+    @pytest.mark.parametrize("warm_pmu", [False, True])
+    def test_pmu_attached_to_warm_hierarchy(self, warm_pmu):
+        """Hits on lines the new PMU never saw stay unclassified and do
+        not mark them seen; a later miss on such a line is compulsory.
+        With ``warm_pmu`` the warm-up ran under another PMU, whose seen
+        lines and shadow the new one must not inherit."""
+        warm = _random_stream(seed=11, n=150, span_lines=300)
+        stream = warm[::2] + _random_stream(seed=12, n=150, span_lines=600) + warm
+        _assert_stream_identical(stream, RANDOM_MODULO_LEVELS, TLB, warm=warm, warm_pmu=warm_pmu)
+
+    def test_reset_clears_compiled_state(self):
+        """After ``reset`` a replay matches a fresh hierarchy's."""
+        stream = _random_stream(seed=5, n=120, span_lines=2000)
+        engines = build_engines(RANDOM_MODULO_LEVELS)
+        used = engines["native"]
+        used.attach_pmu()
+        used.run(stream)
+        used.reset()
+        fresh = build_engines(RANDOM_MODULO_LEVELS)["native"]
+        assert _replay_observables(used, stream, (), "batch") == _replay_observables(
+            fresh, stream, (), "batch"
+        )
+
+
+class TestScalarShims:
+    def test_access_reports_negative_evicted_lines(self):
+        """``access`` returns the evicted dirty line even when its id is
+        negative (the core marks "none" with INT64_MIN, not -1)."""
+        require_native()
+        for policy in ("lru", "random"):
+            exact = Cache("L1", 128, 1, 64, policy)        # 2 sets, direct mapped
+            fast = native_cache("L1", 128, 1, 64, policy)
+            ops = [(-4, True), (-2, False), (-1, True), (1, False), (-6, True), (-4, False)]
+            got = [fast.access(line, write) for line, write in ops]
+            assert got == [exact.access(line, write) for line, write in ops]
+            assert got[1] == (False, -4)
+            assert fast.stats == exact.stats
+
+    def test_process_batch_marks_no_eviction_with_sentinel(self):
+        require_native()
+        cache = native_cache("L1", 128, 1, 64, "lru")
+        _hits, _missed, evict = cache.process_batch([-4, -2], None, True)
+        assert evict.tolist() == [native.EVICT_NONE, -4]
+
+    def test_tlb_pages_match_exact(self):
+        require_native()
+        spec = TlbSpec(l1_entries=20, l1_ways=0, l2_entries=96, l2_ways=2)
+        pages = np.random.default_rng(3).integers(-300, 300, size=4000).tolist()
+        exact, fast = spec.build(), native.NativeTlb(spec)
+        for page in pages:
+            exact.access_page(page)
+        fast.access_pages(pages[:-1])
+        fast.access_page(pages[-1])
+        for level in ("l1", "l2"):
+            assert getattr(fast, level).stats == getattr(exact, level).stats
+        assert fast.walks == exact.walks > 0
+
+
+class TestOneCallPerDrain:
+    def test_drain_is_one_compiled_call(self, monkeypatch):
+        hier = build_engines()["native"]
+        hier.attach_pmu()
+        calls = []
+
+        class Counting:
+            def __getattr__(self, name, lib=native._lib):
+                calls.append(name)
+                return getattr(lib, name)
+
+        monkeypatch.setattr(native, "_lib", Counting())
+        for s in _random_stream(seed=1, n=50, span_lines=500):
+            hier.process_segment(s)
+        hier._drain_buffer()
+        assert calls == ["hier_drain"]
+
+
+# ---------------------------------------------------------------------------
 # Figure-grid slice (satellite: end-to-end differential through simulate())
 # ---------------------------------------------------------------------------
 
@@ -351,21 +510,45 @@ def _fig2_cell(variant):
     return transpose.build(variant, 256, block=TRANSPOSE_BLOCK), device
 
 
+def _assert_simulations_identical(program, device):
+    from repro.simulate import simulate
+
+    require_native()
+    exact = simulate(program, device, pmu=True, engine="exact")
+    fast = simulate(program, device, pmu=True, engine="fast")
+    assert (exact.engine, fast.engine) == ("exact", "fast")
+    assert exact.seconds == fast.seconds
+    assert exact.snapshots == fast.snapshots
+    assert len(exact.pmus) == len(fast.pmus)
+    for a, b in zip(exact.pmus, fast.pmus):
+        assert pmu_state(a) == pmu_state(b)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_blur(variant):
+    from repro.kernels import blur
+
+    assert variant in blur.VARIANT_ORDER
+    return blur.build(variant, 24, 32, 7)
+
+
 class TestFigureSliceDifferential:
     @pytest.mark.parametrize("variant", ["Naive", "Blocking"])
     def test_fig2_cell_engines_identical(self, variant):
-        from repro.simulate import simulate
+        _assert_simulations_identical(*_fig2_cell(variant))
 
-        require_native()
-        program, device = _fig2_cell(variant)
-        exact = simulate(program, device, pmu=True, engine="exact")
-        fast = simulate(program, device, pmu=True, engine="fast")
-        assert (exact.engine, fast.engine) == ("exact", "fast")
-        assert exact.seconds == fast.seconds
-        assert exact.snapshots == fast.snapshots
-        assert len(exact.pmus) == len(fast.pmus)
-        for a, b in zip(exact.pmus, fast.pmus):
-            assert pmu_state(a) == pmu_state(b)
+    @pytest.mark.parametrize("device_key", ["visionfive_jh7100", "raspberry_pi_4"])
+    @pytest.mark.parametrize(
+        "variant", ["Naive", "Unit-stride", "1D_kernels", "Memory", "Parallel"]
+    )
+    def test_fig6_cell_engines_identical(self, variant, device_key):
+        """Every Fig. 6 blur variant on the devices with random-policy
+        levels and fully-associative dTLBs, on a 32x24 image with a 7-tap
+        filter (several drains; conflict and capacity misses at L1)."""
+        from repro.experiments.config import CACHE_SCALE, scaled_device
+
+        device = scaled_device(device_key, CACHE_SCALE)
+        _assert_simulations_identical(_small_blur(variant), device)
 
 
 # ---------------------------------------------------------------------------
