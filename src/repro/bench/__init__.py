@@ -27,7 +27,6 @@ from repro.bench.stats import (
     compare,
     mad,
     median,
-    noise_floor,
     reject_outliers,
     summarize,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "compare",
     "mad",
     "median",
-    "noise_floor",
     "reject_outliers",
     "summarize",
     "Measurement",

@@ -256,7 +256,7 @@ def _cmd_gate(args: argparse.Namespace) -> int:
 
 
 def bench_main(argv: Optional[List[str]] = None) -> int:
-    from repro.cli import _add_logging_flags, configure_logging
+    from repro.cli import add_logging_flags, configure_logging
 
     parser = argparse.ArgumentParser(
         prog="repro bench",
@@ -280,7 +280,7 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
                        help="trend store directory (default benchmarks/trend)")
     p_run.add_argument("--json", action="store_true",
                        help="print the run document as JSON")
-    _add_logging_flags(p_run)
+    add_logging_flags(p_run)
 
     p_compare = sub.add_parser("compare", help="diff a run against a baseline")
     p_compare.add_argument("--baseline", default=None,
@@ -291,7 +291,7 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
                            help="deltas below this fraction are never significant")
     p_compare.add_argument("--json", action="store_true",
                            help="print verdicts as JSON")
-    _add_logging_flags(p_compare)
+    add_logging_flags(p_compare)
 
     p_trend = sub.add_parser("trend", help="query the commit-keyed history")
     p_trend.add_argument("--workload", default=None, help="filter to one workload id")
@@ -303,7 +303,7 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
     p_trend.add_argument("--openmetrics", metavar="PATH", default=None,
                          help="also write the latest point per workload as an "
                               "OpenMetrics exposition")
-    _add_logging_flags(p_trend)
+    add_logging_flags(p_trend)
 
     p_gate = sub.add_parser(
         "gate", help="CI gate: fail on attributed regressions / ratio floors"
@@ -327,7 +327,7 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
     p_gate.add_argument("--min-speedup", type=float, default=10.0,
                         help="floor for --check-committed (default 10)")
     p_gate.add_argument("--json", action="store_true", help="print the result as JSON")
-    _add_logging_flags(p_gate)
+    add_logging_flags(p_gate)
 
     args = parser.parse_args(argv)
     configure_logging(args.verbose, args.quiet)

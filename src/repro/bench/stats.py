@@ -43,11 +43,6 @@ DEFAULT_MAX_REJECT_FRAC = 0.2
 DEFAULT_CONFIDENCE = 0.95
 DEFAULT_RESAMPLES = 500
 
-#: Safety factor applied by :func:`noise_floor` on top of the observed
-#: relative spread (few repeats under-estimate the tail).
-NOISE_SAFETY = 2.0
-
-
 def median(samples: Sequence[float]) -> float:
     """Sample median (average of the two middle order statistics)."""
     if not samples:
@@ -255,22 +250,3 @@ def compare(base: Summary, new: Summary, min_effect: float = 0.02) -> Comparison
         significant=significant,
         direction=direction,
     )
-
-
-def noise_floor(samples: Sequence[float], safety: float = NOISE_SAFETY) -> float:
-    """Relative noise floor measured from repeat samples.
-
-    The observed worst relative excursion from the median, scaled by a
-    safety factor — what ``--check``-style comparisons should tolerate
-    before calling a drift real.  Returns 0.0 for degenerate inputs
-    (fewer than two samples, or a non-positive median: the simulated
-    seconds of a deterministic run legitimately repeat exactly).
-    """
-    xs = list(samples)
-    if len(xs) < 2:
-        return 0.0
-    med = median(xs)
-    if med <= 0:
-        return 0.0
-    worst = max(abs(x - med) for x in xs) / med
-    return safety * worst

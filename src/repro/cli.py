@@ -40,8 +40,7 @@ for any worker count.  ``status`` summarizes the run journal the
 supervised runner appends next to the on-disk cache, including
 per-worker throughput when parallel runs were journalled.  ``profile`` simulates one
 (kernel, variant, device) triple and prints its perf counters, time
-attribution and roofline position; ``--save-baseline`` / ``--check``
-maintain the committed counter baseline, ``--trace`` writes a Chrome
+attribution and roofline position; ``--trace`` writes a Chrome
 trace-event JSON of the run's pipeline spans.  ``lint`` statically
 checks a kernel variant with the symbolic dependence engine (races,
 false sharing, strides, tile fit) and gates CI via ``--strict``;
@@ -51,8 +50,9 @@ miss counts from the simulated PMU.  ``perf`` runs one or more
 perf-stat style counters (``stat``), a per-IR-statement miss/byte
 annotation (``annotate``), or a side-by-side variant comparison
 (``diff``); ``--openmetrics`` additionally writes the counters in
-OpenMetrics/Prometheus text format, and ``--save-baseline`` /
-``--check`` maintain the committed ``benchmarks/perf_baseline.json``.
+OpenMetrics/Prometheus text format.  ``profile`` and ``perf`` share one
+``--save-baseline`` / ``--check`` pair over the committed
+``benchmarks/counter_baseline.json``.
 ``serve`` runs the fault-tolerant simulation-as-a-service tier
 (:mod:`repro.serve`): HTTP/JSON job submission with admission control,
 duplicate coalescing, a circuit breaker and graceful SIGTERM drain.
@@ -116,7 +116,7 @@ def configure_logging(verbose: int = 0, quiet: bool = False) -> None:
     # nothing double-prints) and pytest's caplog captures at the root.
 
 
-def _add_logging_flags(parser: argparse.ArgumentParser) -> None:
+def add_logging_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "-v", "--verbose", action="count", default=0,
         help="debug diagnostics (logger names included)",
@@ -125,6 +125,45 @@ def _add_logging_flags(parser: argparse.ArgumentParser) -> None:
         "-q", "--quiet", action="store_true",
         help="only warnings and errors on stderr",
     )
+
+
+def _add_baseline_flags(parser: argparse.ArgumentParser) -> None:
+    from repro.profiling.baseline import DEFAULT_BASELINE_PATH
+
+    parser.add_argument("--baseline", default=DEFAULT_BASELINE_PATH,
+                        help="counter baseline file for --save-baseline/--check")
+    parser.add_argument("--save-baseline", action="store_true",
+                        help="record each cell's counters in the baseline file")
+    parser.add_argument("--check", action="store_true",
+                        help="diff each cell's counters against the baseline "
+                             "(exit 1 on drift)")
+
+
+def _save_or_check_baseline(args: argparse.Namespace, cells) -> int:
+    """``--save-baseline`` / ``--check`` for ``profile`` and ``perf``, one
+    :mod:`repro.profiling.baseline` entry per cell; returns the exit code."""
+    from repro.profiling.baseline import check_entry, save_entry
+
+    if args.save_baseline:
+        for cell in cells:
+            save_entry(args.baseline, cell.baseline_key, cell.counters,
+                       cell.seconds, cell.active_cores)
+            LOG.info("[baseline %r saved to %s]", cell.baseline_key, args.baseline)
+    if not args.check:
+        return 0
+    violations = [
+        f"{cell.baseline_key}: {violation}"
+        for cell in cells
+        for violation in check_entry(args.baseline, cell.baseline_key,
+                                     cell.counters, cell.seconds)
+    ]
+    if violations:
+        LOG.error("baseline check FAILED (%d violations):", len(violations))
+        for violation in violations:
+            LOG.error("  %s", violation)
+        return 1
+    LOG.info("[baseline check OK against %s]", args.baseline)
+    return 0
 
 
 _FIGURE_MODULES = {"fig1": fig1, "fig2": fig2, "fig3": fig3, "fig6": fig6, "fig7": fig7}
@@ -340,7 +379,7 @@ def status_main(argv: List[str]) -> int:
         help="only records of this trace id (prefix match), searched "
              "across rotated journal segments",
     )
-    _add_logging_flags(parser)
+    add_logging_flags(parser)
     args = parser.parse_args(argv)
     configure_logging(args.verbose, args.quiet)
     print(_render_trace_status(args.trace) if args.trace else _render_status())
@@ -377,7 +416,7 @@ def trace_main(argv: List[str]) -> int:
         dest="as_json",
         help="print the raw trace response JSON instead of the rendered tree",
     )
-    _add_logging_flags(parser)
+    add_logging_flags(parser)
     args = parser.parse_args(argv)
     configure_logging(args.verbose, args.quiet)
 
@@ -630,7 +669,7 @@ def top_main(argv: List[str]) -> int:
         "--once", action="store_true",
         help="print one snapshot and exit (no screen clearing)",
     )
-    _add_logging_flags(parser)
+    add_logging_flags(parser)
     args = parser.parse_args(argv)
     configure_logging(args.verbose, args.quiet)
 
@@ -707,7 +746,7 @@ def figures_main(argv: List[str]) -> int:
              "bit-identical batched 'fast' engine "
              "(default: $REPRO_ENGINE, else fast)",
     )
-    _add_logging_flags(parser)
+    add_logging_flags(parser)
     args = parser.parse_args(argv)
     configure_logging(args.verbose, args.quiet)
     if args.engine:
@@ -814,6 +853,16 @@ def _dedupe_diagnostics(diagnostics):
     return out
 
 
+def _resolve_targets(targets, devices):
+    """Canonical ``(kernel, variant)`` targets and device keys for
+    ``lint`` and ``analyze``; raises KernelError on a bad name."""
+    from repro.kernels import resolve_cell
+
+    targets = [resolve_cell(kernel, variant, devices[0])[:2] for kernel, variant in targets]
+    device_keys = [resolve_cell(*targets[0], device)[2] for device in devices]
+    return targets, device_keys
+
+
 def lint_main(argv: List[str]) -> int:
     from repro.analysis.lint import (
         FIGURE_WAIVERS,
@@ -825,7 +874,7 @@ def lint_main(argv: List[str]) -> int:
     )
     from repro.devices.catalog import DEVICE_KEYS, get_device
     from repro.experiments.config import paper_variants
-    from repro.profiling.profile import KERNELS, ProfileError, build_profile_program
+    from repro.kernels import KERNELS, KernelError, build
 
     parser = argparse.ArgumentParser(
         prog="repro lint",
@@ -866,7 +915,7 @@ def lint_main(argv: List[str]) -> int:
                              "cite measured 3C miss counts in the diagnostics")
     parser.add_argument("--waive", action="append", default=[], metavar="CODE[=REASON]",
                         help="waive a diagnostic code for this run (repeatable)")
-    _add_logging_flags(parser)
+    add_logging_flags(parser)
     args = parser.parse_args(argv)
     configure_logging(args.verbose, args.quiet)
 
@@ -878,53 +927,55 @@ def lint_main(argv: List[str]) -> int:
         code, _, reason = spec.partition("=")
         extra_waivers[code.strip().upper()] = reason or "waived on the command line"
 
-    device_keys = args.devices if args.devices else list(DEVICE_KEYS)
-    targets = paper_variants() if args.figures else [(args.kernel, args.variant)]
-
-    sections = []          # (kernel, variant, diagnostics, waived, failures)
     try:
-        for kernel, variant in targets:
-            waivers = dict(FIGURE_WAIVERS.get((kernel, variant), {})) if args.figures else {}
-            waivers.update(extra_waivers)
-            diagnostics = []
-            waived = []
-            failures = []
-            program = None
-            for key in device_keys:
-                device = get_device(key).scaled(args.scale)
-                # Only stream sizes its arrays off the device; every other
-                # kernel builds (and certifies its transforms) once.
-                if program is None or kernel.lower() == "stream":
-                    program, _params, _kwargs = build_profile_program(
-                        kernel, variant, device,
-                        n=args.n, block=args.block, filter_size=args.filter_size,
-                    )
-                evidence = None
-                if args.measure:
-                    from repro.observe import cache_evidence, run_perf
-
-                    evidence = cache_evidence(run_perf(
-                        kernel, variant, key, scale=args.scale,
-                        n=args.n, block=args.block,
-                        filter_size=args.filter_size,
-                    ))
-                report = lint_program(
-                    program, device=device, waivers=waivers,
-                    kernel=kernel, variant=variant, evidence=evidence,
-                )
-                diagnostics.extend(report.diagnostics)
-                waived.extend(report.waived)
-                failures.extend(strict_failures(report))
-            sections.append((
-                kernel,
-                variant,
-                _dedupe_diagnostics(diagnostics),
-                _dedupe_diagnostics([d for d, _ in waived]),
-                _dedupe_diagnostics(failures),
-            ))
-    except ProfileError as exc:
+        targets, device_keys = _resolve_targets(
+            paper_variants() if args.figures else [(args.kernel, args.variant)],
+            args.devices or DEVICE_KEYS,
+        )
+    except KernelError as exc:
         LOG.error("%s", exc)
         return 2
+
+    sections = []          # (kernel, variant, diagnostics, waived, failures)
+    for kernel, variant in targets:
+        waivers = dict(FIGURE_WAIVERS.get((kernel, variant), {})) if args.figures else {}
+        waivers.update(extra_waivers)
+        diagnostics = []
+        waived = []
+        failures = []
+        program = None
+        for key in device_keys:
+            device = get_device(key).scaled(args.scale)
+            # Only stream sizes its arrays off the device; every other
+            # kernel builds (and certifies its transforms) once.
+            if program is None or kernel == "stream":
+                program, _params, _kwargs = build(
+                    kernel, variant, device,
+                    n=args.n, block=args.block, filter_size=args.filter_size,
+                )
+            evidence = None
+            if args.measure:
+                from repro.observe import cache_evidence, run_perf
+
+                evidence = cache_evidence(run_perf(
+                    kernel, variant, key, scale=args.scale,
+                    n=args.n, block=args.block,
+                    filter_size=args.filter_size,
+                ))
+            report = lint_program(
+                program, device=device, waivers=waivers,
+                kernel=kernel, variant=variant, evidence=evidence,
+            )
+            diagnostics.extend(report.diagnostics)
+            waived.extend(report.waived)
+            failures.extend(strict_failures(report))
+        sections.append((
+            kernel,
+            variant,
+            _dedupe_diagnostics(diagnostics),
+            _dedupe_diagnostics([d for d, _ in waived]),
+            _dedupe_diagnostics(failures),
+        ))
 
     all_diags = [d for _, _, diags, _, _ in sections for d in diags]
     failed = [d for _, _, _, _, fails in sections for d in fails]
@@ -986,7 +1037,8 @@ def analyze_main(argv: List[str]) -> int:
         run_analyze,
         strict_failures,
     )
-    from repro.profiling.profile import KERNELS, ProfileError
+    from repro.devices.catalog import DEVICE_KEYS
+    from repro.kernels import KERNELS, KernelError
 
     parser = argparse.ArgumentParser(
         prog="repro analyze",
@@ -1034,31 +1086,31 @@ def analyze_main(argv: List[str]) -> int:
                              "show measured counts next to predictions "
                              "(diagnostic only: prefetch and interference "
                              "are outside the certified model)")
-    _add_logging_flags(parser)
+    add_logging_flags(parser)
     args = parser.parse_args(argv)
     configure_logging(args.verbose, args.quiet)
 
     if args.figures == bool(args.kernel and args.variant):
         parser.error("give a kernel and a variant, or --figures (not both)")
 
-    from repro.devices.catalog import DEVICE_KEYS
-
-    device_keys = args.devices if args.devices else list(DEVICE_KEYS)
-    targets = paper_variants() if args.figures else [(args.kernel, args.variant)]
-
-    cells = []
     try:
-        for kernel, variant in targets:
-            for key in device_keys:
-                LOG.info("[analyze %s/%s on %s]", kernel, variant, key)
-                cells.append(run_analyze(
-                    kernel, variant, key, scale=args.scale,
-                    n=args.n, block=args.block, filter_size=args.filter_size,
-                    validate=args.strict, measure=args.measure,
-                ))
-    except ProfileError as exc:
+        targets, device_keys = _resolve_targets(
+            paper_variants() if args.figures else [(args.kernel, args.variant)],
+            args.devices or DEVICE_KEYS,
+        )
+    except KernelError as exc:
         LOG.error("%s", exc)
         return 2
+
+    cells = []
+    for kernel, variant in targets:
+        for key in device_keys:
+            LOG.info("[analyze %s/%s on %s]", kernel, variant, key)
+            cells.append(run_analyze(
+                kernel, variant, key, scale=args.scale,
+                n=args.n, block=args.block, filter_size=args.filter_size,
+                validate=args.strict, measure=args.measure,
+            ))
 
     if args.sarif:
         output = render_sarif(cells)
@@ -1089,12 +1141,8 @@ def analyze_main(argv: List[str]) -> int:
 
 def profile_main(argv: List[str]) -> int:
     from repro.experiments.config import CACHE_SCALE
-    from repro.profiling.baseline import (
-        DEFAULT_BASELINE_PATH,
-        check_report,
-        save_baseline,
-    )
-    from repro.profiling.profile import ProfileError, profile_run, render_report
+    from repro.kernels import KernelError
+    from repro.profiling.profile import profile_run, render_report
 
     parser = argparse.ArgumentParser(
         prog="repro profile",
@@ -1118,19 +1166,8 @@ def profile_main(argv: List[str]) -> int:
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write Chrome trace-event JSON of the pipeline spans")
     parser.add_argument("--tree", action="store_true", help="also print the span tree")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE_PATH,
-                        help="baseline file for --save-baseline/--check")
-    parser.add_argument("--save-baseline", action="store_true",
-                        help="record this run's counters in the baseline file")
-    parser.add_argument("--check", action="store_true",
-                        help="diff this run's counters against the baseline (exit 1 on drift)")
-    parser.add_argument("--rtol", type=float, default=0.0,
-                        help="relative tolerance for --check counter comparisons")
-    parser.add_argument("--noise-repeats", type=int, default=3, metavar="N",
-                        help="extra runs at --save-baseline time to measure the "
-                             "seconds noise floor stored with the entry "
-                             "(0 disables; default 3)")
-    _add_logging_flags(parser)
+    _add_baseline_flags(parser)
+    add_logging_flags(parser)
     args = parser.parse_args(argv)
     configure_logging(args.verbose, args.quiet)
 
@@ -1147,7 +1184,7 @@ def profile_main(argv: List[str]) -> int:
                 filter_size=args.filter_size,
                 cores=args.cores,
             )
-    except ProfileError as exc:
+    except KernelError as exc:
         LOG.error("%s", exc)
         return 2
 
@@ -1162,32 +1199,7 @@ def profile_main(argv: List[str]) -> int:
     if args.trace:
         trace_obj.write_chrome_trace(args.trace)
         LOG.info("[trace written to %s]", args.trace)
-    if args.save_baseline:
-        noise = 0.0
-        if args.noise_repeats > 0:
-            from repro.bench.stats import noise_floor
-
-            samples = [report.seconds]
-            for _ in range(args.noise_repeats):
-                extra, _res = profile_run(
-                    args.kernel, args.variant, args.device, scale=args.scale,
-                    n=args.n, block=args.block, filter_size=args.filter_size,
-                    cores=args.cores,
-                )
-                samples.append(extra.seconds)
-            noise = noise_floor(samples)
-        key = save_baseline(args.baseline, report, noise=noise)
-        LOG.info("[baseline %r saved to %s (noise floor %.3g)]",
-                 key, args.baseline, noise)
-    if args.check:
-        violations = check_report(report, args.baseline, counter_rtol=args.rtol)
-        if violations:
-            LOG.error("baseline check FAILED (%d violations):", len(violations))
-            for violation in violations:
-                LOG.error("  %s", violation)
-            return 1
-        LOG.info("[baseline check OK against %s]", args.baseline)
-    return 0
+    return _save_or_check_baseline(args, [report])
 
 
 #: Share of wall-clock spent in exposed DRAM latency above which the
@@ -1202,9 +1214,10 @@ def _lint_hints_for_profile(report, args) -> None:
     try:
         from repro.analysis.lint import lint_program
         from repro.devices.catalog import get_device
-        from repro.profiling.profile import build_profile_program
+        from repro.kernels import build, resolve_cell
 
-        device = get_device(args.device.lower()).scaled(args.scale)
+        base_key = resolve_cell(report.kernel, report.variant, args.device)[2]
+        device = get_device(base_key).scaled(args.scale)
         # Exposed latency is keyed by the cache level the miss occurred
         # at; misses at the *last* level are the ones DRAM services.  The
         # bandwidth terms (dram_stream/dram_contention) are DRAM-exposed
@@ -1223,7 +1236,7 @@ def _lint_hints_for_profile(report, args) -> None:
         )
         if total <= 0 or exposed_dram / total <= DRAM_LATENCY_HINT_THRESHOLD:
             return
-        program, _params, _kwargs = build_profile_program(
+        program, _params, _kwargs = build(
             report.kernel, report.variant, device,
             n=args.n, block=args.block, filter_size=args.filter_size,
         )
@@ -1245,17 +1258,14 @@ def _lint_hints_for_profile(report, args) -> None:
 
 
 def perf_main(argv: List[str]) -> int:
+    from repro.kernels import KernelError
     from repro.observe.perf import (
         PERF_SCALE,
-        check_perf_cell,
         perf_cell_task,
         render_diff,
         render_stat,
         run_perf,
-        save_perf_baseline,
     )
-    from repro.profiling.baseline import DEFAULT_PERF_BASELINE_PATH
-    from repro.profiling.profile import ProfileError
 
     parser = argparse.ArgumentParser(
         prog="repro perf",
@@ -1293,24 +1303,12 @@ def perf_main(argv: List[str]) -> int:
                        help="emit the cells as JSON on stdout")
         p.add_argument("--openmetrics", metavar="FILE", default=None,
                        help="also write the counters in OpenMetrics text format")
-        p.add_argument("--baseline", default=DEFAULT_PERF_BASELINE_PATH,
-                       help="baseline file for --save-baseline/--check")
-        p.add_argument("--save-baseline", action="store_true",
-                       help="record each cell's counters in the baseline file")
-        p.add_argument("--check", action="store_true",
-                       help="diff each cell's counters against the baseline "
-                            "(exit 1 on drift)")
-        p.add_argument("--rtol", type=float, default=0.0,
-                       help="relative tolerance for --check counter comparisons")
-        p.add_argument("--noise-repeats", type=int, default=3, metavar="N",
-                       help="extra runs at --save-baseline time to measure the "
-                            "seconds noise floor stored with each entry "
-                            "(0 disables; default 3)")
+        _add_baseline_flags(p)
         p.add_argument("--engine", choices=("exact", "fast"), default=None,
                        help="replay engine: 'exact' per-reference simulator or "
                             "the bit-identical batched 'fast' engine "
                             "(default: $REPRO_ENGINE, else fast)")
-        _add_logging_flags(p)
+        add_logging_flags(p)
 
     p_stat = sub.add_parser("stat", help="perf-stat style counter table per cell")
     common(p_stat, devices=True)
@@ -1366,7 +1364,7 @@ def perf_main(argv: List[str]) -> int:
                 cells = pool.map(perf_cell_task, tasks)
         else:
             cells = [run_perf(**tasks[0])]
-    except ProfileError as exc:
+    except KernelError as exc:
         LOG.error("%s", exc)
         return 2
 
@@ -1389,31 +1387,7 @@ def perf_main(argv: List[str]) -> int:
             fh.write(render_openmetrics(cells))
         LOG.info("[openmetrics written to %s]", args.openmetrics)
 
-    if args.save_baseline:
-        for cell, task in zip(cells, tasks):
-            noise = 0.0
-            if args.noise_repeats > 0:
-                from repro.bench.stats import noise_floor
-
-                samples = [cell.seconds]
-                for _ in range(args.noise_repeats):
-                    samples.append(run_perf(**task).seconds)
-                noise = noise_floor(samples)
-            key = save_perf_baseline(cell, args.baseline, noise=noise)
-            LOG.info("[perf baseline %r saved to %s (noise floor %.3g)]",
-                     key, args.baseline, noise)
-    if args.check:
-        violations = []
-        for cell in cells:
-            for violation in check_perf_cell(cell, args.baseline, counter_rtol=args.rtol):
-                violations.append(f"{cell.baseline_key}: {violation}")
-        if violations:
-            LOG.error("perf baseline check FAILED (%d violations):", len(violations))
-            for violation in violations:
-                LOG.error("  %s", violation)
-            return 1
-        LOG.info("[perf baseline check OK against %s]", args.baseline)
-    return 0
+    return _save_or_check_baseline(args, cells)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,10 +1,11 @@
 """``repro analyze``'s engine: run the symbolic cache classifier on one
 (kernel, variant, device) cell and render its certificates.
 
-The cell's program is built by the same :func:`build_profile_program`
-the profiler uses, at reduced default sizes (the classifier walks every
-segment in Python; paper-scale blur is a CI-budget problem, and the
-cache behavior it proves is size-generic).  Each cell carries:
+Names resolve, and the cell's program is built, through the same
+:mod:`repro.kernels` registry the profiler uses, at reduced default
+sizes (the classifier walks every segment in Python; paper-scale blur
+is a CI-budget problem, and the cache behavior it proves is
+size-generic).  Each cell carries:
 
 * the :class:`~repro.analysis.cachemodel.CacheAnalysis` — per-group,
   per-level verdict runs with proofs and predicted miss counts;
@@ -90,10 +91,10 @@ def run_analyze(
     measure: bool = False,
 ) -> AnalyzeCell:
     """Classify one cell; optionally replay-validate and PMU-measure it."""
+    from repro.kernels import build, resolve_cell
     from repro.observe.perf import run_perf
-    from repro.profiling.profile import KERNELS, _resolve, build_profile_program
 
-    kernel = _resolve(kernel, KERNELS, "kernel")
+    kernel, variant, device_key = resolve_cell(kernel, variant, device_key)
     if kernel == "transpose" and n is None:
         n = ANALYZE_TRANSPOSE_N
     if kernel == "blur":
@@ -102,7 +103,7 @@ def run_analyze(
         if filter_size is None:
             filter_size = ANALYZE_BLUR_FILTER
     device = scaled_device(device_key, scale)
-    program, params, _ = build_profile_program(
+    program, params, _ = build(
         kernel, variant, device, n=n, block=block, filter_size=filter_size
     )
     analysis = analyze_program(program, device)

@@ -5,8 +5,8 @@ PMU attached and reduces it to a :class:`PerfCell` — a picklable bundle
 of flat counters, per-level 3C splits with conflict-set histograms and
 per-reference attribution.  On top of that sit the three views the CLI
 exposes (``stat``, ``annotate``, ``diff``), the OpenMetrics export
-(:mod:`repro.observe.openmetrics`) and the committed perf baselines
-(shared machinery with :mod:`repro.profiling.baseline`).
+(:mod:`repro.observe.openmetrics`) and the committed counter baseline
+(:mod:`repro.profiling.baseline`, shared with ``repro profile``).
 
 Cells default to ``scale=1`` — real cache sizes — because miss *classes*
 are the point here: scaling caches down the way the figure harness does
@@ -18,19 +18,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.devices.catalog import DEVICE_KEYS, get_device
 from repro.memsim.pmu import MISS_CLASSES
 from repro.memsim.stats import add_counters
 from repro.observe.annotate import program_lines
-from repro.profiling.baseline import (
-    DEFAULT_PERF_BASELINE_PATH,
-    check_entry,
-    entry_key,
-    save_entry,
-)
+from repro.profiling.baseline import entry_key
 from repro.profiling.counters import counter_set
-from repro.simulate import SimulationResult, simulate
-from repro.transforms import AutoVectorize
+from repro.simulate import SimulationResult
 
 #: How many of the worst conflict sets each level keeps in its histogram.
 TOP_SETS = 8
@@ -93,39 +86,30 @@ def run_perf(
     cores: Optional[int] = None,
 ) -> PerfCell:
     """Simulate one cell with the PMU on and reduce it to a PerfCell."""
-    from repro.profiling.profile import (
-        KERNELS,
-        _resolve,
-        _variants,
-        build_profile_program,
-    )
+    from repro.kernels import resolve_cell
+    from repro.profiling.profile import simulate_cell
 
-    kernel = _resolve(kernel, KERNELS, "kernel")
-    variant = _resolve(variant, _variants(kernel), f"{kernel} variant")
-    base_key = _resolve(device_key, DEVICE_KEYS, "device")
-    device = get_device(base_key).scaled(scale)
-    if kernel == "transpose" and n is None:
+    if n is None and resolve_cell(kernel, variant, device_key)[0] == "transpose":
         n = PERF_TRANSPOSE_N
-    program, params, sim_kwargs = build_profile_program(
-        kernel, variant, device, n=n, block=block, filter_size=filter_size
+    cell = simulate_cell(
+        kernel, variant, device_key, scale,
+        n=n, block=block, filter_size=filter_size, cores=cores,
     )
-    if device.cpu.vector_bits:
-        program = AutoVectorize().run(program)
-    result = simulate(program, device, active_cores=cores, pmu=True, **sim_kwargs)
+    result = cell.result
     return PerfCell(
-        kernel=kernel,
-        variant=variant,
-        base_device=base_key,
-        device_key=device.key,
+        kernel=cell.kernel,
+        variant=cell.variant,
+        base_device=cell.base_device,
+        device_key=cell.device.key,
         scale=scale,
-        params=dict(params),
+        params=dict(cell.params),
         active_cores=result.active_cores,
         seconds=result.seconds,
         bottleneck=result.timing.bottleneck,
         counters=dict(counter_set(result)),
         levels=_merge_levels(result),
         refs=_merge_refs(result),
-        ir_lines=[list(pair) for pair in program_lines(program)],
+        ir_lines=[list(pair) for pair in program_lines(cell.program)],
         engine=result.engine,
         engine_skips=dict(result.engine_skips),
     )
@@ -365,28 +349,6 @@ def _ratio(a: float, b: float) -> str:
     if not a:
         return "—" if not b else "new"
     return f"{b / a:7.3f}x"
-
-
-# -- baselines ---------------------------------------------------------------
-
-
-def save_perf_baseline(
-    cell: PerfCell, path: str = DEFAULT_PERF_BASELINE_PATH, noise: float = 0.0
-) -> str:
-    return save_entry(
-        path, cell.baseline_key, cell.counters, cell.seconds, cell.active_cores,
-        noise=noise,
-    )
-
-
-def check_perf_cell(
-    cell: PerfCell,
-    path: str = DEFAULT_PERF_BASELINE_PATH,
-    counter_rtol: float = 0.0,
-) -> List[str]:
-    return check_entry(
-        path, cell.baseline_key, cell.counters, cell.seconds, counter_rtol=counter_rtol
-    )
 
 
 # -- lint evidence -----------------------------------------------------------

@@ -8,17 +8,21 @@ span tracing and profile baselines.
   pipeline (tracegen → memsim → timing → figure harness → cache/journal)
   with Chrome trace-event JSON export and a plain-text tree view;
 * :mod:`repro.profiling.profile` — the ``repro profile`` implementation:
-  counter table, time-attribution breakdown, roofline position;
-* :mod:`repro.profiling.baseline` — save/check counter baselines with
-  tolerances, the simulator's own perf-regression guard.
+  counter table, time-attribution breakdown, roofline position, and
+  :func:`~repro.profiling.profile.simulate_cell`, the resolve → build →
+  simulate path ``repro perf`` shares;
+* :mod:`repro.profiling.baseline` — the one committed counter baseline
+  (``benchmarks/counter_baseline.json``) that ``repro profile`` and
+  ``repro perf`` save to and check exactly, the simulator's own
+  regression guard.
 
 Time attribution itself lives in :mod:`repro.timing.model`
 (:class:`~repro.timing.model.TimeAttribution`): the per-core breakdown
 that provably sums to the reported wall-clock.
 
 This ``__init__`` deliberately imports only the dependency-free leaf
-modules; :mod:`repro.profiling.profile` imports the kernels and devices
-and is imported lazily by the CLI.
+modules; :mod:`repro.profiling.profile` imports the kernel registry and
+the simulator and is imported lazily by the CLI.
 """
 
 from repro.profiling.counters import (

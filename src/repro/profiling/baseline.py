@@ -1,26 +1,18 @@
-"""Profile baselines: committed counter sets with toleranced diffing.
+"""Counter baselines: committed counter sets, checked exactly.
 
-``repro profile --save-baseline`` records a run's counters (and seconds)
-under a stable key in a JSON file; ``repro profile --check`` re-runs the
-same configuration and fails loudly when any counter drifts beyond
-tolerance.  Committed to the repository and wired into CI, this turns
-*simulator* regressions — a cache model suddenly missing more, a
-transform emitting extra traffic — into visible diffs instead of silent
-slow drift.
+``repro profile --save-baseline`` and ``repro perf --save-baseline``
+record a cell's counters (and seconds) under a stable key in one JSON
+file, ``benchmarks/counter_baseline.json``; ``--check`` on either
+command re-runs the same cell and fails loudly when anything drifts.
+The key names the cell and its parameters, so a cell saved by one
+command checks clean under the other.  Committed to the repository and
+wired into CI, this turns *simulator* regressions — a cache model
+suddenly missing more, a transform emitting extra traffic — into
+visible diffs instead of silent slow drift.
 
-Counters are integers and the simulator is deterministic, so the default
-counter tolerance is exact; ``seconds`` (a float through the contention
-bisection) gets a small relative tolerance.
-
-Rather than hard-coding a guess at how much ``seconds`` may wobble,
-``--save-baseline`` can measure it: the CLI re-runs the configuration a
-few times, reduces the spread with
-:func:`repro.bench.stats.noise_floor`, and stores it as the entry's
-``noise_rel``.  ``check_entry`` then widens its seconds tolerance to the
-*measured* floor (never below ``seconds_rtol``), so a deterministic
-simulation keeps its near-exact check while any genuinely noisy
-configuration gets exactly the slack it demonstrated — not a fixed
-percentage that is too loose on fast hosts and too tight on slow CI.
+The simulator is deterministic: counters are integers compared exactly,
+and ``seconds`` (a float through the contention bisection) is compared
+at the fixed relative tolerance :data:`SECONDS_RTOL`.
 """
 
 from __future__ import annotations
@@ -29,19 +21,14 @@ import json
 import os
 from typing import Any, Dict, List
 
-from repro.profiling.profile import ProfileReport
-
 BASELINE_SCHEMA = 1
 
-_BENCH_DIR = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "..", "..", "benchmarks")
+#: The committed baseline (repo root / benchmarks).
+DEFAULT_BASELINE_PATH = os.path.abspath(
+    os.path.join(
+        os.path.dirname(__file__), "..", "..", "..", "benchmarks", "counter_baseline.json"
+    )
 )
-
-#: Default committed baseline location (repo root / benchmarks).
-DEFAULT_BASELINE_PATH = os.path.join(_BENCH_DIR, "profile_baseline.json")
-
-#: The committed ``repro perf`` baseline (same schema, PMU counter sets).
-DEFAULT_PERF_BASELINE_PATH = os.path.join(_BENCH_DIR, "perf_baseline.json")
 
 #: Relative tolerance for the wall-clock seconds comparison.
 SECONDS_RTOL = 1e-6
@@ -51,11 +38,6 @@ def entry_key(kernel: str, variant: str, device_key: str, params: Dict[str, Any]
     """Stable identity of one profiled/perf'd configuration."""
     joined = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
     return f"{kernel}/{variant}/{device_key}?{joined}"
-
-
-def baseline_key(report: ProfileReport) -> str:
-    """Stable identity of one profiled configuration."""
-    return entry_key(report.kernel, report.variant, report.device_key, report.params)
 
 
 def load_baselines(path: str) -> Dict[str, Any]:
@@ -79,20 +61,14 @@ def save_entry(
     counters: Dict[str, int],
     seconds: float,
     active_cores: int,
-    noise: float = 0.0,
 ) -> str:
     """Merge one configuration's counters into the baseline file; returns
-    the entry key.  Existing entries for other configurations are kept.
-
-    ``noise`` is the measured relative noise floor of the ``seconds``
-    figure (see module docstring); it widens the check-time tolerance.
-    """
+    the entry key.  Existing entries for other configurations are kept."""
     data = load_baselines(path)
     data["entries"][key] = {
         "counters": dict(counters),
         "seconds": seconds,
         "active_cores": active_cores,
-        "noise_rel": float(noise),
     }
     directory = os.path.dirname(os.path.abspath(path))
     if directory:
@@ -103,26 +79,11 @@ def save_entry(
     return key
 
 
-def save_baseline(path: str, report: ProfileReport, noise: float = 0.0) -> str:
-    """Merge this report's counters into the baseline file; returns the
-    entry key."""
-    return save_entry(
-        path,
-        baseline_key(report),
-        report.counters,
-        report.seconds,
-        report.active_cores,
-        noise=noise,
-    )
-
-
 def check_entry(
     path: str,
     key: str,
     counters: Dict[str, int],
     seconds: float,
-    counter_rtol: float = 0.0,
-    seconds_rtol: float = SECONDS_RTOL,
 ) -> List[str]:
     """Compare one configuration against its baseline entry.
 
@@ -146,8 +107,7 @@ def check_entry(
         actual = counters.get(name)
         if actual is None:
             violations.append(f"counter {name} missing from run (baseline {expected})")
-            continue
-        if not _within(expected, actual, counter_rtol):
+        elif actual != expected:
             violations.append(
                 f"counter {name}: baseline {expected}, run {actual} "
                 f"({_drift(expected, actual)})"
@@ -159,12 +119,7 @@ def check_entry(
                 "re-save the baseline to adopt new counters"
             )
     expected_seconds = entry.get("seconds")
-    # Tolerance for seconds: the caller's rtol widened to the noise floor
-    # this entry measured at save time (a float, absent in old files).
-    seconds_rtol = max(seconds_rtol, float(entry.get("noise_rel", 0.0) or 0.0))
-    if expected_seconds is not None and not _within(
-        expected_seconds, seconds, seconds_rtol
-    ):
+    if expected_seconds is not None and not _within(expected_seconds, seconds):
         violations.append(
             f"seconds: baseline {expected_seconds!r}, run {seconds!r} "
             f"({_drift(expected_seconds, seconds)})"
@@ -172,28 +127,11 @@ def check_entry(
     return violations
 
 
-def check_report(
-    report: ProfileReport,
-    path: str,
-    counter_rtol: float = 0.0,
-    seconds_rtol: float = SECONDS_RTOL,
-) -> List[str]:
-    """Compare a profile report against its baseline entry."""
-    return check_entry(
-        path,
-        baseline_key(report),
-        report.counters,
-        report.seconds,
-        counter_rtol=counter_rtol,
-        seconds_rtol=seconds_rtol,
-    )
-
-
-def _within(expected: float, actual: float, rtol: float) -> bool:
+def _within(expected: float, actual: float) -> bool:
     if expected == actual:
         return True
     denom = max(abs(expected), abs(actual))
-    return denom > 0 and abs(expected - actual) / denom <= rtol
+    return denom > 0 and abs(expected - actual) / denom <= SECONDS_RTOL
 
 
 def _drift(expected: float, actual: float) -> str:

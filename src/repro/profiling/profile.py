@@ -11,8 +11,9 @@ then reports
 
 Kernels are the paper's suites: ``transpose`` (Fig. 2), ``blur``
 (Fig. 6) and ``stream`` (Fig. 1, steady-state DRAM footprint), plus
-``scan`` (the linter's loop-carried recurrence demo).  Sizes default to
-the figure-harness simulated sizes and can be overridden.
+``scan`` (the linter's loop-carried recurrence demo), resolved and built
+through the :mod:`repro.kernels` registry.  Sizes default to the
+figure-harness simulated sizes and can be overridden.
 """
 
 from __future__ import annotations
@@ -20,33 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.devices.catalog import DEVICE_KEYS, get_device
+from repro.devices.catalog import get_device
 from repro.devices.spec import DeviceSpec
-from repro.errors import ReproError
-from repro.experiments.config import (
-    BLUR_FILTER,
-    BLUR_SIM_WH,
-    CACHE_SCALE,
-    STREAM_REPETITIONS,
-    TRANSPOSE_BLOCK,
-    TRANSPOSE_SIZES,
-)
+from repro.experiments.config import CACHE_SCALE
 from repro.ir.program import Program
+from repro.kernels import build, resolve_cell
 from repro.metrics.roofline import (
     measured_roofline_point,
     measured_traffic_bytes,
     roofline_point,
 )
 from repro.profiling import tracer
+from repro.profiling.baseline import entry_key
 from repro.profiling.counters import counter_set, per_core_counter_sets
 from repro.simulate import SimulationResult, simulate
 from repro.transforms import AutoVectorize
-
-KERNELS = ("transpose", "blur", "stream", "scan")
-
-
-class ProfileError(ReproError):
-    """Unknown kernel/variant/device or inconsistent profile options."""
 
 
 @dataclass
@@ -84,98 +73,47 @@ class ProfileReport:
             "roofline": dict(self.roofline),
         }
 
-
-def _resolve(name: str, options, what: str) -> str:
-    """Case-insensitive lookup, accepting any unambiguous prefix.
-
-    ``--device visionfive`` resolves to ``visionfive_jh7100``; an exact
-    match always wins over being a prefix of something longer.
-    """
-    by_lower = {str(opt).lower(): str(opt) for opt in options}
-    lowered = name.lower()
-    if lowered in by_lower:
-        return by_lower[lowered]
-    prefixed = [full for low, full in by_lower.items() if low.startswith(lowered)]
-    if len(prefixed) == 1:
-        return prefixed[0]
-    if len(prefixed) > 1:
-        raise ProfileError(
-            f"ambiguous {what} {name!r}; matches: {', '.join(sorted(prefixed))}"
-        )
-    raise ProfileError(
-        f"unknown {what} {name!r}; known: {', '.join(str(o) for o in options)}"
-    )
+    @property
+    def baseline_key(self) -> str:
+        return entry_key(self.kernel, self.variant, self.device_key, self.params)
 
 
-def _variants(kernel: str) -> List[str]:
-    if kernel == "transpose":
-        from repro.kernels import transpose
+@dataclass(frozen=True)
+class SimulatedCell:
+    """One cell built, vectorized and simulated with the PMU on."""
 
-        return list(transpose.VARIANT_ORDER)
-    if kernel == "blur":
-        from repro.kernels import blur
-
-        return list(blur.VARIANT_ORDER)
-    if kernel == "scan":
-        from repro.kernels import scan
-
-        return list(scan.VARIANT_ORDER)
-    from repro.kernels import stream
-
-    return list(stream.TESTS)
+    kernel: str
+    variant: str
+    base_device: str              # catalog key, resolved from the user's name
+    device: DeviceSpec            # the simulated (scaled) device
+    program: Program
+    params: Dict[str, Any]
+    result: SimulationResult
 
 
-def build_profile_program(
+def simulate_cell(
     kernel: str,
     variant: str,
-    device: DeviceSpec,
+    device_key: str,
+    scale: int,
     n: Optional[int] = None,
     block: Optional[int] = None,
     filter_size: Optional[int] = None,
-) -> Tuple[Program, Dict[str, Any], Dict[str, Any]]:
-    """Build the program plus its (params, simulate kwargs) for a profile."""
-    kernel = _resolve(kernel, KERNELS, "kernel")
-    variant = _resolve(variant, _variants(kernel), f"{kernel} variant")
-    if kernel == "transpose":
-        from repro.kernels import transpose
-
-        size = n if n is not None else TRANSPOSE_SIZES[0][1]
-        blk = block if block is not None else TRANSPOSE_BLOCK
-        program = transpose.build(variant, size, block=blk)
-        return program, {"n": size, "block": blk}, {"check_capacity": False}
-    if kernel == "blur":
-        from repro.kernels import blur
-
-        width, height = BLUR_SIM_WH
-        size = n if n is not None else width
-        h = height * size // width  # keep the figure aspect ratio
-        f = filter_size if filter_size is not None else BLUR_FILTER
-        program = blur.build(variant, h, size, f)
-        return program, {"w": size, "h": h, "filter": f}, {"check_capacity": False}
-    if kernel == "scan":
-        from repro.kernels import scan
-
-        size = n if n is not None else scan.DEFAULT_N
-        program = scan.build(variant, size)
-        return program, {"n": size}, {"check_capacity": False}
-    from repro.kernels import stream
-    from repro.metrics.bandwidth import level_footprint_bytes
-
-    if n is not None:
-        elements = n
-    else:
-        elements = stream.array_elements_for_footprint(
-            variant, level_footprint_bytes(device, "DRAM")
+    cores: Optional[int] = None,
+) -> SimulatedCell:
+    """Resolve the names, scale the device, build and vectorize the
+    program, then simulate it with the PMU on: the path ``repro profile``
+    and ``repro perf`` share."""
+    kernel, variant, base_key = resolve_cell(kernel, variant, device_key)
+    device = get_device(base_key).scaled(scale)
+    with tracer.span("profile", cat="profile", kernel=kernel, variant=variant, device=base_key):
+        program, params, sim_kwargs = build(
+            kernel, variant, device, n=n, block=block, filter_size=filter_size
         )
-    parallel = device.cores > 1
-    program = stream.build(variant, elements, parallel=parallel)
-    params = {"elements": elements, "repetitions": STREAM_REPETITIONS}
-    kwargs = {
-        "repetitions": STREAM_REPETITIONS,
-        "steady_state": True,
-        "check_capacity": False,
-    }
-    return program, params, kwargs
+        if device.cpu.vector_bits:
+            program = AutoVectorize().run(program)
+        result = simulate(program, device, active_cores=cores, pmu=True, **sim_kwargs)
+    return SimulatedCell(kernel, variant, base_key, device, program, params, result)
 
 
 def profile_run(
@@ -189,50 +127,44 @@ def profile_run(
     cores: Optional[int] = None,
 ) -> Tuple[ProfileReport, SimulationResult]:
     """Simulate once and assemble the full profile report."""
-    kernel = _resolve(kernel, KERNELS, "kernel")
-    variant = _resolve(variant, _variants(kernel), f"{kernel} variant")
-    base_key = _resolve(device_key, DEVICE_KEYS, "device")
-    device = get_device(base_key).scaled(scale)
-    with tracer.span("profile", cat="profile", kernel=kernel, variant=variant, device=base_key):
-        program, params, sim_kwargs = build_profile_program(
-            kernel, variant, device, n=n, block=block, filter_size=filter_size
-        )
-        if device.cpu.vector_bits:
-            program = AutoVectorize().run(program)
-        result = simulate(program, device, active_cores=cores, pmu=True, **sim_kwargs)
-        roofline = roofline_point(program, device, bandwidth_gbs=device.dram.bandwidth_gbs)
-        measured = measured_roofline_point(
-            result, device, bandwidth_gbs=device.dram.bandwidth_gbs
-        )
-        achieved_gflops = (
-            result.total_ops.flops / result.seconds / 1e9 if result.seconds > 0 else 0.0
-        )
-        report = ProfileReport(
-            kernel=kernel,
-            variant=variant,
-            device_key=device.key,
-            scale=scale,
-            params=params,
-            active_cores=result.active_cores,
-            seconds=result.seconds,
-            bottleneck=result.timing.bottleneck,
-            counters=counter_set(result),
-            per_core_counters=per_core_counter_sets(result),
-            attribution=result.timing.attribution_summary(),
-            per_core_attribution=[a.as_dict() for a in result.timing.attribution],
-            roofline={
-                "arithmetic_intensity": roofline.arithmetic_intensity,
-                "measured_intensity": measured.arithmetic_intensity,
-                "peak_gflops": roofline.peak_gflops,
-                "bandwidth_gbs": roofline.bandwidth_gbs,
-                "attainable_gflops": roofline.attainable_gflops,
-                "measured_attainable_gflops": measured.attainable_gflops,
-                "achieved_gflops": achieved_gflops,
-                "achieved_dram_gbs": result.achieved_dram_gbs,
-                "memory_bound": roofline.memory_bound,
-                "measured_traffic_bytes": measured_traffic_bytes(result),
-            },
-        )
+    cell = simulate_cell(
+        kernel, variant, device_key, scale,
+        n=n, block=block, filter_size=filter_size, cores=cores,
+    )
+    device, program, result = cell.device, cell.program, cell.result
+    roofline = roofline_point(program, device, bandwidth_gbs=device.dram.bandwidth_gbs)
+    measured = measured_roofline_point(
+        result, device, bandwidth_gbs=device.dram.bandwidth_gbs
+    )
+    achieved_gflops = (
+        result.total_ops.flops / result.seconds / 1e9 if result.seconds > 0 else 0.0
+    )
+    report = ProfileReport(
+        kernel=cell.kernel,
+        variant=cell.variant,
+        device_key=device.key,
+        scale=scale,
+        params=cell.params,
+        active_cores=result.active_cores,
+        seconds=result.seconds,
+        bottleneck=result.timing.bottleneck,
+        counters=counter_set(result),
+        per_core_counters=per_core_counter_sets(result),
+        attribution=result.timing.attribution_summary(),
+        per_core_attribution=[a.as_dict() for a in result.timing.attribution],
+        roofline={
+            "arithmetic_intensity": roofline.arithmetic_intensity,
+            "measured_intensity": measured.arithmetic_intensity,
+            "peak_gflops": roofline.peak_gflops,
+            "bandwidth_gbs": roofline.bandwidth_gbs,
+            "attainable_gflops": roofline.attainable_gflops,
+            "measured_attainable_gflops": measured.attainable_gflops,
+            "achieved_gflops": achieved_gflops,
+            "achieved_dram_gbs": result.achieved_dram_gbs,
+            "memory_bound": roofline.memory_bound,
+            "measured_traffic_bytes": measured_traffic_bytes(result),
+        },
+    )
     return report, result
 
 

@@ -67,12 +67,12 @@ def execute_job(task: Dict[str, Any]) -> Dict[str, Any]:
 
 def _execute(task: Dict[str, Any]) -> Dict[str, Any]:
     from repro.devices.catalog import get_device
+    from repro.kernels import build
     from repro.memsim.columnar import process_skip_totals
-    from repro.profiling.profile import build_profile_program
 
     runner = _runner_for(task.get("cache_path"))
     device = get_device(task["device"]).scaled(task.get("scale", 1))
-    program, _params, sim_kwargs = build_profile_program(
+    program, _params, sim_kwargs = build(
         task["kernel"],
         task["variant"],
         device,

@@ -98,8 +98,7 @@ def resolve_spec(payload: Any, default_scale: int = 1) -> JobSpec:
     rejects unknown work at admission (HTTP 400) instead of burning a
     queue slot on a job that can only fail.
     """
-    from repro.devices.catalog import DEVICE_KEYS
-    from repro.profiling.profile import KERNELS, ProfileError, _resolve, _variants
+    from repro.kernels import KernelError, resolve_cell
 
     if not isinstance(payload, dict):
         raise JobValidationError("submission body must be a JSON object")
@@ -110,12 +109,12 @@ def resolve_spec(payload: Any, default_scale: int = 1) -> JobSpec:
     if unknown:
         raise JobValidationError(f"unknown fields: {', '.join(sorted(unknown))}")
     try:
-        kernel = _resolve(str(payload.get("kernel", "")), KERNELS, "kernel")
-        variant = _resolve(
-            str(payload.get("variant", "")), _variants(kernel), f"{kernel} variant"
+        kernel, variant, device = resolve_cell(
+            str(payload.get("kernel", "")),
+            str(payload.get("variant", "")),
+            str(payload.get("device", "")),
         )
-        device = _resolve(str(payload.get("device", "")), DEVICE_KEYS, "device")
-    except ProfileError as exc:
+    except KernelError as exc:
         raise JobValidationError(str(exc)) from exc
 
     scale = payload.get("scale", default_scale)

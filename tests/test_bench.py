@@ -1,5 +1,5 @@
 """The performance regression observatory: statistics, harness, trend
-store, gate, engine skip-path counters, and noise-floor baselines.
+store, gate and engine skip-path counters.
 
 The statistical core is property-tested (the CI must contain the median,
 outlier rejection must respect its cap, ``compare`` must be symmetric);
@@ -35,7 +35,6 @@ from repro.bench.stats import (
     compare,
     mad,
     median,
-    noise_floor,
     reject_outliers,
     summarize,
 )
@@ -110,13 +109,6 @@ def test_compare_flags_real_regression_not_noise():
     assert verdict.significant and verdict.direction == "regression"
     same = compare(base, summarize([1.0, 1.02, 0.98, 1.01, 0.99]))
     assert not same.significant and same.direction == "flat"
-
-
-def test_noise_floor_measures_spread():
-    assert noise_floor([1.0]) == 0.0
-    assert noise_floor([1.0, 1.0, 1.0]) == 0.0
-    floor = noise_floor([1.0, 1.1, 0.9])
-    assert floor == pytest.approx(2.0 * 0.1, rel=1e-9)
 
 
 # -- harness ------------------------------------------------------------------
@@ -532,36 +524,3 @@ def test_executor_reports_engine_skip_deltas(tmp_path):
     assert cached["outcome"] == "completed"
     assert cached["engine_skips"] == {}
 
-
-# -- noise-floor baselines ----------------------------------------------------
-
-
-def test_baseline_noise_floor_widens_seconds_tolerance(tmp_path):
-    from repro.profiling.baseline import check_entry, save_entry
-
-    path = str(tmp_path / "baseline.json")
-    save_entry(path, "k", {"c": 1}, seconds=1.0, active_cores=1, noise=0.10)
-    assert check_entry(path, "k", {"c": 1}, seconds=1.05) == []
-    violations = check_entry(path, "k", {"c": 1}, seconds=1.5)
-    assert violations and "seconds" in violations[0]
-
-    save_entry(path, "k", {"c": 1}, seconds=1.0, active_cores=1)
-    assert check_entry(path, "k", {"c": 1}, seconds=1.05)
-
-
-def test_profile_save_baseline_records_noise(tmp_path):
-    from repro import cli
-
-    baseline = str(tmp_path / "profile.json")
-    assert cli.main([
-        "profile", "transpose", "Naive", "mango_pi_d1", "--n", "64",
-        "--baseline", baseline, "--save-baseline", "--noise-repeats", "2",
-        "--quiet",
-    ]) == 0
-    data = json.load(open(baseline))
-    entry = next(iter(data["entries"].values()))
-    assert "noise_rel" in entry and entry["noise_rel"] >= 0.0
-    assert cli.main([
-        "profile", "transpose", "Naive", "mango_pi_d1", "--n", "64",
-        "--baseline", baseline, "--check", "--quiet",
-    ]) == 0

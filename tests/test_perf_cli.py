@@ -85,7 +85,7 @@ def test_openmetrics_export(tmp_path, capsys):
 
 
 def test_save_baseline_then_check_and_drift(tmp_path, capsys):
-    baseline = str(tmp_path / "perf_baseline.json")
+    baseline = str(tmp_path / "counter_baseline.json")
     args = ["perf", "stat", "transpose", "Naive", "--device", "mango_pi_d1",
             "--baseline", baseline]
     assert cli.main(args + ["--save-baseline"]) == 0
@@ -100,8 +100,71 @@ def test_save_baseline_then_check_and_drift(tmp_path, capsys):
 
 
 def test_unknown_device_prefix_errors(capsys):
-    args = ["perf", "stat", "transpose", "Naive", "--device", "nonexistent"]
-    assert cli.main(args) == 2
+    """Every single-cell front-end rejects an unknown device with exit 2
+    and a message, not a traceback."""
+    for args in (
+        ["perf", "stat", "transpose", "Naive", "--device", "nonexistent"],
+        ["lint", "transpose", "Naive", "--device", "nonexistent"],
+        ["analyze", "transpose", "Naive", "--device", "nonexistent", "--n", "32"],
+        ["profile", "transpose", "Naive", "nonexistent", "--n", "32"],
+    ):
+        assert cli.main(args) == 2, args
+        assert "unknown device 'nonexistent'" in capsys.readouterr().err
+
+
+def test_unique_device_prefix_accepted(capsys):
+    assert cli.main(["lint", "transpose", "Naive", "--device", "visionfive", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["devices"] == ["visionfive_jh7100"]
+    args = ["analyze", "transpose", "Naive", "--device", "visionfive", "--n", "32", "--json"]
+    assert cli.main(args) == 0
+    (cell,) = json.loads(capsys.readouterr().out)["cells"]
+    assert cell["base_device"] == "visionfive_jh7100"
+
+
+def test_analyze_prints_canonical_names(capsys):
+    """``repro analyze`` stores and prints the resolved names, like
+    ``repro profile`` does."""
+    args = ["analyze", "transpose", "naive", "--device", "VISIONFIVE_JH7100", "--n", "32"]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out.startswith("transpose/Naive on visionfive_jh7100")
+    assert cli.main(args + ["--json"]) == 0
+    (cell,) = json.loads(capsys.readouterr().out)["cells"]
+    assert (cell["kernel"], cell["variant"], cell["base_device"]) == (
+        "transpose", "Naive", "visionfive_jh7100"
+    )
+    assert cli.main(args + ["--sarif"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    names = {
+        loc["fullyQualifiedName"]
+        for result in doc["runs"][0]["results"]
+        for entry in result["locations"]
+        for loc in entry["logicalLocations"]
+    }
+    assert names and all(name.startswith("transpose/Naive@") for name in names)
+
+
+PROFILE_CELL = ["profile", "transpose", "Naive", "visionfive_jh7100", "--scale", "1",
+                "--n", "64"]
+PERF_CELL = ["perf", "stat", "transpose", "Naive", "--device", "visionfive_jh7100",
+             "--n", "64"]
+
+
+@pytest.mark.parametrize("saver, checker", [(PROFILE_CELL, PERF_CELL),
+                                             (PERF_CELL, PROFILE_CELL)],
+                         ids=["profile-then-perf", "perf-then-profile"])
+def test_profile_and_perf_share_one_baseline(saver, checker, tmp_path, capsys):
+    """One cell has one baseline entry, whichever command saved it."""
+    baseline = str(tmp_path / "counter_baseline.json")
+    flags = ["--baseline", baseline, "--quiet"]
+    assert cli.main(saver + flags + ["--save-baseline"]) == 0
+    assert cli.main(checker + flags + ["--check"]) == 0
+    data = json.loads(open(baseline).read())
+    (entry,) = data["entries"].values()
+    entry["counters"]["L1.misses"] += 1
+    open(baseline, "w").write(json.dumps(data))
+    assert cli.main(saver + flags + ["--check"]) == 1
+    assert cli.main(checker + flags + ["--check"]) == 1
+    capsys.readouterr()
 
 
 def test_lint_measure_cites_counts(capsys):

@@ -7,13 +7,9 @@ import pytest
 from repro.devices import DEVICE_KEYS, get_device
 from repro.kernels import transpose
 from repro.profiling import Tracer, counter_set, diff_counters, per_core_counter_sets, tracer
-from repro.profiling.baseline import (
-    BASELINE_SCHEMA,
-    check_report,
-    load_baselines,
-    save_baseline,
-)
-from repro.profiling.profile import ProfileError, ProfileReport, profile_run
+from repro.kernels import KernelError
+from repro.profiling.baseline import BASELINE_SCHEMA, check_entry, load_baselines, save_entry
+from repro.profiling.profile import ProfileReport, profile_run
 from repro.simulate import simulate
 
 #: fig2 / fig6 kernel suites, at test-sized inputs (full figure sizes take
@@ -187,11 +183,11 @@ class TestAttribution:
 
 class TestProfileRun:
     def test_unknown_names_raise(self):
-        with pytest.raises(ProfileError, match="kernel"):
+        with pytest.raises(KernelError, match="kernel"):
             profile_run("fft", "Naive", "mango_pi_d1")
-        with pytest.raises(ProfileError, match="variant"):
+        with pytest.raises(KernelError, match="variant"):
             profile_run("transpose", "SuperFast", "mango_pi_d1")
-        with pytest.raises(ProfileError, match="device"):
+        with pytest.raises(KernelError, match="device"):
             profile_run("transpose", "Naive", "cray_1")
 
     def test_case_insensitive_resolution(self):
@@ -224,6 +220,15 @@ def _fake_report(counters=None, seconds=1.0):
     )
 
 
+def save_baseline(path, report):
+    save_entry(path, report.baseline_key, report.counters, report.seconds,
+               report.active_cores)
+
+
+def check_report(report, path):
+    return check_entry(path, report.baseline_key, report.counters, report.seconds)
+
+
 class TestBaseline:
     def test_save_then_check_clean(self, tmp_path):
         path = str(tmp_path / "baseline.json")
@@ -246,8 +251,6 @@ class TestBaseline:
         drifted = _fake_report(counters={"L1.misses": 101, "dram.bytes": 6400})
         violations = check_report(drifted, path)
         assert any("L1.misses" in v for v in violations)
-        # A relative tolerance forgives the 1% drift.
-        assert check_report(drifted, path, counter_rtol=0.02) == []
 
     def test_new_and_missing_counters_flagged(self, tmp_path):
         path = str(tmp_path / "baseline.json")
