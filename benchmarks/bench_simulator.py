@@ -85,17 +85,19 @@ def test_end_to_end_simulation(benchmark):
 #     PYTHONPATH=src python benchmarks/bench_simulator.py
 #
 # Writes benchmarks/BENCH_simulator.json (committed).  Two metrics per
-# engine, both over every (panel x device x variant) cell of Fig. 2:
+# engine, both over every (panel x device x variant) cell of Fig. 2 and
+# both read off the same ``simulate()`` call:
 #
-# * ``engine``     — replay wall-clock only: segments are materialised
-#                    once per cell and each engine's hierarchies consume
-#                    the identical stream.  This isolates the component
-#                    the two engines actually implement differently and
-#                    is the metric the CI speedup gate checks.
-# * ``end_to_end`` — full ``simulate()`` wall-clock (trace generation +
-#                    replay + timing model), i.e. what a figure cell
-#                    costs.  Trace generation is shared code, so Amdahl
-#                    caps this ratio well below the engine ratio.
+# * ``engine``     — the call's ``replay`` stage
+#                    (``SimulationResult.stage_s``): feeding, draining
+#                    and flushing the hierarchies, the component the two
+#                    engines implement differently.  This is the metric
+#                    the CI speedup gate checks.
+# * ``end_to_end`` — the call's wall-clock (hierarchy build, plan, trace
+#                    generation, replay, timing model), i.e. what a
+#                    figure cell costs.  The other stages are shared
+#                    code, so Amdahl caps this ratio below the engine
+#                    ratio.
 #
 # Every cell also cross-checks the two engines' snapshots, so a run that
 # produced different counters fails instead of reporting a speedup.
@@ -132,49 +134,27 @@ def _fig2_cells():
 
 
 def _measure_cell(paper_n, sim_n, key, variant, block, scale):
-    """Both metrics for one cell; returns a result dict."""
-    from repro.exec.tracegen import TraceGenerator
+    """Both metrics for one cell from one ``simulate()`` per engine."""
     from repro.experiments.config import scaled_device
     from repro.kernels import transpose as tr
-    from repro.memsim.stats import snapshot
-    from repro.simulate import has_parallel_loop, simulate
+    from repro.simulate import simulate
 
     device = scaled_device(key, scale)
     out = {"panel": paper_n, "device": key, "variant": variant}
-
-    # End-to-end: one full simulate() per engine (PMU attached, as the
-    # figure pipeline runs it).
     results = {}
     for engine in ("exact", "fast"):
+        # PMU attached, as the figure pipeline runs it.
         program = tr.build(variant, sim_n, block=block)
         start = time.perf_counter()
-        results[engine] = simulate(program, device, pmu=True, engine=engine)
+        result = simulate(program, device, pmu=True, engine=engine)
         out[f"end_to_end_{engine}_s"] = time.perf_counter() - start
+        out[f"engine_{engine}_s"] = result.stage_s["replay"]
+        results[engine] = result
     if results["exact"].seconds != results["fast"].seconds:
         raise AssertionError(f"{key}/{variant}/{sim_n}: engines disagree on seconds")
     for se, sf in zip(results["exact"].snapshots, results["fast"].snapshots):
         if se.as_dict() != sf.as_dict():
             raise AssertionError(f"{key}/{variant}/{sim_n}: engines disagree on counters")
-
-    # Engine-only: identical pre-materialised segment streams.
-    program = tr.build(variant, sim_n, block=block)
-    cores = device.cores if has_parallel_loop(program) else 1
-    generator = TraceGenerator(program, num_cores=cores)
-    streams = [list(generator.core_stream(core)) for core in range(cores)]
-    snaps = {}
-    for engine in ("exact", "fast"):
-        hierarchies = device.build_hierarchies(cores, engine=engine)
-        for hierarchy in hierarchies:
-            hierarchy.attach_pmu()
-        start = time.perf_counter()
-        for hierarchy, batches in zip(hierarchies, streams):
-            for batch in batches:
-                hierarchy.process_segments(batch)
-            hierarchy.drain()
-        out[f"engine_{engine}_s"] = time.perf_counter() - start
-        snaps[engine] = [snapshot(h).as_dict() for h in hierarchies]
-    if snaps["exact"] != snaps["fast"]:
-        raise AssertionError(f"{key}/{variant}/{sim_n}: replay counters diverge")
     return out
 
 
@@ -253,12 +233,13 @@ def main() -> int:
             for c in cells
         ],
         "note": (
-            "'engine' times replay of pre-materialised identical segment "
-            "streams (the component the engines implement differently; CI "
-            "gates on its speedup CI lower bound); 'end_to_end' times full "
-            "simulate() including shared trace generation.  exact/fast are "
-            "medians over --repeats full-grid passes; 'cells' is the last "
-            "pass."
+            "'engine' is the replay stage of each simulate() call "
+            "(SimulationResult.stage_s['replay']: the component the engines "
+            "implement differently; CI gates on its speedup CI lower bound); "
+            "'end_to_end' is the wall-clock of the same call, including the "
+            "shared build, plan, trace generation and timing stages.  "
+            "exact/fast are medians over --repeats full-grid passes; 'cells' "
+            "is the last pass."
         ),
     }
     with open(args.output, "w", encoding="utf-8") as fh:

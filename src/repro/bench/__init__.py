@@ -9,14 +9,15 @@ win.  This package turns those claims into defensible numbers:
   rejection, deterministic bootstrap confidence intervals, and a
   symmetric noise-aware ``compare``;
 * :mod:`repro.bench.harness` — calibrated measurement: warmup,
-  auto-repeat until a target CI width, per-phase span attribution and a
-  host fingerprint so runs are comparable;
-* :mod:`repro.bench.workloads` — deterministic workload manifests
-  (figure slices, tracegen-only, engine replay, serve round-trip);
+  auto-repeat until a target CI width, per-phase samples and a host
+  fingerprint so runs are comparable;
+* :mod:`repro.bench.workloads` — deterministic workloads: Fig. 2
+  transpose cells run through ``simulate()``, phased by its own stage
+  timers, under both replay engines;
 * :mod:`repro.bench.trend` — append-only commit-keyed JSONL trend store
   under ``benchmarks/trend/`` (rotation-aware like the run journal);
-* :mod:`repro.bench.run` / :mod:`repro.bench.gate` — manifest execution
-  documents, baseline comparison and the phase-attributed CI gate;
+* :mod:`repro.bench.run` / :mod:`repro.bench.gate` — run documents,
+  baseline comparison and the phase-attributed CI gate;
 * :mod:`repro.bench.cli` — ``repro bench {run,compare,trend,gate}``.
 """
 

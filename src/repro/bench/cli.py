@@ -1,7 +1,7 @@
 """``repro bench {run,compare,trend,gate}``.
 
-* ``run``     measure a manifest, print/save the run document, append to
-  the trend store;
+* ``run``     measure the bench workloads, print/save the run document,
+  append to the trend store;
 * ``compare`` diff a run against the committed baseline with noise-aware
   verdicts;
 * ``trend``   query the commit-keyed history;
@@ -30,8 +30,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         DEFAULT_TARGET_REL_CI,
     )
 
-    parser.add_argument("--manifest", default="quick",
-                        help="workload manifest: quick | full (default quick)")
     parser.add_argument("--workload", action="append", dest="workloads",
                         metavar="ID", default=None,
                         help="restrict to these workload ids (repeatable)")
@@ -50,10 +48,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_document(args: argparse.Namespace) -> Dict[str, Any]:
-    from repro.bench.run import run_manifest
+    from repro.bench.run import run_workloads
 
-    return run_manifest(
-        args.manifest,
+    return run_workloads(
         only=args.workloads,
         target_rel_ci=args.target_ci,
         min_repeats=args.min_repeats,
@@ -68,7 +65,7 @@ def _render_run(doc: Dict[str, Any]) -> str:
     from repro.bench.run import fmt_seconds
 
     out = [
-        f"Bench run — manifest {doc['manifest']!r}, commit {doc['commit']}, "
+        f"Bench run — commit {doc['commit']}, "
         f"host {doc['host_hash']} "
         f"({doc['fingerprint'].get('machine', '?')}, "
         f"{doc['fingerprint'].get('cores', '?')} cores, "
@@ -267,7 +264,7 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="measure a workload manifest")
+    p_run = sub.add_parser("run", help="measure the bench workloads")
     _add_run_flags(p_run)
     p_run.add_argument("--output", default=None,
                        help="run document path (default: benchmarks/trend/last_run.json)")

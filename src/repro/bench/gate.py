@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.bench.stats import Comparison, Summary, compare
+from repro.bench.trend import BENCH_DIR
 
 DEFAULT_MIN_EFFECT = 0.02
 
@@ -42,10 +43,7 @@ DEFAULT_MIN_EFFECT = 0.02
 #: not percents; tighten with ``--min-effect`` on dedicated hardware.
 DEFAULT_GATE_MIN_EFFECT = 0.5
 
-_BENCH_DIR = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "..", "..", "benchmarks")
-)
-DEFAULT_COMMITTED_BENCH = os.path.join(_BENCH_DIR, "BENCH_simulator.json")
+DEFAULT_COMMITTED_BENCH = os.path.join(BENCH_DIR, "BENCH_simulator.json")
 
 #: Default floor for the committed fast-engine speedup (the historical
 #: CI contract, now enforced on the interval rather than the point).
@@ -256,9 +254,8 @@ def check_committed_speedup(
 ) -> List[str]:
     """Validate the committed simulator benchmark's engine speedup.
 
-    New-schema documents carry a ``speedup_ci`` interval per metric; its
-    low end must clear the floor.  Old one-shot snapshots (no interval)
-    fall back to the point estimate, preserving the historical check.
+    The ``engine`` section must carry a ``speedup_ci`` interval, and its
+    low end must clear the floor; a point estimate alone does not pass.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -269,19 +266,16 @@ def check_committed_speedup(
     if not isinstance(engine, dict):
         return [f"committed benchmark {path} has no 'engine' section"]
     ci = engine.get("speedup_ci")
-    if isinstance(ci, (list, tuple)) and len(ci) == 2:
-        low = float(ci[0])
-        if low < min_speedup:
-            return [
-                f"committed engine speedup CI low {low:.2f} below the "
-                f"{min_speedup:g}x floor (point {engine.get('speedup')})"
-            ]
-        return []
-    speedup = float(engine.get("speedup", 0.0))
-    if speedup < min_speedup:
+    if not (isinstance(ci, (list, tuple)) and len(ci) == 2):
         return [
-            f"committed engine speedup {speedup:.2f} below the "
-            f"{min_speedup:g}x floor (one-shot snapshot, no CI)"
+            f"committed benchmark {path} has no engine speedup_ci interval; "
+            "regenerate it with benchmarks/bench_simulator.py"
+        ]
+    low = float(ci[0])
+    if low < min_speedup:
+        return [
+            f"committed engine speedup CI low {low:.2f} below the "
+            f"{min_speedup:g}x floor (point {engine.get('speedup')})"
         ]
     return []
 

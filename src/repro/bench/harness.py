@@ -1,4 +1,4 @@
-"""Calibrated measurement: warmup, auto-repeat, phase spans, fingerprint.
+"""Calibrated measurement: warmup, auto-repeat, phases, fingerprint.
 
 :func:`measure` wraps a workload callable in the discipline a defensible
 wall-clock number needs: warmup iterations that never count, repeats
@@ -6,12 +6,11 @@ until the bootstrap CI of the median is narrower than a target relative
 width (bounded by a repeat cap and a time budget), and MAD outlier
 rejection over the collected samples.
 
-Each repeat runs under its own freshly-installed span
-:class:`~repro.profiling.tracer.Tracer`, and spans named
-``bench.phase.<name>`` (emitted via :func:`phase_span` by the workloads)
-are aggregated into per-phase sample vectors.  That is what lets the
-gate attribute a flagged regression to *tracegen vs replay vs timing vs
-cache I/O* instead of reporting a bare total.
+Each repeat's callable returns its seconds per phase (a workload
+reports ``simulate()``'s own stage timers plus its cache round trip),
+and those are collected into per-phase sample vectors.  That is what
+lets the gate attribute a flagged regression to *tracegen vs replay vs
+timing vs cache I/O* instead of reporting a bare total.
 
 :func:`host_fingerprint` captures everything that makes two runs
 comparable — machine, Python, core count, numpy, cffi/native-engine
@@ -27,9 +26,8 @@ import json
 import os
 import platform
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.bench.stats import (
     DEFAULT_MAX_REJECT_FRAC,
@@ -37,23 +35,11 @@ from repro.bench.stats import (
     Summary,
     summarize,
 )
-from repro.profiling import tracer
-
-#: Span-name prefix marking a bench phase (everything after it is the
-#: phase name the gate attributes regressions to).
-PHASE_PREFIX = "bench.phase."
 
 DEFAULT_TARGET_REL_CI = 0.05
 DEFAULT_MIN_REPEATS = 5
 DEFAULT_MAX_REPEATS = 30
 DEFAULT_MAX_SECONDS = 60.0
-
-
-@contextmanager
-def phase_span(name: str) -> Iterator[None]:
-    """Mark a bench phase; nested simulator spans stay children of it."""
-    with tracer.span(PHASE_PREFIX + name, cat="bench"):
-        yield
 
 
 @dataclass
@@ -83,21 +69,8 @@ class Measurement:
         }
 
 
-def _phase_totals(spans: List[Dict[str, Any]]) -> Dict[str, float]:
-    """Seconds per bench phase in one repeat (sibling spans sum; nested
-    simulator spans under a phase are intentionally not double-counted
-    because only ``bench.phase.*`` names participate)."""
-    totals: Dict[str, float] = {}
-    for span in spans:
-        name = span.get("name", "")
-        if name.startswith(PHASE_PREFIX):
-            phase = name[len(PHASE_PREFIX):]
-            totals[phase] = totals.get(phase, 0.0) + span.get("dur_us", 0.0) / 1e6
-    return totals
-
-
 def measure(
-    fn: Callable[[], Any],
+    fn: Callable[[], Optional[Dict[str, float]]],
     warmup: int = 1,
     min_repeats: int = DEFAULT_MIN_REPEATS,
     max_repeats: int = DEFAULT_MAX_REPEATS,
@@ -108,6 +81,9 @@ def measure(
     seed: int = 0,
 ) -> Measurement:
     """Run ``fn`` repeatedly until the median's CI is tight enough.
+
+    ``fn`` returns its seconds per phase (or ``None`` for no phases);
+    a phase is summarized only when every repeat reported it.
 
     Stops at the first of: relative CI half-width ≤ ``target_rel_ci``
     (with at least ``min_repeats`` samples), ``max_repeats`` samples, or
@@ -126,12 +102,10 @@ def measure(
     phase_samples: Dict[str, List[float]] = {}
     converged = False
     while True:
-        repeat_tracer = tracer.Tracer()
-        with tracer.install(repeat_tracer):
-            t0 = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - t0)
-        for name, seconds in _phase_totals(repeat_tracer.span_dicts()).items():
+        t0 = time.perf_counter()
+        phases = fn() or {}
+        samples.append(time.perf_counter() - t0)
+        for name, seconds in phases.items():
             phase_samples.setdefault(name, []).append(seconds)
         if len(samples) >= min_repeats:
             partial = summarize(

@@ -1,15 +1,14 @@
-"""Manifest execution: run documents, baselines, trend appends.
+"""Workload execution: run documents, baselines, trend appends.
 
-``run_manifest`` measures every workload of a manifest through the
-calibrated harness and reduces the results to one JSON-able **run
-document**::
+``run_workloads`` measures the bench workloads through the calibrated
+harness and reduces the results to one JSON-able **run document**::
 
     {
-      "schema": 1, "ts": ..., "commit": "fe709f7", "manifest": "quick",
+      "schema": 1, "ts": ..., "commit": "fe709f7",
       "fingerprint": {...}, "host_hash": "ab12cd34ef56",
       "workloads": {
-        "fig2_naive": {"kind": "figure-slice", "summary": {...},
-                        "phases": {"tracegen": {...}, ...}, ...},
+        "fig2_naive": {"summary": {...},
+                       "phases": {"tracegen": {...}, ...}, ...},
         ...
       },
       "derived": {"engine_speedup": {"value": ..., "ci_low": ..., ...}}
@@ -39,27 +38,22 @@ from repro.bench.harness import (
     measure,
 )
 from repro.bench.stats import Summary
-from repro.bench.trend import DEFAULT_TREND_DIR, TrendStore, current_commit
-from repro.bench.workloads import DERIVED_RATIOS, Workload, manifest_workloads
+from repro.bench.trend import BENCH_DIR, DEFAULT_TREND_DIR, TrendStore, current_commit
+from repro.bench.workloads import DERIVED_RATIOS, Workload, select_workloads
 
 LOG = logging.getLogger("repro.bench.run")
 
 BENCH_SCHEMA = 1
 
-_BENCH_DIR = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "..", "..", "benchmarks")
-)
-
 #: Committed baseline the gate compares against by default.
-DEFAULT_BASELINE_PATH = os.path.join(_BENCH_DIR, "bench_baseline.json")
+DEFAULT_BASELINE_PATH = os.path.join(BENCH_DIR, "bench_baseline.json")
 
 #: Where ``repro bench run`` drops its latest document (under the trend
 #: directory, next to the history it also appends to).
 DEFAULT_RUN_PATH = os.path.join(DEFAULT_TREND_DIR, "last_run.json")
 
 
-def run_manifest(
-    manifest: str = "quick",
+def run_workloads(
     only: Optional[List[str]] = None,
     target_rel_ci: float = DEFAULT_TARGET_REL_CI,
     min_repeats: int = DEFAULT_MIN_REPEATS,
@@ -69,17 +63,15 @@ def run_manifest(
     seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Any]:
-    """Measure one manifest; returns the run document."""
-    workloads = manifest_workloads(manifest, only)
-    if not workloads:
-        raise ValueError(f"manifest {manifest!r} filtered down to nothing")
+    """Measure the bench workloads (or just ``only``); returns the run
+    document."""
+    workloads = select_workloads(only)
     say = progress or (lambda line: None)
 
     doc: Dict[str, Any] = {
         "schema": BENCH_SCHEMA,
         "ts": time.time(),
         "commit": current_commit(),
-        "manifest": manifest,
         "fingerprint": host_fingerprint(),
         "workloads": {},
     }
@@ -97,7 +89,6 @@ def run_manifest(
             seed=seed,
         )
         entry = measurement.as_dict()
-        entry["kind"] = workload.kind
         entry["description"] = workload.description
         doc["workloads"][workload.id] = entry
         summary = measurement.summary
@@ -126,20 +117,20 @@ def _measure_workload(workload: Workload, **kwargs: Any) -> Measurement:
 
 
 def _derive_ratios(workloads: Dict[str, Any]) -> Dict[str, Any]:
-    """Dimensionless cross-workload ratios with conservative CIs.
+    """Dimensionless cross-workload phase ratios with conservative CIs.
 
     The ratio CI divides the extreme ends of the operand CIs
     (``[num.lo/den.hi, num.hi/den.lo]``) — wider than a bootstrap of the
     paired ratio, never narrower, so a floor on ``ci_low`` is safe.
     """
     out: Dict[str, Any] = {}
-    for name, (num_id, den_id) in DERIVED_RATIOS.items():
-        num = workloads.get(num_id)
-        den = workloads.get(den_id)
+    for name, (num_id, den_id, phase) in DERIVED_RATIOS.items():
+        num = workloads.get(num_id, {}).get("phases", {}).get(phase)
+        den = workloads.get(den_id, {}).get("phases", {}).get(phase)
         if not num or not den:
             continue
-        num_s = Summary.from_dict(num["summary"])
-        den_s = Summary.from_dict(den["summary"])
+        num_s = Summary.from_dict(num)
+        den_s = Summary.from_dict(den)
         if den_s.median <= 0 or den_s.ci_low <= 0 or den_s.ci_high <= 0:
             continue
         out[name] = {
@@ -148,6 +139,7 @@ def _derive_ratios(workloads: Dict[str, Any]) -> Dict[str, Any]:
             "ci_high": num_s.ci_high / den_s.ci_low,
             "numerator": num_id,
             "denominator": den_id,
+            "phase": phase,
         }
     return out
 
@@ -194,7 +186,6 @@ def append_trend(doc: Dict[str, Any], store: Optional[TrendStore] = None) -> int
     base = {
         "ts": doc.get("ts"),
         "commit": doc.get("commit", "unknown"),
-        "manifest": doc.get("manifest", ""),
         "host": doc.get("host_hash", ""),
     }
     for workload_id, entry in sorted(doc.get("workloads", {}).items()):
@@ -203,7 +194,6 @@ def append_trend(doc: Dict[str, Any], store: Optional[TrendStore] = None) -> int
             dict(
                 base,
                 workload=workload_id,
-                kind=entry.get("kind", ""),
                 n=summary.get("n"),
                 median=summary.get("median"),
                 ci_low=summary.get("ci_low"),

@@ -29,33 +29,22 @@ LOG = logging.getLogger("repro.bench.trend")
 
 TREND_BASENAME = "trend.jsonl"
 
-_BENCH_DIR = os.path.abspath(
+#: The repository's ``benchmarks/`` directory: committed bench documents
+#: and the trend store live under it.
+BENCH_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", "..", "benchmarks")
 )
 
-#: Default committed trend location (repo root / benchmarks / trend).
-DEFAULT_TREND_DIR = os.path.join(_BENCH_DIR, "trend")
+#: Default trend location (repo root / benchmarks / trend, gitignored).
+DEFAULT_TREND_DIR = os.path.join(BENCH_DIR, "trend")
 
-#: Rotation env knobs (same semantics as the journal's: 0 max bytes
+#: Rotation bounds (same semantics as the journal's: 0 max bytes
 #: disables rotation).
-ENV_MAX_BYTES = "REPRO_TREND_MAX_BYTES"
-ENV_SEGMENTS = "REPRO_TREND_SEGMENTS"
 DEFAULT_MAX_BYTES = 512 * 1024
 DEFAULT_MAX_SEGMENTS = 4
 
 #: Commit override for environments without a git checkout (CI tarballs).
 ENV_COMMIT = "REPRO_COMMIT"
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        LOG.warning("ignoring non-integer %s=%r", name, raw)
-        return default
 
 
 def current_commit(cwd: Optional[str] = None) -> str:
@@ -65,7 +54,7 @@ def current_commit(cwd: Optional[str] = None) -> str:
     env = os.environ.get(ENV_COMMIT, "").strip()
     if env:
         return env
-    cwd = cwd or _BENCH_DIR
+    cwd = cwd or BENCH_DIR
     try:
         commit = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -91,19 +80,13 @@ class TrendStore:
     def __init__(
         self,
         directory: str = DEFAULT_TREND_DIR,
-        max_bytes: Optional[int] = None,
-        max_segments: Optional[int] = None,
+        max_bytes: int = DEFAULT_MAX_BYTES,
+        max_segments: int = DEFAULT_MAX_SEGMENTS,
     ):
         self.directory = directory
         self.path = os.path.join(directory, TREND_BASENAME)
-        self.max_bytes = (
-            _env_int(ENV_MAX_BYTES, DEFAULT_MAX_BYTES)
-            if max_bytes is None else max(0, int(max_bytes))
-        )
-        self.max_segments = max(1, (
-            _env_int(ENV_SEGMENTS, DEFAULT_MAX_SEGMENTS)
-            if max_segments is None else int(max_segments)
-        ))
+        self.max_bytes = max(0, int(max_bytes))
+        self.max_segments = max(1, int(max_segments))
 
     # -- writing -------------------------------------------------------------
 

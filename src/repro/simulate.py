@@ -15,6 +15,7 @@ benchmark, which reports the best of many repetitions of a warm loop).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -30,6 +31,10 @@ from repro.memsim.pmu import Pmu
 from repro.memsim.stats import HierarchySnapshot, snapshot
 from repro.profiling import tracer
 from repro.timing.model import TimingResult, time_run
+
+
+#: Pipeline stages :attr:`SimulationResult.stage_s` reports, in run order.
+STAGES = ("build", "plan", "tracegen", "replay", "timing")
 
 
 def has_parallel_loop(program: Program) -> bool:
@@ -60,6 +65,13 @@ class SimulationResult:
     # snapshots/records stay engine-independent.
     engine: str = ""
     engine_skips: Dict[str, int] = field(default_factory=dict)
+    # Observability only, like ``engine``: host seconds per pipeline
+    # stage (:data:`STAGES`) of this call.  ``build`` is hierarchy
+    # construction plus PMU attach, ``plan`` the trace generator's
+    # compilation, ``tracegen`` the pulls of batches from the per-core
+    # streams, ``replay`` feeding, draining and flushing the hierarchies,
+    # ``timing`` snapshots, work accounting and the timing model.
+    stage_s: Dict[str, float] = field(default_factory=dict)
 
     @property
     def dram_bytes(self) -> int:
@@ -152,6 +164,19 @@ def simulate(
 
     engine = resolve_engine(engine)
 
+    # Accumulating stage timers: each ``lap`` closes the interval since
+    # the previous one, so the stages tile the call from hierarchy build
+    # to the timing model (about two clock reads per batch).
+    clock = time.perf_counter_ns
+    stage_ns = dict.fromkeys(STAGES, 0)
+    mark = clock()
+
+    def lap(stage: str) -> None:
+        nonlocal mark
+        now = clock()
+        stage_ns[stage] += now - mark
+        mark = now
+
     with tracer.span(
         "simulate", cat="sim", program=program.name, device=device.key,
         cores=active_cores, engine=engine,
@@ -162,17 +187,21 @@ def simulate(
         pmus: List[Pmu] = []
         if pmu:
             pmus = [h.attach_pmu() for h in hierarchies]
+        lap("build")
         with tracer.span("tracegen.plan", cat="tracegen"):
             generator = TraceGenerator(program, num_cores=active_cores)
+        lap("plan")
 
         baselines = [snapshot(h) for h in hierarchies]
         works = [CoreWork() for _ in range(active_cores)]
+        lap("timing")
         for rep in range(repetitions):
             if steady_state and rep == repetitions - 1:
                 # Warm measurement: only the last repetition's memory
                 # events and work count toward the timing.
                 baselines = [snapshot(h) for h in hierarchies]
                 works = [CoreWork() for _ in range(active_cores)]
+                lap("timing")
             for core, hierarchy in enumerate(hierarchies):
                 run = hierarchy.process_segments
                 # Trace generation and cache simulation are one pipeline:
@@ -181,8 +210,12 @@ def simulate(
                     "trace+memsim", cat="memsim", core=core, repetition=rep
                 ):
                     for batch in generator.core_stream(core):
+                        lap("tracegen")
                         run(batch)
+                        lap("replay")
+                    lap("tracegen")
                     hierarchy.drain()
+                    lap("replay")
             # ``core_stream`` resets ``generator.work[core]`` on entry, so
             # after the loop it holds exactly this repetition's counts;
             # accumulate so ``works`` always matches the snapshot deltas.
@@ -193,11 +226,13 @@ def simulate(
                 tracer.counter(
                     f"pmu.core{core}", dict(core_pmu.counters()), tid=core + 1
                 )
+            lap("timing")
 
         if flush_writebacks:
             with tracer.span("flush_writebacks", cat="memsim"):
                 for hierarchy in hierarchies:
                     hierarchy.flush()
+            lap("replay")
 
         finals = [snapshot(h) for h in hierarchies]
         deltas = [final - base for final, base in zip(finals, baselines)]
@@ -214,6 +249,7 @@ def simulate(
             account_skips(engine_skips)
 
         timing = time_run(device, works, deltas, active_cores)
+        lap("timing")
     return SimulationResult(
         program_name=program.name,
         device_key=device.key,
@@ -226,4 +262,5 @@ def simulate(
         ref_table=generator.references() if pmu else {},
         engine=engine,
         engine_skips=engine_skips,
+        stage_s={stage: ns / 1e9 for stage, ns in stage_ns.items()},
     )

@@ -26,9 +26,8 @@ from repro.bench.harness import (
     fingerprints_comparable,
     host_fingerprint,
     measure,
-    phase_span,
 )
-from repro.bench.run import append_trend, load_run, run_manifest, save_run
+from repro.bench.run import _derive_ratios, append_trend, load_run, run_workloads, save_run
 from repro.bench.stats import (
     Summary,
     bootstrap_ci,
@@ -115,18 +114,28 @@ def test_compare_flags_real_regression_not_noise():
 
 
 def test_measure_collects_phases_and_samples():
-    def fn():
-        with phase_span("alpha"):
-            time.sleep(0.001)
-        with phase_span("beta"):
-            pass
+    calls = []
 
-    m = measure(fn, warmup=0, min_repeats=3, max_repeats=3)
+    def fn():
+        calls.append(None)
+        time.sleep(0.001)
+        phases = {"alpha": 0.001 * len(calls), "beta": 0.0}
+        if len(calls) == 2:
+            phases["gamma"] = 1.0  # reported by one repeat only
+        return phases
+
+    m = measure(fn, warmup=1, min_repeats=3, max_repeats=3)
+    assert len(calls) == 4  # the warmup's phases are discarded
     assert m.repeats == 3 and len(m.samples) == 3
+    assert m.phase_samples["alpha"] == [0.002, 0.003, 0.004]
     assert set(m.phases) == {"alpha", "beta"}
-    assert m.phases["alpha"].median >= 0.001
+    assert m.phases["alpha"].median == 0.003
+    assert min(m.samples) >= 0.001
     d = m.as_dict()
     assert d["summary"]["n"] == 3 and "alpha" in d["phases"]
+
+    plain = measure(lambda: None, warmup=0, min_repeats=2, max_repeats=2)
+    assert plain.repeats == 2 and plain.phases == {}
 
 
 def test_fingerprint_hash_stable_and_identity_keyed():
@@ -273,12 +282,33 @@ def test_check_committed_speedup_new_and_old_schema(tmp_path):
     assert check_committed_speedup(str(new_schema), min_speedup=10.0) == []
     assert check_committed_speedup(str(new_schema), min_speedup=13.0)
 
+    # A point estimate without an interval no longer passes, however high.
     old_schema = tmp_path / "old.json"
     old_schema.write_text(json.dumps({"engine": {"speedup": 15.0}}))
-    assert check_committed_speedup(str(old_schema), min_speedup=10.0) == []
-    assert check_committed_speedup(str(old_schema), min_speedup=16.0)
+    failures = check_committed_speedup(str(old_schema), min_speedup=10.0)
+    assert failures and "speedup_ci" in failures[0]
 
     assert check_committed_speedup(str(tmp_path / "absent.json"))
+
+
+def test_committed_simulator_bench_clears_the_ci_floor():
+    assert check_committed_speedup(min_speedup=10.0) == []
+
+
+def test_derived_engine_speedup_divides_replay_phases():
+    def entry(total, replay):
+        return {"summary": _summary_dict([total, total * 1.01, total * 0.99]),
+                "phases": {"replay": _summary_dict([replay, replay * 1.01, replay * 0.99])}}
+
+    derived = _derive_ratios({
+        "fig2_naive_exact": entry(0.5, 0.48),
+        "fig2_naive": entry(0.012, 0.008),
+    })
+    ratio = derived["engine_speedup"]
+    assert ratio["phase"] == "replay"
+    assert ratio["value"] == pytest.approx(60.0)
+    assert ratio["ci_low"] <= ratio["value"] <= ratio["ci_high"]
+    assert _derive_ratios({"fig2_naive": entry(0.012, 0.008)}) == {}
 
 
 def test_run_document_io_rejects_wrong_schema(tmp_path):
@@ -300,9 +330,8 @@ def clean_faults():
 
 
 def _quick_run(**kwargs):
-    return run_manifest(
-        "quick", only=["fig2_naive"], min_repeats=3, max_repeats=3,
-        warmup=0, **kwargs,
+    return run_workloads(
+        only=["fig2_naive"], min_repeats=3, max_repeats=3, warmup=0, **kwargs,
     )
 
 
@@ -315,7 +344,13 @@ def test_bench_run_document_shape_and_trend(tmp_path, monkeypatch):
     summary = entry["summary"]
     assert summary["n"] == 3
     assert summary["ci_low"] <= summary["median"] <= summary["ci_high"]
-    assert {"tracegen", "replay", "timing", "cache_io"} <= set(entry["phases"])
+    assert set(entry["phases"]) == {
+        "build", "plan", "tracegen", "replay", "timing", "cache_io",
+    }
+    # The phases are simulate()'s own stages plus the cache round trip,
+    # so they account for (nearly) every timed repeat.
+    phase_sum = sum(phase["median"] for phase in entry["phases"].values())
+    assert phase_sum <= 1.05 * summary["max"]
 
     store = TrendStore(str(tmp_path / "trend"))
     appended = append_trend(doc, store)
@@ -351,13 +386,13 @@ def test_bench_cli_run_compare_trend_gate(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "run.json")
     baseline = str(tmp_path / "baseline.json")
     trend_dir = str(tmp_path / "trend")
-    args = ["bench", "run", "--workload", "tracegen_blocking",
+    args = ["bench", "run", "--workload", "fig2_blocking",
             "--min-repeats", "2", "--max-repeats", "2", "--warmup", "0",
             "--output", out, "--save-baseline", baseline,
             "--trend-dir", trend_dir, "--quiet"]
     assert cli.main(args) == 0
     text = capsys.readouterr().out
-    assert "tracegen_blocking" in text and "CI95" in text
+    assert "fig2_blocking" in text and "CI95" in text
     assert os.path.exists(out) and os.path.exists(baseline)
 
     assert cli.main(["bench", "compare", "--baseline", baseline, "--run", out,
@@ -367,7 +402,7 @@ def test_bench_cli_run_compare_trend_gate(tmp_path, monkeypatch, capsys):
                      "--quiet"]) == 0
     points = json.loads(capsys.readouterr().out)
     assert isinstance(points, list) and points
-    assert points[-1]["workload"] == "tracegen_blocking"
+    assert points[-1]["workload"] == "fig2_blocking"
 
     assert cli.main(["bench", "gate", "--baseline", baseline, "--run", out,
                      "--min-effect", "1.0", "--quiet"]) == 0
@@ -425,6 +460,20 @@ def test_bench_cli_check_committed(tmp_path, capsys):
     assert cli.main(["bench", "gate", "--check-committed", str(path),
                      "--min-speedup", "16", "--quiet"]) == 1
     capsys.readouterr()
+
+
+def test_bench_simulator_measure_cell_smoke():
+    from benchmarks.bench_simulator import _measure_cell
+
+    # Raises when the engines disagree on seconds or counters.
+    cell = _measure_cell(8192, 64, "visionfive_jh7100", "Naive", 16, 16)
+    assert set(cell) == {
+        "panel", "device", "variant",
+        "end_to_end_exact_s", "end_to_end_fast_s",
+        "engine_exact_s", "engine_fast_s",
+    }
+    for engine in ("exact", "fast"):
+        assert 0 < cell[f"engine_{engine}_s"] <= cell[f"end_to_end_{engine}_s"]
 
 
 # -- fault plan ---------------------------------------------------------------

@@ -1,11 +1,14 @@
 """End-to-end simulation tests (program + device -> time)."""
 
+import time
+
 import pytest
 
 from repro.devices import get_device, mango_pi_d1, visionfive_jh7100, xeon_4310t
 from repro.errors import OutOfMemoryError, SimulationError
 from repro.kernels import stream, transpose
-from repro.simulate import has_parallel_loop, simulate
+from repro.runtime.faults import clear_faults, install_faults
+from repro.simulate import STAGES, has_parallel_loop, simulate
 from repro.transforms import AutoVectorize, Parallelize, apply_passes
 
 from tests.conftest import triad_program
@@ -133,3 +136,31 @@ class TestCrossDeviceShape:
     def test_has_parallel_loop(self):
         assert not has_parallel_loop(triad_program(8))
         assert has_parallel_loop(apply_passes(triad_program(8), [Parallelize("i")]))
+
+
+class TestStageTimes:
+    """``SimulationResult.stage_s``: the call's own per-stage host seconds."""
+
+    @pytest.mark.parametrize("engine", ["exact", "fast"])
+    def test_stages_tile_the_call(self, engine):
+        device = visionfive_jh7100().scaled(16)
+        program = transpose.blocking(128, block=16)
+        start = time.perf_counter()
+        result = simulate(program, device, pmu=True, engine=engine, flush_writebacks=True)
+        wall = time.perf_counter() - start
+        assert tuple(result.stage_s) == STAGES
+        assert set(STAGES) == {"build", "plan", "tracegen", "replay", "timing"}
+        assert all(seconds >= 0 for seconds in result.stage_s.values())
+        assert result.stage_s["replay"] > 0 and result.stage_s["tracegen"] > 0
+        assert sum(result.stage_s.values()) <= wall
+
+    def test_injected_tracegen_delay_lands_in_tracegen(self):
+        program = transpose.naive(64)
+        install_faults("tracegen_slow:0.05")
+        try:
+            result = simulate(program, visionfive_jh7100().scaled(16))
+        finally:
+            clear_faults()
+        stages = result.stage_s
+        assert stages["tracegen"] >= 0.05
+        assert max(stages, key=stages.get) == "tracegen"
