@@ -7,8 +7,8 @@ so every cell actually simulates.  Writes the measurements to
 fan-out bought on the measuring host — the speedup is bounded by the
 host's core count, which is recorded alongside).
 
-Measurement rides the :mod:`repro.bench` harness: each configuration is
-repeated, outliers are MAD-rejected and the medians carry bootstrap
+Each configuration is repeated and reduced with the :mod:`repro.bench`
+statistics: outliers are MAD-rejected and the medians carry bootstrap
 confidence intervals plus the measuring host's fingerprint.  The legacy
 top-level keys (``serial_seconds``/``parallel_seconds``/``speedup``) are
 kept — now medians rather than single shots.
@@ -45,9 +45,7 @@ def measure(jobs: int) -> float:
 
 
 def main() -> int:
-    from repro.bench.harness import fingerprint_hash, host_fingerprint
-    from repro.bench.stats import summarize
-    from repro.bench.trend import current_commit
+    from repro.bench import current_commit, fingerprint_hash, host_fingerprint, summarize
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(

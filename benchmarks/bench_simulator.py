@@ -100,7 +100,14 @@ def test_end_to_end_simulation(benchmark):
 #                    ratio.
 #
 # Every cell also cross-checks the two engines' snapshots, so a run that
-# produced different counters fails instead of reporting a speedup.
+# produced different counters fails instead of reporting a speedup, and
+# fails when the fast engine fell back to exact (no native core).
+#
+#     PYTHONPATH=src python benchmarks/bench_simulator.py --check
+#
+# writes nothing: it checks that the file named by --output (default the
+# committed one) carries an engine speedup CI whose low end clears
+# MIN_SPEEDUP, and exits 1 when it does not.
 # ---------------------------------------------------------------------------
 
 import argparse
@@ -110,6 +117,9 @@ import platform
 import time
 
 OUTPUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_simulator.json")
+
+#: Floor for the low end of the committed engine speedup CI.
+MIN_SPEEDUP = 10.0
 
 
 def _fig2_cells():
@@ -150,18 +160,51 @@ def _measure_cell(paper_n, sim_n, key, variant, block, scale):
         out[f"end_to_end_{engine}_s"] = time.perf_counter() - start
         out[f"engine_{engine}_s"] = result.stage_s["replay"]
         results[engine] = result
+    if results["fast"].engine != "fast":
+        raise AssertionError(
+            f"{key}/{variant}/{sim_n}: fast engine ran as "
+            f"{results['fast'].engine!r} (native core not loaded)"
+        )
     if results["exact"].seconds != results["fast"].seconds:
         raise AssertionError(f"{key}/{variant}/{sim_n}: engines disagree on seconds")
-    for se, sf in zip(results["exact"].snapshots, results["fast"].snapshots):
-        if se.as_dict() != sf.as_dict():
-            raise AssertionError(f"{key}/{variant}/{sim_n}: engines disagree on counters")
+    snapshots = {
+        engine: [snap.as_dict() for snap in result.snapshots]
+        for engine, result in results.items()
+    }
+    if snapshots["exact"] != snapshots["fast"]:
+        raise AssertionError(f"{key}/{variant}/{sim_n}: engines disagree on counters")
     return out
 
 
-def main() -> int:
-    from repro.bench.harness import fingerprint_hash, host_fingerprint
-    from repro.bench.stats import summarize
-    from repro.bench.trend import current_commit
+def check_committed_speedup(path: str = OUTPUT) -> list:
+    """Failures of the simulator benchmark file at ``path``: its
+    ``engine`` section must carry a ``speedup_ci`` interval whose low
+    end clears :data:`MIN_SPEEDUP`; a point estimate alone does not pass."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        return [f"benchmark file {path} unreadable: {exc}"]
+    engine = payload.get("engine")
+    if not isinstance(engine, dict):
+        return [f"benchmark file {path} has no 'engine' section"]
+    ci = engine.get("speedup_ci")
+    if not (isinstance(ci, (list, tuple)) and len(ci) == 2):
+        return [
+            f"benchmark file {path} has no engine speedup_ci interval; "
+            "regenerate it with benchmarks/bench_simulator.py"
+        ]
+    low = float(ci[0])
+    if low < MIN_SPEEDUP:
+        return [
+            f"engine speedup CI low {low:.2f} below the {MIN_SPEEDUP:g}x "
+            f"floor (point {engine.get('speedup')})"
+        ]
+    return []
+
+
+def main(argv=None) -> int:
+    from repro.bench import current_commit, fingerprint_hash, host_fingerprint, summarize
 
     parser = argparse.ArgumentParser(
         description="exact-vs-fast engine wall-clock over the Fig. 2 grid"
@@ -171,7 +214,19 @@ def main() -> int:
         help="full-grid measurement repeats (default 3)",
     )
     parser.add_argument("--output", default=OUTPUT, help="result JSON path")
-    args = parser.parse_args()
+    parser.add_argument(
+        "--check", action="store_true",
+        help=f"measure nothing; exit 1 unless --output's engine speedup CI "
+             f"low is at least {MIN_SPEEDUP:g}",
+    )
+    args = parser.parse_args(argv)
+    if args.check:
+        failures = check_committed_speedup(args.output)
+        for failure in failures:
+            print(f"FAIL: {failure}")
+        if not failures:
+            print(f"ok: {args.output} engine speedup CI low clears {MIN_SPEEDUP:g}x")
+        return 1 if failures else 0
     repeats = max(1, args.repeats)
 
     # Each repeat is one full pass over the grid; the per-repeat grid

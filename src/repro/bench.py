@@ -1,10 +1,17 @@
-"""Robust statistics for wall-clock benchmarking.
+"""Robust statistics and host identity for the committed benchmark files.
+
+``benchmarks/bench_simulator.py`` and ``benchmarks/bench_runner.py``
+write ``BENCH_simulator.json`` and ``BENCH_runner.json``: repeated
+wall-clock measurements reduced to medians with bootstrap confidence
+intervals, stamped with the measuring host and commit.  This module is
+the shared reduction; the repository's wall-clock regression benchmark
+is ``perfbench/``.
 
 Wall-clock samples on shared hosts are contaminated: scheduler
 preemption, page-cache state and turbo transitions produce a
 right-skewed distribution with occasional extreme stragglers.  Means
-and standard deviations are the wrong tools for that shape, so the
-bench harness reduces samples with
+and standard deviations are the wrong tools for that shape, so samples
+are reduced with
 
 * the **median** as the location estimate,
 * **MAD** (median absolute deviation, scaled to be consistent with the
@@ -15,17 +22,21 @@ bench harness reduces samples with
 * a **percentile bootstrap confidence interval of the median**, seeded
   so the same samples always produce the same interval.
 
-``compare`` is deliberately symmetric: whether a 7 % delta is signal
-depends only on the two runs' noise floors, not on which run is called
-the baseline.  Significance is therefore decided on the *log* ratio
-(``|ln(new/old)|`` is invariant under swapping the operands) against a
-floor derived from both intervals' relative half-widths.
+:func:`host_fingerprint` captures everything that makes two runs'
+seconds comparable — machine, Python, core count, numpy, cffi/native
+engine availability, the resolved ``REPRO_ENGINE`` — and
+:func:`fingerprint_hash` reduces the identity-bearing subset to a short
+stable hash stored with every result file.
 """
 
 from __future__ import annotations
 
-import math
+import hashlib
+import json
+import os
+import platform
 import random
+import subprocess
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -42,6 +53,7 @@ DEFAULT_MAX_REJECT_FRAC = 0.2
 
 DEFAULT_CONFIDENCE = 0.95
 DEFAULT_RESAMPLES = 500
+
 
 def median(samples: Sequence[float]) -> float:
     """Sample median (average of the two middle order statistics)."""
@@ -110,8 +122,7 @@ def bootstrap_ci(
 
     The interval is widened (never narrowed) to contain the sample
     median itself — at tiny sample counts the percentile bootstrap can
-    otherwise exclude it, which would make "is the baseline inside the
-    CI" checks vacuously fail.
+    otherwise exclude it.
     """
     xs = list(samples)
     if not xs:
@@ -160,21 +171,6 @@ class Summary:
         data["rel_ci"] = self.rel_ci
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Summary":
-        return cls(
-            n=int(data["n"]),
-            n_rejected=int(data.get("n_rejected", 0)),
-            median=float(data["median"]),
-            mad=float(data.get("mad", 0.0)),
-            mean=float(data.get("mean", data["median"])),
-            min=float(data.get("min", data["median"])),
-            max=float(data.get("max", data["median"])),
-            ci_low=float(data.get("ci_low", data["median"])),
-            ci_high=float(data.get("ci_high", data["median"])),
-            confidence=float(data.get("confidence", DEFAULT_CONFIDENCE)),
-        )
-
 
 def summarize(
     samples: Sequence[float],
@@ -204,49 +200,81 @@ def summarize(
     )
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """Noise-aware verdict on ``new`` relative to ``base`` (seconds-like:
-    larger is worse)."""
+# -- host fingerprint and commit ----------------------------------------------
 
-    ratio: float              # new.median / base.median (0.0 when degenerate)
-    delta_pct: float          # 100 * (ratio - 1)
-    noise_floor_pct: float    # 100 * max(sum of rel CI half-widths, min_effect)
-    significant: bool
-    direction: str            # "regression" | "improvement" | "flat" | "incomparable"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+#: Fingerprint keys that bear on comparability of absolute seconds.
+#: Everything else in the fingerprint is context for humans.
+IDENTITY_KEYS = (
+    "machine", "system", "python", "cores", "engine", "native", "numpy",
+)
 
 
-def compare(base: Summary, new: Summary, min_effect: float = 0.02) -> Comparison:
-    """Is ``new`` meaningfully different from ``base``?
+def host_fingerprint() -> Dict[str, Any]:
+    """Everything that decides whether two runs' seconds are comparable."""
+    try:
+        import numpy
+        numpy_version = numpy.__version__
+    except Exception:  # pragma: no cover - numpy is a baked-in dependency
+        numpy_version = ""
+    try:
+        from repro.memsim.native import native_available
+        native = bool(native_available())
+    except Exception:
+        native = False
+    try:
+        import cffi  # noqa: F401
+        has_cffi = True
+    except Exception:
+        has_cffi = False
+    from repro.memsim.columnar import resolve_engine
 
-    The noise floor is the sum of the two runs' relative CI half-widths
-    (a conservative union: either interval alone could explain that much
-    drift), floored at ``min_effect`` — deltas below it are never
-    significant no matter how tight the intervals.  Significance is
-    evaluated on the log ratio, making the verdict exactly symmetric:
-    ``compare(a, b).significant == compare(b, a).significant``.
-    """
-    if base.median <= 0 or new.median <= 0:
-        return Comparison(
-            ratio=0.0, delta_pct=0.0, noise_floor_pct=100.0 * min_effect,
-            significant=False, direction="incomparable",
+    return {
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "cores": os.cpu_count() or 1,
+        "numpy": numpy_version,
+        "cffi": has_cffi,
+        "native": native,
+        "engine": resolve_engine(None),
+        "env": {
+            name: os.environ[name]
+            for name in ("REPRO_ENGINE", "REPRO_PMU", "REPRO_JOBS")
+            if name in os.environ
+        },
+    }
+
+
+def fingerprint_hash(fingerprint: "Dict[str, Any] | None" = None) -> str:
+    """Short stable hash of the identity-bearing fingerprint subset
+    (defaults to this host's fingerprint)."""
+    if fingerprint is None:
+        fingerprint = host_fingerprint()
+    identity = {key: fingerprint.get(key) for key in IDENTITY_KEYS}
+    blob = json.dumps(identity, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def current_commit() -> str:
+    """Short ``git rev-parse`` of this checkout (with a ``+`` suffix when
+    the tree is dirty), else ``"unknown"`` — a missing git must not fail
+    a benchmark run."""
+    cwd = os.path.dirname(os.path.abspath(__file__))
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=cwd, capture_output=True, text=True, timeout=10.0,
         )
-    ratio = new.median / base.median
-    floor = max(base.rel_ci + new.rel_ci, min_effect)
-    significant = abs(math.log(ratio)) > math.log1p(floor)
-    if not significant:
-        direction = "flat"
-    elif ratio > 1.0:
-        direction = "regression"
-    else:
-        direction = "improvement"
-    return Comparison(
-        ratio=ratio,
-        delta_pct=100.0 * (ratio - 1.0),
-        noise_floor_pct=100.0 * floor,
-        significant=significant,
-        direction=direction,
-    )
+        if commit.returncode != 0:
+            return "unknown"
+        rev = commit.stdout.strip()
+        status = subprocess.run(
+            ["git", "status", "--porcelain"],
+            cwd=cwd, capture_output=True, text=True, timeout=10.0,
+        )
+        if status.returncode == 0 and status.stdout.strip():
+            rev += "+"
+        return rev or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"

@@ -1174,7 +1174,7 @@ def profile_main(argv: List[str]) -> int:
     trace_obj = tracer.Tracer()
     try:
         with tracer.install(trace_obj):
-            report, _result = profile_run(
+            report, result = profile_run(
                 args.kernel,
                 args.variant,
                 args.device,
@@ -1191,7 +1191,7 @@ def profile_main(argv: List[str]) -> int:
     if args.json:
         print(json.dumps(report.as_dict(), indent=1))
     else:
-        print(render_report(report))
+        print(render_report(report, result.stage_s))
     _lint_hints_for_profile(report, args)
     if args.tree:
         tree = trace_obj.render_tree(min_us=10.0)
@@ -1404,10 +1404,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.serve.server import main as serve_main
 
         return serve_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.bench.cli import bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "trace":
         return trace_main(argv[1:])
     if argv and argv[0] == "top":

@@ -215,70 +215,3 @@ def render_openmetrics(cells) -> str:
         )
 
     return render_exposition(families, samples)
-
-
-def render_trend_openmetrics(points) -> str:
-    """Render bench trend points as an OpenMetrics exposition.
-
-    Takes points as :meth:`repro.bench.trend.TrendStore.points` returns
-    them (oldest-first) and exports the *latest* point per workload —
-    the shape a scraper wants: current medians with CI context, labelled
-    by commit and measuring host, so the commit-keyed history lands on
-    the same dashboards as the serve tier's live metrics.
-    """
-    families: "Dict[str, Tuple[str, ...]]" = {
-        "repro_bench_seconds": (
-            "gauge", "Latest benchmarked median wall-clock per workload.",
-            "seconds",
-        ),
-        "repro_bench_phase_seconds": (
-            "gauge", "Latest per-phase median within each workload.",
-            "seconds",
-        ),
-        "repro_bench_rel_ci": (
-            "gauge",
-            "Relative CI95 half-width of the latest median (dimensionless).",
-        ),
-        "repro_bench_ratio": (
-            "gauge", "Latest derived dimensionless ratio (e.g. engine speedup).",
-        ),
-    }
-    latest: Dict[str, Dict] = {}
-    for point in points:
-        workload = point.get("workload")
-        if workload:
-            latest[str(workload)] = point
-    samples: Dict[str, List[str]] = {name: [] for name in families}
-    for workload, point in sorted(latest.items()):
-        base = [
-            ("workload", workload),
-            ("commit", str(point.get("commit", ""))),
-            ("host", str(point.get("host", ""))),
-        ]
-        median = point.get("median")
-        if median is None:
-            continue
-        if point.get("kind") == "derived-ratio":
-            samples["repro_bench_ratio"].append(
-                format_sample("repro_bench_ratio", base, repr(float(median)))
-            )
-        else:
-            samples["repro_bench_seconds"].append(
-                format_sample("repro_bench_seconds", base, repr(float(median)))
-            )
-            for phase, value in sorted((point.get("phases") or {}).items()):
-                if value is None:
-                    continue
-                samples["repro_bench_phase_seconds"].append(
-                    format_sample(
-                        "repro_bench_phase_seconds",
-                        base + [("phase", str(phase))],
-                        repr(float(value)),
-                    )
-                )
-        rel_ci = point.get("rel_ci")
-        if rel_ci is not None:
-            samples["repro_bench_rel_ci"].append(
-                format_sample("repro_bench_rel_ci", base, repr(float(rel_ci)))
-            )
-    return render_exposition(families, samples)

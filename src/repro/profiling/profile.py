@@ -168,8 +168,11 @@ def profile_run(
     return report, result
 
 
-def render_report(report: ProfileReport) -> str:
-    """Counter table + attribution table + roofline line, for terminals."""
+def render_report(report: ProfileReport, stage_s: Dict[str, float]) -> str:
+    """Counter table + attribution table + roofline line, for terminals,
+    then the call's host seconds per ``simulate()`` stage
+    (:attr:`SimulationResult.stage_s`; host time varies run to run, so
+    it is printed but never part of :meth:`ProfileReport.as_dict`)."""
     from repro.experiments.report import render_table
 
     params = ", ".join(f"{k}={v}" for k, v in report.params.items())
@@ -214,4 +217,16 @@ def render_report(report: ProfileReport) -> str:
             f"(per real DRAM byte moved), "
             f"attainable {roof['measured_attainable_gflops']:.4g} GF/s"
         )
-    return "\n\n".join([header, wall, counter_table, attr_table, roofline_line])
+    stage_total = sum(stage_s.values()) or 1.0
+    stage_rows = [
+        [stage, f"{seconds:.6f}", f"{100.0 * seconds / stage_total:5.1f}%"]
+        for stage, seconds in sorted(stage_s.items(), key=lambda kv: -kv[1])
+    ]
+    stage_table = render_table(
+        ["stage", "seconds", "share"],
+        stage_rows,
+        title="host stages (this simulate() call's host seconds, largest first)",
+    )
+    return "\n\n".join(
+        [header, wall, counter_table, attr_table, roofline_line, stage_table]
+    )

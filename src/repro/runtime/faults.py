@@ -25,9 +25,9 @@ Supported faults:
     deadline shorter than that expires.
 ``tracegen_slow[:<seconds>]``
     Sleep at the top of every trace-generation stream (default 0.05 s).
-    A pure, attributable slowdown of one pipeline phase — the bench
-    gate's tests inject it to prove a flagged regression names
-    *tracegen* rather than a bare total.
+    A pure, attributable slowdown of one pipeline phase — tests inject
+    it to prove that ``SimulationResult.stage_s`` and ``repro profile``'s
+    host-stage table attribute it to *tracegen* rather than a bare total.
 ``seed:<n>``
     Seed for the probabilistic faults (default 0), keeping chaos runs
     reproducible.

@@ -24,6 +24,14 @@ def device(device_key):
     return get_device(device_key)
 
 
+def require_native():
+    """Skip the calling test when the native replay core is unavailable."""
+    from repro.memsim.native import native_available, native_status
+
+    if not native_available():
+        pytest.skip(f"native engine {native_status()}")
+
+
 def stream_segments(generator, core: int = 0):
     """Every segment of one core's stream, flattened out of its batches."""
     return [seg for batch in generator.core_stream(core) for seg in batch.segments()]

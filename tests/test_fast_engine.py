@@ -32,10 +32,11 @@ from repro.memsim.cache import set_mask
 from repro.memsim.native import (
     _BUF_OPS,
     NativeHierarchy,
-    native_available,
     native_cache,
     native_status,
 )
+
+from tests.conftest import require_native
 
 TLB = TlbSpec(l1_entries=4, l1_ways=0, l2_entries=16, l2_ways=2, walk_cycles=40)
 
@@ -45,11 +46,6 @@ SMALL_LEVELS = [("L1", 4096, 4, "lru"), ("L2", 16384, 8, "lru")]
 
 def seg(base, stride, count, write=False, esize=8, ref=0):
     return Segment(ref, base, stride, count, write, esize)
-
-
-def require_native():
-    if not native_available():
-        pytest.skip(f"native engine {native_status()}")
 
 
 def build_engines(levels=SMALL_LEVELS, prefetch=C906_PREFETCH, tlb=TLB):

@@ -11,6 +11,8 @@ import pytest
 
 from repro import cli
 
+from tests.conftest import require_native
+
 DIFF_ARGS = ["perf", "diff", "transpose", "Naive", "Blocking", "--device", "visionfive"]
 
 
@@ -245,3 +247,23 @@ def test_measured_roofline_in_profile(capsys):
     assert "measured_intensity" in roofline
     assert "measured_attainable_gflops" in roofline
     assert data["counters"]["pmu.L1.conflict"] >= 0
+
+
+def test_perf_stat_surfaces_skip_counters(monkeypatch):
+    from repro.observe.perf import _stat_rows, render_stat, run_perf
+
+    require_native()
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    cell = run_perf("transpose", "Naive", "mango_pi_d1", n=64)
+    assert cell.engine == "fast"
+    assert sum(cell.engine_skips.values()) > 0
+    names = [name for _value, name, _comment in _stat_rows(cell)]
+    assert {"engine.resident", "engine.streaming", "engine.replayed"} <= set(names)
+    rendered = render_stat(cell)
+    assert "engine.replayed" in rendered and "% of line ops" in rendered
+
+    from repro.observe.openmetrics import render_openmetrics
+
+    exposition = render_openmetrics([cell])
+    assert 'repro_engine_skip_ops_total' in exposition
+    assert 'path="replayed"' in exposition

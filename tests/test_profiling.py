@@ -9,7 +9,8 @@ from repro.kernels import transpose
 from repro.profiling import Tracer, counter_set, diff_counters, per_core_counter_sets, tracer
 from repro.kernels import KernelError
 from repro.profiling.baseline import BASELINE_SCHEMA, check_entry, load_baselines, save_entry
-from repro.profiling.profile import ProfileReport, profile_run
+from repro.profiling.profile import ProfileReport, profile_run, render_report
+from repro.runtime.faults import clear_faults, install_faults
 from repro.simulate import simulate
 
 #: fig2 / fig6 kernel suites, at test-sized inputs (full figure sizes take
@@ -201,6 +202,19 @@ class TestProfileRun:
         assert data["kernel"] == "transpose"
         assert data["counters"]["dram.bytes"] > 0
         assert data["roofline"]["memory_bound"] in (True, False)
+
+    def test_host_stage_table_ranks_stages_and_stays_out_of_json(self):
+        install_faults("tracegen_slow:0.05")
+        try:
+            report, result = profile_run("transpose", "Naive", "mango_pi_d1", n=64)
+        finally:
+            clear_faults()
+        text = render_report(report, result.stage_s)
+        table = text.split("host stages")[1].splitlines()
+        rows = [line.split("|")[0].strip() for line in table[3:]]
+        assert sorted(rows) == sorted(["build", "plan", "tracegen", "replay", "timing"])
+        assert rows[0] == "tracegen"
+        assert "stage" not in json.dumps(report.as_dict())
 
 
 # -- baselines -----------------------------------------------------------------

@@ -312,6 +312,12 @@ class TestSupervision:
             FaultPlan.parse("rm_rf_slash")
         assert not FaultPlan.parse("").any_active
 
+    def test_fault_plan_parses_tracegen_slow(self):
+        plan = FaultPlan.parse("tracegen_slow:0.01")
+        assert plan.tracegen_slow == 0.01 and plan.any_active
+        assert FaultPlan.parse("tracegen_slow").tracegen_slow == 0.05
+        assert not FaultPlan().any_active
+
 
 # -- journal ------------------------------------------------------------------
 

@@ -11,7 +11,7 @@ from repro.runtime.faults import clear_faults, install_faults
 from repro.simulate import STAGES, has_parallel_loop, simulate
 from repro.transforms import AutoVectorize, Parallelize, apply_passes
 
-from tests.conftest import triad_program
+from tests.conftest import require_native, triad_program
 
 
 class TestBasics:
@@ -164,3 +164,29 @@ class TestStageTimes:
         stages = result.stage_s
         assert stages["tracegen"] >= 0.05
         assert max(stages, key=stages.get) == "tracegen"
+
+
+# -- engine skip telemetry -----------------------------------------------------
+
+
+def test_simulate_reports_engine_skips_and_process_totals():
+    from repro.memsim.columnar import process_skip_totals
+
+    require_native()
+    before = process_skip_totals()
+    result = simulate(
+        transpose.build("Naive", 64), get_device("mango_pi_d1").scaled(16), engine="fast"
+    )
+    after = process_skip_totals()
+    assert result.engine == "fast"
+    assert sum(result.engine_skips.values()) > 0
+    grown = {
+        path: after[path] - before.get(path, 0) for path in after
+    }
+    for path, count in result.engine_skips.items():
+        assert grown.get(path, 0) >= count
+
+    exact = simulate(
+        transpose.build("Naive", 64), get_device("mango_pi_d1").scaled(16), engine="exact"
+    )
+    assert exact.engine == "exact" and exact.engine_skips == {}
