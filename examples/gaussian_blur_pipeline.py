@@ -14,7 +14,7 @@ from repro.experiments.report import render_table, seconds_label
 from repro.ir import find_loop
 from repro.kernels import blur, common
 from repro.simulate import simulate
-from repro.transforms import AutoVectorize, vectorizable
+from repro.transforms import AutoVectorize, for_device, vectorizable
 
 H, W, F = 96, 112, 9
 
@@ -55,7 +55,7 @@ def main() -> None:
             for loop in _innermost_loops(program)
             if not vectorizable(loop, min_trips=8)[0]
         ]
-        print(f"  {variant:12s} vectorized: {vector_loops or 'none':20}  blocked: {reasons or '-'}")
+        print(f"  {variant:12s} vectorized: {', '.join(vector_loops) or 'none':20}  blocked: {reasons or '-'}")
 
     print("\n=== simulated times per device (caches 1/16) ===")
     rows = []
@@ -63,9 +63,7 @@ def main() -> None:
         scaled = device.scaled(16)
         seconds = {}
         for variant in blur.VARIANT_ORDER:
-            program = blur.build(variant, H, W, F)
-            if device.cpu.vector_bits:
-                program = AutoVectorize().run(program)
+            program = for_device(blur.build(variant, H, W, F), device)
             seconds[variant] = simulate(program, scaled).seconds
         naive = seconds["Naive"]
         rows.append(

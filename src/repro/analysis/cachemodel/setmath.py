@@ -19,7 +19,7 @@ power-of-two transpose pathology is exactly the ``gcd`` blowing up.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, NamedTuple, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from repro.exec.trace import LineRun
 
@@ -30,39 +30,6 @@ LinesRep = Union[LineRun, Tuple[int, ...]]
 def num_sets(size_bytes: int, ways: int, line_size: int = 64) -> int:
     """Set count of a cache level (same derivation as ``Cache.__init__``)."""
     return max(1, size_bytes // (ways * line_size))
-
-
-def set_of(line: int, sets: int) -> int:
-    """Set index of a line — ``Cache.set_index`` for non-negative lines."""
-    return line % sets
-
-
-class Occupancy(NamedTuple):
-    """Per-set occupancy summary of one line collection."""
-
-    distinct_sets: int   # number of sets the lines land on
-    occ_min: int         # fewest lines in any *touched* set
-    occ_max: int         # most lines in any set
-
-
-def run_occupancy(rep: LinesRep, sets: int) -> Occupancy:
-    """Exact occupancy of a line run over ``sets`` cache sets."""
-    if isinstance(rep, LineRun):
-        count = rep.count
-        if count <= 0:
-            return Occupancy(0, 0, 0)
-        g = abs(rep.step) % sets
-        if g == 0:
-            # Every line in the same set (the pathological case).
-            return Occupancy(1, count, count)
-        period = sets // math.gcd(g, sets)
-        if count <= period:
-            return Occupancy(count, 1, 1)
-        return Occupancy(period, count // period, -(-count // period))
-    counter = lines_set_counter(rep, sets)
-    if not counter:
-        return Occupancy(0, 0, 0)
-    return Occupancy(len(counter), min(counter.values()), max(counter.values()))
 
 
 def lines_set_counter(rep: LinesRep, sets: int) -> Dict[int, int]:

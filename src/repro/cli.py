@@ -71,6 +71,7 @@ while results (tables, JSON, reports) stay on stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -79,15 +80,13 @@ import threading
 import time
 from typing import List, Optional, Tuple
 
-from repro.experiments import ablations, fig1, fig2, fig3, fig6, fig7
+from repro.experiments import FIGURES, ablations
 from repro.experiments.report import render_table
 from repro.experiments.runner import default_cache_path
 from repro.profiling import tracer
 from repro.runtime import WorkPool
 
 LOG = logging.getLogger("repro.cli")
-
-FIGURES = ["fig1", "fig2", "fig3", "fig6", "fig7"]
 
 
 def configure_logging(verbose: int = 0, quiet: bool = False) -> None:
@@ -166,14 +165,11 @@ def _save_or_check_baseline(args: argparse.Namespace, cells) -> int:
     return 0
 
 
-_FIGURE_MODULES = {"fig1": fig1, "fig2": fig2, "fig3": fig3, "fig6": fig6, "fig7": fig7}
-
-
 def _run_figure(name: str, pool: Optional[WorkPool] = None) -> Tuple[str, object]:
     """Regenerate one figure; returns (rendered text, raw result) so
     exports reuse the result instead of re-running the figure."""
     try:
-        module = _FIGURE_MODULES[name]
+        module = FIGURES[name]
     except KeyError:
         raise ValueError(f"unknown figure {name!r}")
     with tracer.span(f"figure.{name}", cat="figure"):
@@ -709,7 +705,7 @@ def figures_main(argv: List[str]) -> int:
     parser.add_argument(
         "figures",
         nargs="+",
-        choices=FIGURES + ["all", "figures", "ablations", "status"],
+        choices=list(FIGURES) + ["all", "figures", "ablations", "status"],
         help="figures to regenerate ('figures' = 'all'; 'status' for the "
              "run-journal summary)",
     )
@@ -761,9 +757,23 @@ def figures_main(argv: List[str]) -> int:
         else:
             names.append(name)
 
+    from repro.experiments import export
+
+    # (failure label, writer(name, result) -> path, log prefix); each
+    # writer looks its export function up at call time.
+    exports = []
+    if args.csv_dir:
+        exports.append(("csv", lambda name, result: export.export_figure_csv(
+            name, args.csv_dir, result), "csv written to"))
+    if args.json_dir:
+        exports.append(("json", lambda name, result: export.export_figure_json(
+            name, args.json_dir, result), "json written to"))
+        exports.append(("perf", lambda name, result: export.export_figure_perf_json(
+            name, args.json_dir), "perf counters written to"))
+
     trace_obj = tracer.Tracer() if args.trace else None
     failures: List[Tuple[str, str]] = []
-    with tracer.install(trace_obj) if trace_obj else _noop_context(), \
+    with tracer.install(trace_obj) if trace_obj else contextlib.nullcontext(), \
             WorkPool(args.jobs) as pool:
         if pool.parallel:
             LOG.info("[parallel run: --jobs %d]", pool.jobs)
@@ -786,36 +796,13 @@ def figures_main(argv: List[str]) -> int:
                 LOG.error("[%s FAILED: %s]", name, detail)
                 continue
             print(output)
-            if args.csv_dir and name != "ablations":
-                from repro.experiments.export import EXPORTERS
-
+            for label, write, written in exports if name != "ablations" else ():
                 try:
-                    path = EXPORTERS[name][1](result, args.csv_dir)
-                    LOG.info("[csv written to %s]", path)
-                except Exception as exc:
+                    LOG.info("[%s %s]", written, write(name, result))
+                except Exception as exc:  # one failed export must not stop the run
                     detail = f"{type(exc).__name__}: {exc}"
-                    failures.append((f"{name} (csv export)", detail))
-                    LOG.error("[%s csv export FAILED: %s]", name, detail)
-            if args.json_dir and name != "ablations":
-                from repro.experiments.export import export_figure_json
-
-                try:
-                    path = export_figure_json(name, args.json_dir, result=result)
-                    LOG.info("[json written to %s]", path)
-                except Exception as exc:
-                    detail = f"{type(exc).__name__}: {exc}"
-                    failures.append((f"{name} (json export)", detail))
-                    LOG.error("[%s json export FAILED: %s]", name, detail)
-                from repro.experiments.export import export_figure_perf_json
-
-                try:
-                    path = export_figure_perf_json(name, args.json_dir)
-                    if path:
-                        LOG.info("[perf counters written to %s]", path)
-                except Exception as exc:
-                    detail = f"{type(exc).__name__}: {exc}"
-                    failures.append((f"{name} (perf export)", detail))
-                    LOG.error("[%s perf export FAILED: %s]", name, detail)
+                    failures.append((f"{name} ({label} export)", detail))
+                    LOG.error("[%s %s export FAILED: %s]", name, label, detail)
             LOG.info("[%s regenerated in %.1fs]", name, time.time() - start)
 
     if trace_obj is not None:
@@ -828,14 +815,6 @@ def figures_main(argv: List[str]) -> int:
             LOG.error("  %s: %s", name, detail)
         return 1
     return 0
-
-
-class _noop_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
 
 
 def _dedupe_diagnostics(diagnostics):

@@ -12,6 +12,12 @@ tables — the figures carry the data):
   simulator's own design decisions.
 
 (Figures 4 and 5 of the paper are illustrative diagrams, not data.)
+
+Figs. 2 and 6 are one experiment on two kernels, so both are a
+:mod:`repro.experiments.grid` speedup grid, and Figs. 3 and 7 derive
+their utilization rows from those grids through the same module.
+:data:`FIGURES` is the one table of figures: the CLI, the CSV and the
+JSON exports all resolve a figure name through it.
 """
 
 from repro.experiments import ablations, fig1, fig2, fig3, fig6, fig7, sweeps
@@ -25,10 +31,17 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import Runner, RunRecord, default_runner
 
+#: Figure name -> figure module.  Each module provides ``run(scale,
+#: pool)``, ``render(result)`` and its CSV layout (``CSV_FILE``,
+#: ``CSV_HEADER``, ``csv_rows(result)``); callers look these attributes
+#: up at call time, so a patched ``run``/``render`` takes effect.
+FIGURES = {"fig1": fig1, "fig2": fig2, "fig3": fig3, "fig6": fig6, "fig7": fig7}
+
 __all__ = [
     "BLUR_FILTER",
     "BLUR_SIM_WH",
     "CACHE_SCALE",
+    "FIGURES",
     "Runner",
     "RunRecord",
     "TRANSPOSE_BLOCK",

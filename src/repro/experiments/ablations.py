@@ -24,7 +24,7 @@ from repro.kernels import transpose
 from repro.memsim.prefetch import NO_PREFETCH
 from repro.runtime import OutcomeStatus, RetryPolicy, WorkPool, supervise
 from repro.simulate import simulate
-from repro.transforms import AutoVectorize
+from repro.transforms import for_device
 from repro.timing.contention import equal_share_makespan, makespan
 
 
@@ -33,8 +33,8 @@ def _run(program, device: DeviceSpec, **kwargs) -> float:
     backoff; persistent failures raise (the CLI isolates whole blocks)."""
 
     def execute() -> float:
-        p = AutoVectorize().run(program) if device.cpu.vector_bits else program
-        return simulate(p, device, check_capacity=False, **kwargs).seconds
+        result = simulate(for_device(program, device), device, check_capacity=False, **kwargs)
+        return result.seconds
 
     outcome = supervise(execute, RetryPolicy.from_env(), label=f"ablation:{program.name}")
     if outcome.status is OutcomeStatus.COMPLETED:

@@ -1,12 +1,14 @@
 """CSV and JSON export of regenerated figures.
 
 Downstream users plot the figures with their own tooling; this module
-writes each figure's rows/series as plain CSV (one file per figure), via
-``python -m repro.cli --csv-dir out/ all``, and as canonical JSON
-(``--json-dir``).  The JSON form is deterministic — dataclasses are
-flattened with :func:`dataclasses.asdict` and dumped with sorted keys —
-so two runs that produced the same figure write byte-identical files.
-CI uses exactly this to check that ``--jobs N`` does not change results.
+writes each figure's rows/series as plain CSV (one file per figure, named
+and laid out by the figure module's ``CSV_FILE``, ``CSV_HEADER`` and
+``csv_rows``), via ``python -m repro.cli --csv-dir out/ all``, and as
+canonical JSON (``--json-dir``).  The JSON form is deterministic —
+dataclasses are flattened with :func:`dataclasses.asdict` and dumped with
+sorted keys — so two runs that produced the same figure write
+byte-identical files.  CI uses exactly this to check that ``--jobs N``
+does not change results.
 """
 
 from __future__ import annotations
@@ -15,143 +17,37 @@ import csv
 import json
 import os
 from dataclasses import asdict, is_dataclass
-from typing import List, Optional
 
-from repro.experiments import fig1, fig2, fig3, fig6, fig7
+from repro.experiments import FIGURES
 from repro.experiments.runner import default_runner
-from repro.kernels import blur, transpose
-from repro.runtime import WorkPool
 from repro.runtime.journal import figure_of_key
 
 
-def _write(path: str, header: List[str], rows) -> str:
+def _open(path: str, **kwargs):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    return open(path, "w", encoding="utf-8", **kwargs)
+
+
+def _write(path: str, header, rows) -> str:
+    with _open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     return path
 
 
-def export_fig1(rows: List[fig1.Fig1Row], directory: str) -> str:
-    out = []
-    for r in rows:
-        if getattr(r, "status", "completed") == "completed":
-            out.append((r.device_key, r.level, r.copy_gbs, r.scale_gbs, r.add_gbs, r.triad_gbs))
-        else:
-            out.append((r.device_key, r.level, "", "", "", r.status.upper()))
-    return _write(
-        os.path.join(directory, "fig1_stream.csv"),
-        ["device", "level", "copy_gbs", "scale_gbs", "add_gbs", "triad_gbs"],
-        out,
-    )
+def _write_json(path: str, value) -> str:
+    with _open(path) as fh:
+        json.dump(value, fh, sort_keys=True, indent=1, separators=(",", ": "))
+        fh.write("\n")
+    return path
 
 
-def export_fig2(panels: List[fig2.Fig2Panel], directory: str) -> str:
-    rows = []
-    for panel in panels:
-        for row in panel.rows:
-            for variant in transpose.VARIANT_ORDER:
-                if variant not in row.seconds:
-                    continue  # the per-cell failure is exported below
-                rows.append(
-                    (
-                        panel.paper_n,
-                        panel.sim_n,
-                        row.device_key,
-                        variant,
-                        row.seconds[variant],
-                        row.speedups[variant],
-                    )
-                )
-        for key in panel.excluded:
-            rows.append((panel.paper_n, panel.sim_n, key, "EXCLUDED_OOM", "", ""))
-        for failure in panel.failures:
-            rows.append(
-                (panel.paper_n, panel.sim_n, failure.device_key, failure.item,
-                 failure.status.upper(), "")
-            )
-    return _write(
-        os.path.join(directory, "fig2_transpose.csv"),
-        ["paper_n", "sim_n", "device", "variant", "seconds", "speedup"],
-        rows,
-    )
-
-
-def export_fig3(rows: List[fig3.Fig3Row], directory: str) -> str:
-    out = []
-    for r in rows:
-        if getattr(r, "status", fig3.COMPLETED) == fig3.COMPLETED:
-            out.append((r.device_key, r.paper_n, r.naive_utilization, r.best_variant, r.best_utilization))
-        else:
-            out.append((r.device_key, r.paper_n, "", r.status.upper(), ""))
-    return _write(
-        os.path.join(directory, "fig3_transpose_utilization.csv"),
-        ["device", "paper_n", "naive_utilization", "best_variant", "best_utilization"],
-        out,
-    )
-
-
-def export_fig6(result: fig6.Fig6Result, directory: str) -> str:
-    rows = []
-    for row in result.rows:
-        for variant in blur.VARIANT_ORDER:
-            if variant not in row.seconds:
-                continue  # the per-cell failure is exported below
-            rows.append(
-                (
-                    result.width,
-                    result.height,
-                    result.filter_size,
-                    row.device_key,
-                    variant,
-                    row.seconds[variant],
-                    row.speedups[variant],
-                )
-            )
-    for failure in getattr(result, "failures", []):
-        rows.append(
-            (result.width, result.height, result.filter_size,
-             failure.device_key, failure.item, failure.status.upper(), "")
-        )
-    return _write(
-        os.path.join(directory, "fig6_blur.csv"),
-        ["width", "height", "filter", "device", "variant", "seconds", "speedup"],
-        rows,
-    )
-
-
-def export_fig7(rows: List[fig7.Fig7Row], directory: str) -> str:
-    out = []
-    for row in rows:
-        if getattr(row, "status", "completed") != "completed":
-            out.append((row.device_key, row.status.upper(), "", ""))
-            continue
-        for variant in fig7.VARIANTS:
-            if variant in row.utilization:
-                out.append(
-                    (row.device_key, variant, row.utilization[variant], row.improvement[variant])
-                )
-    return _write(
-        os.path.join(directory, "fig7_blur_utilization.csv"),
-        ["device", "variant", "utilization", "improvement_vs_1d"],
-        out,
-    )
-
-
-EXPORTERS = {
-    "fig1": (fig1.run, export_fig1),
-    "fig2": (fig2.run, export_fig2),
-    "fig3": (fig3.run, export_fig3),
-    "fig6": (fig6.run, export_fig6),
-    "fig7": (fig7.run, export_fig7),
-}
-
-
-def export_figure(name: str, directory: str, pool: Optional[WorkPool] = None) -> str:
-    """Regenerate one figure and write its CSV; returns the file path."""
-    run, write = EXPORTERS[name]
-    return write(run(pool=pool), directory)
+def export_figure_csv(name: str, directory: str, result) -> str:
+    """Write one figure's CSV; returns the file path."""
+    module = FIGURES[name]
+    return _write(os.path.join(directory, module.CSV_FILE), module.CSV_HEADER,
+                  module.csv_rows(result))
 
 
 def _jsonable(result):
@@ -164,28 +60,14 @@ def _jsonable(result):
     return result
 
 
-def export_figure_json(
-    name: str,
-    directory: str,
-    pool: Optional[WorkPool] = None,
-    result=None,
-) -> str:
+def export_figure_json(name: str, directory: str, result) -> str:
     """Write one figure's full result as canonical JSON; returns the path.
 
     Canonical means sorted keys, fixed separators and a trailing newline,
     so equal results are byte-equal files — the determinism contract the
-    ``--jobs`` smoke check in CI diffs against.  Pass ``result`` to export
-    an already-computed figure without re-running it.
+    ``--jobs`` smoke check in CI diffs against.
     """
-    if result is None:
-        run, _write = EXPORTERS[name]
-        result = run(pool=pool)
-    path = os.path.join(directory, f"{name}.json")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(result), fh, sort_keys=True, indent=1, separators=(",", ": "))
-        fh.write("\n")
-    return path
+    return _write_json(os.path.join(directory, f"{name}.json"), _jsonable(result))
 
 
 def export_figure_perf_json(name: str, directory: str) -> str:
@@ -203,9 +85,4 @@ def export_figure_perf_json(name: str, directory: str) -> str:
         for disk_key, counters in default_runner().perf_counters().items()
         if figure_of_key(disk_key) == name
     }
-    path = os.path.join(directory, f"{name}.perf.json")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cells, fh, sort_keys=True, indent=1, separators=(",", ": "))
-        fh.write("\n")
-    return path
+    return _write_json(os.path.join(directory, f"{name}.perf.json"), cells)

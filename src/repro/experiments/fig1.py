@@ -23,10 +23,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.config import CACHE_SCALE, all_device_keys, scaled_device
-from repro.experiments.report import DASH, render_footnotes, render_table
+from repro.experiments.report import DASH, render_table, with_footnotes
 from repro.kernels import stream
 from repro.metrics import bandwidth
 from repro.runtime import WorkPool, supervise
+
+CSV_FILE = "fig1_stream.csv"
+CSV_HEADER = ["device", "level", "copy_gbs", "scale_gbs", "add_gbs", "triad_gbs"]
 
 
 @dataclass
@@ -121,5 +124,13 @@ def render(rows: List[Fig1Row]) -> str:
         table_rows,
         title="Fig. 1 — STREAM bandwidth by memory level",
     )
-    footnotes = render_footnotes(notes)
-    return table + ("\n" + footnotes if footnotes else "")
+    return with_footnotes(table, notes)
+
+
+def csv_rows(rows: List[Fig1Row]) -> List[Tuple]:
+    return [
+        (r.device_key, r.level, r.copy_gbs, r.scale_gbs, r.add_gbs, r.triad_gbs)
+        if r.status == "completed"
+        else (r.device_key, r.level, "", "", "", r.status.upper())
+        for r in rows
+    ]

@@ -5,40 +5,35 @@ with 1/16-scaled caches), five variants per device.  The Mango Pi is
 absent from the large panel because the paper-size matrix (2 GiB) exceeds
 its 1 GiB of DRAM — the same capacity rule the paper applies.
 
-Each variant runs under the runtime supervisor: a cell whose run is
-skipped, times out or fails renders as ``—`` with a footnote (graceful
-per-cell degradation), and only the affected cells are missing from the
-panel.
-
-Cells are independent, so ``run_panel``/``run`` accept a
-:class:`~repro.runtime.WorkPool` and fan the (device × variant) grid out
-across worker processes; collection order is fixed by the task list, so
-the panel is byte-identical for any worker count.
+Each panel is one :mod:`repro.experiments.grid` speedup grid: failed
+cells render as ``—`` with a footnote, and a
+:class:`~repro.runtime.WorkPool` fans the cells out without changing
+the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro.experiments import grid
 from repro.experiments.config import (
     CACHE_SCALE,
     TRANSPOSE_BLOCK,
     TRANSPOSE_SIZES,
-    all_device_keys,
-    device_fits_paper_workload,
-    scaled_device,
     transpose_workload,
 )
-from repro.experiments.report import DASH, CellFailure, render_footnotes, render_table, seconds_label
-from repro.experiments.runner import CellResult, cell_result, default_runner
+from repro.experiments.report import CellFailure
 from repro.kernels import transpose
-from repro.metrics.speedup import SpeedupRow, speedup_row
+from repro.metrics.speedup import SpeedupRow
 from repro.runtime import WorkPool
+
+CSV_FILE = "fig2_transpose.csv"
+CSV_HEADER = ["paper_n", "sim_n", "device", "variant", "seconds", "speedup"]
 
 
 @dataclass
-class Fig2Panel:
+class Fig2Panel(grid.SpeedupGrid):
     """One matrix size: a bar group (naive time + speedups) per device."""
 
     paper_n: int
@@ -47,33 +42,9 @@ class Fig2Panel:
     excluded: List[str] = field(default_factory=list)  # devices that OOM
     failures: List[CellFailure] = field(default_factory=list)
 
-    def row(self, device_key: str) -> SpeedupRow:
-        for row in self.rows:
-            if row.device_key == device_key:
-                return row
-        raise KeyError(device_key)
 
-    def failed_devices(self) -> List[str]:
-        """Devices with failures and no renderable row at all."""
-        have_rows = {row.device_key for row in self.rows}
-        out: List[str] = []
-        for failure in self.failures:
-            if failure.device_key not in have_rows and failure.device_key not in out:
-                out.append(failure.device_key)
-        return out
-
-
-def _cell(task: Tuple[str, int, int, str, int]) -> CellResult:
-    """One (variant, device) cell; runs in a work-pool worker process."""
-    variant, sim_n, block, key, scale = task
-    runner = default_runner()
-    device = scaled_device(key, scale)
-    outcome = runner.run_supervised(
-        ("fig2", variant, sim_n, block, key, scale),
-        lambda: transpose.build(variant, sim_n, block=block),
-        device,
-    )
-    return cell_result(outcome)
+def _build(variant: str, sim_n: int, block: int):
+    return transpose.build(variant, sim_n, block=block)
 
 
 def run_panel(
@@ -83,46 +54,17 @@ def run_panel(
     variants: Optional[List[str]] = None,
     pool: Optional[WorkPool] = None,
 ) -> Fig2Panel:
-    pool = pool or WorkPool.serial()
-    sim_n = {p: s for p, s in TRANSPOSE_SIZES}[paper_n]
-    workload = transpose_workload(paper_n)
-    panel = Fig2Panel(paper_n=paper_n, sim_n=sim_n)
-    runner = default_runner()
-    order = variants or transpose.VARIANT_ORDER
-    naive_label = transpose.VARIANT_ORDER[0]
-
-    included: List[str] = []
-    for key in all_device_keys():
-        if device_fits_paper_workload(key, workload.paper_bytes):
-            included.append(key)
-        else:
-            panel.excluded.append(key)
-
-    tasks = [
-        (variant, sim_n, block, key, scale)
-        for key in included
-        for variant in order
-    ]
-    by_task = dict(zip(tasks, pool.map(_cell, tasks)))
-
-    for key in included:
-        seconds: Dict[str, float] = {}
-        for variant in order:
-            result = by_task[(variant, sim_n, block, key, scale)]
-            if result.ok:
-                seconds[variant] = result.record.seconds
-                runner.adopt(("fig2", variant, sim_n, block, key, scale), result.record)
-            else:
-                panel.failures.append(
-                    CellFailure(key, variant, result.status, result.reason)
-                )
-        if naive_label in seconds:
-            panel.rows.append(speedup_row(key, seconds))
-        elif seconds:
-            panel.failures.append(
-                CellFailure(key, naive_label, "skipped", "no naive baseline; speedups undefined")
-            )
-    return panel
+    sim_n = dict(TRANSPOSE_SIZES)[paper_n]
+    return grid.run(
+        Fig2Panel(paper_n=paper_n, sim_n=sim_n),
+        "fig2",
+        _build,
+        dims=(sim_n, block),
+        paper_bytes=transpose_workload(paper_n).paper_bytes,
+        variants=variants or transpose.VARIANT_ORDER,
+        scale=scale,
+        pool=pool,
+    )
 
 
 def run(scale: int = CACHE_SCALE, pool: Optional[WorkPool] = None) -> List[Fig2Panel]:
@@ -131,33 +73,26 @@ def run(scale: int = CACHE_SCALE, pool: Optional[WorkPool] = None) -> List[Fig2P
 
 
 def render(panels: List[Fig2Panel]) -> str:
-    blocks = []
-    for panel in panels:
-        rows = []
-        for row in panel.rows:
-            cells = [row.device_key, seconds_label(row.naive_seconds)]
-            for variant in transpose.VARIANT_ORDER[1:]:
-                cells.append(
-                    f"{row.speedups[variant]:.2f}x" if variant in row.speedups else DASH
-                )
-            rows.append(cells)
-        for key in panel.failed_devices():
-            rows.append([key] + [DASH] * len(transpose.VARIANT_ORDER))
-        for key in panel.excluded:
-            rows.append([key, "— does not fit in DRAM —"] + [""] * (len(transpose.VARIANT_ORDER) - 1))
-        table = render_table(
-            ["device", "Naive"] + transpose.VARIANT_ORDER[1:],
-            rows,
+    return "\n\n".join(
+        grid.render(
+            panel,
+            transpose.VARIANT_ORDER,
             title=(
                 f"Fig. 2 — transpose, paper {panel.paper_n}^2 "
                 f"(simulated {panel.sim_n}^2, caches 1/{CACHE_SCALE})"
             ),
+            oom_note=(
+                f"{{key}}: paper-size matrix ({panel.paper_n}^2 f64) does not fit in DRAM "
+                "— bar absent, as in the paper"
+            ),
         )
-        notes = [
-            f"{key}: paper-size matrix ({panel.paper_n}^2 f64) does not fit in DRAM "
-            "— bar absent, as in the paper"
-            for key in panel.excluded
-        ] + [failure.note() for failure in panel.failures]
-        footnotes = render_footnotes(notes)
-        blocks.append(table + ("\n" + footnotes if footnotes else ""))
-    return "\n\n".join(blocks)
+        for panel in panels
+    )
+
+
+def csv_rows(panels: List[Fig2Panel]) -> List[Tuple]:
+    return [
+        row
+        for panel in panels
+        for row in grid.csv_rows(panel, (panel.paper_n, panel.sim_n), transpose.VARIANT_ORDER)
+    ]

@@ -16,16 +16,19 @@ upstream runs degrade the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.experiments import fig1, fig2
+from repro.experiments import fig2, grid
 from repro.experiments.config import CACHE_SCALE, TRANSPOSE_SIZES
-from repro.experiments.report import DASH, render_footnotes, render_table
+from repro.experiments.report import DASH, render_table, with_footnotes
 from repro.metrics.speedup import best_variant
 from repro.metrics.utilization import relative_bandwidth_utilization
-from repro.runtime import WorkPool, supervise
+from repro.runtime import WorkPool
 
 COMPLETED = "completed"
+
+CSV_FILE = "fig3_transpose_utilization.csv"
+CSV_HEADER = ["device", "paper_n", "naive_utilization", "best_variant", "best_utilization"]
 
 
 @dataclass
@@ -39,64 +42,46 @@ class Fig3Row:
     note: str = ""
 
 
+def _panel_rows(paper_n: int, sim_n: int, scale: int, pool: Optional[WorkPool]) -> List[Fig3Row]:
+    essential = 2 * 8 * sim_n * sim_n  # read + write every element
+
+    def measured(speed_row, dram_gbs) -> Fig3Row:
+        best = best_variant(speed_row)
+        return Fig3Row(
+            device_key=speed_row.device_key,
+            paper_n=paper_n,
+            naive_utilization=relative_bandwidth_utilization(
+                speed_row.naive_seconds, dram_gbs, essential
+            ),
+            best_variant=best,
+            best_utilization=relative_bandwidth_utilization(
+                speed_row.seconds[best], dram_gbs, essential
+            ),
+        )
+
+    return grid.utilization(
+        fig2.run_panel(paper_n, scale, pool=pool),
+        scale,
+        measured,
+        lambda key, status, note: Fig3Row(
+            device_key=key, paper_n=paper_n, status=status, note=note
+        ),
+        oom_note=(
+            f"{{key}}: {paper_n}^2 matrix does not fit in DRAM (out of memory) "
+            "— bar absent, as in the paper"
+        ),
+        upstream_note="{key}: transpose runs failed upstream (see Fig. 2 footnotes)",
+    )
+
+
 def run(scale: int = CACHE_SCALE, pool: Optional[WorkPool] = None) -> List[Fig3Row]:
     """The transpose runs fan out through ``pool`` (via Fig. 2's grid);
     the derived utilization metric is computed serially on top."""
-    rows: List[Fig3Row] = []
-    for paper_n, sim_n in TRANSPOSE_SIZES:
-        panel = fig2.run_panel(paper_n, scale, pool=pool)
-        essential = 2 * 8 * sim_n * sim_n  # read + write every element
-        for speed_row in panel.rows:
-            bw = supervise(
-                lambda key=speed_row.device_key: fig1.dram_bandwidth(key, scale),
-                label=f"fig1 DRAM bandwidth for {speed_row.device_key}",
-            )
-            if not bw.ok:
-                rows.append(
-                    Fig3Row(
-                        device_key=speed_row.device_key,
-                        paper_n=paper_n,
-                        status=bw.status.value,
-                        note=bw.note(),
-                    )
-                )
-                continue
-            best = best_variant(speed_row)
-            rows.append(
-                Fig3Row(
-                    device_key=speed_row.device_key,
-                    paper_n=paper_n,
-                    naive_utilization=relative_bandwidth_utilization(
-                        speed_row.naive_seconds, bw.value, essential
-                    ),
-                    best_variant=best,
-                    best_utilization=relative_bandwidth_utilization(
-                        speed_row.seconds[best], bw.value, essential
-                    ),
-                )
-            )
-        for key in panel.excluded:
-            rows.append(
-                Fig3Row(
-                    device_key=key,
-                    paper_n=paper_n,
-                    status="skipped",
-                    note=(
-                        f"{key}: {paper_n}^2 matrix does not fit in DRAM (out of memory) "
-                        "— bar absent, as in the paper"
-                    ),
-                )
-            )
-        for key in panel.failed_devices():
-            rows.append(
-                Fig3Row(
-                    device_key=key,
-                    paper_n=paper_n,
-                    status="failed",
-                    note=f"{key}: transpose runs failed upstream (see Fig. 2 footnotes)",
-                )
-            )
-    return rows
+    return [
+        row
+        for paper_n, sim_n in TRANSPOSE_SIZES
+        for row in _panel_rows(paper_n, sim_n, scale, pool)
+    ]
 
 
 def render(rows: List[Fig3Row]) -> str:
@@ -115,5 +100,13 @@ def render(rows: List[Fig3Row]) -> str:
         table_rows,
         title="Fig. 3 — relative memory bandwidth utilization (transpose)",
     )
-    footnotes = render_footnotes(notes)
-    return table + ("\n" + footnotes if footnotes else "")
+    return with_footnotes(table, notes)
+
+
+def csv_rows(rows: List[Fig3Row]) -> List[Tuple]:
+    return [
+        (r.device_key, r.paper_n, r.naive_utilization, r.best_variant, r.best_utilization)
+        if r.status == COMPLETED
+        else (r.device_key, r.paper_n, "", r.status.upper(), "")
+        for r in rows
+    ]

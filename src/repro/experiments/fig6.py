@@ -5,38 +5,30 @@ simulated: 192 x 160 with 1/16-scaled caches — one image row ~ L1, the
 19-row filter window fits only where it fits on the real machines, and
 the full image exceeds every scaled last-level cache).
 
-Each variant runs under the runtime supervisor: failed/skipped variants
-render as ``—`` cells with a footnote instead of aborting the sweep.
-
-The (device × variant) grid fans out across a
-:class:`~repro.runtime.WorkPool` when one is given; collection order is
-fixed by the task list, so the result is byte-identical for any worker
-count.
+The figure is one :mod:`repro.experiments.grid` speedup grid: failed
+cells render as ``—`` with a footnote, and a
+:class:`~repro.runtime.WorkPool` fans the cells out without changing
+the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.experiments.config import (
-    BLUR_FILTER,
-    BLUR_SIM_WH,
-    CACHE_SCALE,
-    all_device_keys,
-    blur_workload,
-    device_fits_paper_workload,
-    scaled_device,
-)
-from repro.experiments.report import DASH, CellFailure, render_footnotes, render_table, seconds_label
-from repro.experiments.runner import CellResult, cell_result, default_runner
+from repro.experiments import grid
+from repro.experiments.config import BLUR_FILTER, BLUR_SIM_WH, CACHE_SCALE, blur_workload
+from repro.experiments.report import CellFailure
 from repro.kernels import blur
-from repro.metrics.speedup import SpeedupRow, speedup_row
+from repro.metrics.speedup import SpeedupRow
 from repro.runtime import WorkPool
+
+CSV_FILE = "fig6_blur.csv"
+CSV_HEADER = ["width", "height", "filter", "device", "variant", "seconds", "speedup"]
 
 
 @dataclass
-class Fig6Result:
+class Fig6Result(grid.SpeedupGrid):
     width: int
     height: int
     filter_size: int
@@ -44,32 +36,9 @@ class Fig6Result:
     excluded: List[str] = field(default_factory=list)
     failures: List[CellFailure] = field(default_factory=list)
 
-    def row(self, device_key: str) -> SpeedupRow:
-        for row in self.rows:
-            if row.device_key == device_key:
-                return row
-        raise KeyError(device_key)
 
-    def failed_devices(self) -> List[str]:
-        have_rows = {row.device_key for row in self.rows}
-        out: List[str] = []
-        for failure in self.failures:
-            if failure.device_key not in have_rows and failure.device_key not in out:
-                out.append(failure.device_key)
-        return out
-
-
-def _cell(task: Tuple[str, int, int, int, str, int]) -> CellResult:
-    """One (variant, device) cell; runs in a work-pool worker process."""
-    variant, w, h, filter_size, key, scale = task
-    runner = default_runner()
-    device = scaled_device(key, scale)
-    outcome = runner.run_supervised(
-        ("fig6", variant, w, h, filter_size, key, scale),
-        lambda: blur.build(variant, h, w, filter_size),
-        device,
-    )
-    return cell_result(outcome)
+def _build(variant: str, w: int, h: int, filter_size: int):
+    return blur.build(variant, h, w, filter_size)
 
 
 def run(
@@ -77,72 +46,31 @@ def run(
     variants: Optional[List[str]] = None,
     pool: Optional[WorkPool] = None,
 ) -> Fig6Result:
-    pool = pool or WorkPool.serial()
     w, h = BLUR_SIM_WH
-    result = Fig6Result(width=w, height=h, filter_size=BLUR_FILTER)
-    workload = blur_workload()
-    runner = default_runner()
-    order = variants or blur.VARIANT_ORDER
-    naive_label = blur.VARIANT_ORDER[0]
-
-    included: List[str] = []
-    for key in all_device_keys():
-        if device_fits_paper_workload(key, workload.paper_bytes):
-            included.append(key)
-        else:
-            result.excluded.append(key)  # all four devices hold the blur image, but stay safe
-
-    tasks = [
-        (variant, w, h, BLUR_FILTER, key, scale)
-        for key in included
-        for variant in order
-    ]
-    by_task = dict(zip(tasks, pool.map(_cell, tasks)))
-
-    for key in included:
-        seconds: Dict[str, float] = {}
-        for variant in order:
-            cell = by_task[(variant, w, h, BLUR_FILTER, key, scale)]
-            if cell.ok:
-                seconds[variant] = cell.record.seconds
-                runner.adopt(("fig6", variant, w, h, BLUR_FILTER, key, scale), cell.record)
-            else:
-                result.failures.append(
-                    CellFailure(key, variant, cell.status, cell.reason)
-                )
-        if naive_label in seconds:
-            result.rows.append(speedup_row(key, seconds))
-        elif seconds:
-            result.failures.append(
-                CellFailure(key, naive_label, "skipped", "no naive baseline; speedups undefined")
-            )
-    return result
+    return grid.run(
+        Fig6Result(width=w, height=h, filter_size=BLUR_FILTER),
+        "fig6",
+        _build,
+        dims=(w, h, BLUR_FILTER),
+        paper_bytes=blur_workload().paper_bytes,  # all four devices hold the image
+        variants=variants or blur.VARIANT_ORDER,
+        scale=scale,
+        pool=pool,
+    )
 
 
 def render(result: Fig6Result) -> str:
-    rows = []
-    for row in result.rows:
-        cells = [row.device_key, seconds_label(row.naive_seconds)]
-        for variant in blur.VARIANT_ORDER[1:]:
-            cells.append(
-                f"{row.speedups[variant]:.2f}x" if variant in row.speedups else DASH
-            )
-        rows.append(cells)
-    for key in result.failed_devices():
-        rows.append([key] + [DASH] * len(blur.VARIANT_ORDER))
-    for key in result.excluded:
-        rows.append([key, "— does not fit in DRAM —"] + [""] * (len(blur.VARIANT_ORDER) - 1))
-    table = render_table(
-        ["device", "Naive"] + blur.VARIANT_ORDER[1:],
-        rows,
+    return grid.render(
+        result,
+        blur.VARIANT_ORDER,
         title=(
             f"Fig. 6 — Gaussian blur {result.width}x{result.height} F={result.filter_size} "
             f"(paper 2544x2027, caches 1/{CACHE_SCALE})"
         ),
+        oom_note="{key}: paper-size image does not fit in DRAM — bar absent",
     )
-    notes = [
-        f"{key}: paper-size image does not fit in DRAM — bar absent"
-        for key in result.excluded
-    ] + [failure.note() for failure in result.failures]
-    footnotes = render_footnotes(notes)
-    return table + ("\n" + footnotes if footnotes else "")
+
+
+def csv_rows(result: Fig6Result) -> List[Tuple]:
+    prefix = (result.width, result.height, result.filter_size)
+    return grid.csv_rows(result, prefix, blur.VARIANT_ORDER)

@@ -5,24 +5,28 @@ implementations (1D_kernels, Memory, Parallel), using the 1D_kernels
 algorithm as the traffic baseline; labels show the improvement relative
 to 1D_kernels.
 
-Devices whose upstream Fig. 6 runs failed (or whose 1D_kernels baseline
-is missing) degrade to ``—`` cells with a footnote.
+Devices whose upstream Fig. 6 runs failed, that the capacity rule
+excluded, or whose 1D_kernels baseline is missing degrade to ``—`` cells
+with a footnote.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.footprint import essential_traffic_bytes
-from repro.experiments import fig1, fig6
+from repro.experiments import fig6, grid
 from repro.experiments.config import BLUR_FILTER, BLUR_SIM_WH, CACHE_SCALE
-from repro.experiments.report import DASH, render_footnotes, render_table
+from repro.experiments.report import DASH, render_table, with_footnotes
 from repro.kernels import blur
 from repro.metrics.utilization import relative_bandwidth_utilization
-from repro.runtime import WorkPool, supervise
+from repro.runtime import WorkPool
 
 VARIANTS = ["1D_kernels", "Memory", "Parallel"]
+
+CSV_FILE = "fig7_blur_utilization.csv"
+CSV_HEADER = ["device", "variant", "utilization", "improvement_vs_1d"]
 
 
 @dataclass
@@ -44,51 +48,30 @@ def baseline_bytes() -> int:
 def run(scale: int = CACHE_SCALE, pool: Optional[WorkPool] = None) -> List[Fig7Row]:
     """The blur runs fan out through ``pool`` (via Fig. 6's grid); the
     derived utilization metric is computed serially on top."""
-    result = fig6.run(scale, pool=pool)
     traffic = baseline_bytes()
-    rows: List[Fig7Row] = []
-    for speed_row in result.rows:
-        if "1D_kernels" not in speed_row.seconds:
-            rows.append(
-                Fig7Row(
-                    speed_row.device_key,
-                    {},
-                    {},
-                    status="skipped",
-                    note=f"{speed_row.device_key}: 1D_kernels baseline missing; metric undefined",
-                )
-            )
-            continue
-        bw = supervise(
-            lambda key=speed_row.device_key: fig1.dram_bandwidth(key, scale),
-            label=f"fig1 DRAM bandwidth for {speed_row.device_key}",
-        )
-        if not bw.ok:
-            rows.append(
-                Fig7Row(speed_row.device_key, {}, {}, status=bw.status.value, note=bw.note())
-            )
-            continue
+
+    def measured(speed_row, dram_gbs) -> Fig7Row:
         utilization = {
-            variant: relative_bandwidth_utilization(
-                speed_row.seconds[variant], bw.value, traffic
-            )
+            variant: relative_bandwidth_utilization(speed_row.seconds[variant], dram_gbs, traffic)
             for variant in VARIANTS
             if variant in speed_row.seconds
         }
         base = utilization["1D_kernels"]
         improvement = {v: (u / base if base else float("inf")) for v, u in utilization.items()}
-        rows.append(Fig7Row(speed_row.device_key, utilization, improvement))
-    for key in result.failed_devices():
-        rows.append(
-            Fig7Row(
-                key,
-                {},
-                {},
-                status="failed",
-                note=f"{key}: blur runs failed upstream (see Fig. 6 footnotes)",
-            )
-        )
-    return rows
+        return Fig7Row(speed_row.device_key, utilization, improvement)
+
+    return grid.utilization(
+        fig6.run(scale, pool=pool),
+        scale,
+        measured,
+        lambda key, status, note: Fig7Row(key, {}, {}, status=status, note=note),
+        oom_note="{key}: paper-size image does not fit in DRAM (out of memory) — bar absent",
+        upstream_note="{key}: blur runs failed upstream (see Fig. 6 footnotes)",
+        missing=lambda speed_row: (
+            "" if "1D_kernels" in speed_row.seconds
+            else f"{speed_row.device_key}: 1D_kernels baseline missing; metric undefined"
+        ),
+    )
 
 
 def render(rows: List[Fig7Row]) -> str:
@@ -109,5 +92,18 @@ def render(rows: List[Fig7Row]) -> str:
         table,
         title="Fig. 7 — relative memory bandwidth utilization (Gaussian blur)",
     )
-    footnotes = render_footnotes(notes)
-    return text + ("\n" + footnotes if footnotes else "")
+    return with_footnotes(text, notes)
+
+
+def csv_rows(rows: List[Fig7Row]) -> List[Tuple]:
+    out = []
+    for row in rows:
+        if row.status != "completed":
+            out.append((row.device_key, row.status.upper(), "", ""))
+            continue
+        for variant in VARIANTS:
+            if variant in row.utilization:
+                out.append(
+                    (row.device_key, variant, row.utilization[variant], row.improvement[variant])
+                )
+    return out

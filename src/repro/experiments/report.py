@@ -28,10 +28,10 @@ class CellFailure:
         return f"{self.device_key}/{self.item} {self.status}: {self.reason}"
 
 
-def render_footnotes(notes: Iterable[str]) -> str:
-    """Deduplicated '†' footnote lines appended below a table."""
+def with_footnotes(table: str, notes: Iterable[str]) -> str:
+    """``table`` followed by its deduplicated '†' footnote lines."""
     seen = set()
-    lines = []
+    lines = [table]
     for note in notes:
         if note and note not in seen:
             seen.add(note)

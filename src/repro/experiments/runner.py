@@ -40,7 +40,7 @@ from repro.runtime.journal import SOURCE_DISK_CACHE
 from repro.profiling import tracer
 from repro.profiling.counters import counter_set
 from repro.simulate import SimulationResult, simulate
-from repro.transforms import AutoVectorize
+from repro.transforms import for_device
 
 
 def pmu_enabled() -> bool:
@@ -172,9 +172,7 @@ class Runner:
         def execute() -> RunRecord:
             faults.before_simulate(disk_key)
             with tracer.span("build_program", cat="runner", key=disk_key):
-                program = build()
-                if device.cpu.vector_bits:
-                    program = AutoVectorize().run(program)
+                program = for_device(build(), device)
             with_pmu = pmu_enabled()
             result: SimulationResult = simulate(
                 program, device, pmu=with_pmu, **simulate_kwargs

@@ -22,13 +22,11 @@ from repro.experiments.config import CACHE_SCALE, scaled_device
 from repro.kernels import blur, transpose
 from repro.runtime import WorkPool
 from repro.simulate import simulate
-from repro.transforms import AutoVectorize
+from repro.transforms import for_device
 
 
 def _seconds(program, device, **kwargs) -> float:
-    if device.cpu.vector_bits:
-        program = AutoVectorize().run(program)
-    return simulate(program, device, check_capacity=False, **kwargs).seconds
+    return simulate(for_device(program, device), device, check_capacity=False, **kwargs).seconds
 
 
 def _transpose_cell(task: Tuple[str, str, int, int, int]) -> float:

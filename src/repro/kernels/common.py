@@ -28,12 +28,6 @@ def gaussian_kernel_2d(size: int, sigma: float = None) -> np.ndarray:
     return np.outer(k1, k1).astype(np.float32)
 
 
-def random_matrix(n: int, seed: int = 0) -> np.ndarray:
-    """A reproducible random f64 matrix for transpose tests."""
-    rng = np.random.default_rng(seed)
-    return rng.random((n, n))
-
-
 def random_image(height: int, width: int, channels: int = 3, seed: int = 0) -> np.ndarray:
     """A reproducible random float32 image laid out (H, W*C) row-major —
     the flat interleaved-channel layout the kernels index."""

@@ -20,7 +20,7 @@ from repro.devices.spec import DeviceSpec
 from repro.errors import DeviceError
 from repro.kernels import stream
 from repro.simulate import simulate
-from repro.transforms import AutoVectorize
+from repro.transforms import for_device
 
 
 @dataclass
@@ -82,9 +82,7 @@ def measure(
     private = _is_private(device, level)
     parallel = not private and device.cores > 1
 
-    program = stream.build(test, n, parallel=parallel)
-    if device.cpu.vector_bits:
-        program = AutoVectorize().run(program)
+    program = for_device(stream.build(test, n, parallel=parallel), device)
 
     result = simulate(
         program,

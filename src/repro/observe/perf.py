@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.memsim.pmu import MISS_CLASSES
-from repro.memsim.stats import add_counters
 from repro.observe.annotate import program_lines
 from repro.profiling.baseline import entry_key
 from repro.profiling.counters import counter_set
@@ -206,11 +205,6 @@ def _merge_refs(result: SimulationResult) -> List[Dict[str, Any]]:
                 for k in range(3):
                     slot[k] += triple[k]
     return [merged[ref_id] for ref_id in sorted(merged)]
-
-
-def merge_cell_counters(cells: List[PerfCell]) -> Dict[str, int]:
-    """Associative sum of several cells' flat counters."""
-    return add_counters(*(cell.counters for cell in cells))
 
 
 # -- rendering ---------------------------------------------------------------

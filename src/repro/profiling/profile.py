@@ -35,7 +35,7 @@ from repro.profiling import tracer
 from repro.profiling.baseline import entry_key
 from repro.profiling.counters import counter_set, per_core_counter_sets
 from repro.simulate import SimulationResult, simulate
-from repro.transforms import AutoVectorize
+from repro.transforms import for_device
 
 
 @dataclass
@@ -110,8 +110,7 @@ def simulate_cell(
         program, params, sim_kwargs = build(
             kernel, variant, device, n=n, block=block, filter_size=filter_size
         )
-        if device.cpu.vector_bits:
-            program = AutoVectorize().run(program)
+        program = for_device(program, device)
         result = simulate(program, device, active_cores=cores, pmu=True, **sim_kwargs)
     return SimulatedCell(kernel, variant, base_key, device, program, params, result)
 

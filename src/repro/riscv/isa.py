@@ -202,10 +202,6 @@ _add(InsnSpec("vfmul.vf", "VARITH-F", OPCODE_OP_V, funct3=5, funct6=0x24))
 _add(InsnSpec("vfmacc.vf", "VARITH-F", OPCODE_OP_V, funct3=5, funct6=0x2C))
 
 
-def spec_of(mnemonic: str) -> InsnSpec:
-    return SPECS[mnemonic]
-
-
 # Element width in bytes per vector width code (VLOAD/VSTORE).
 VECTOR_WIDTH_BYTES = {0: 1, 5: 2, 6: 4, 7: 8}
 

@@ -22,7 +22,7 @@ from repro.transforms.interchange import Interchange
 from repro.transforms.parallelize import Parallelize, Serialize
 from repro.transforms.tiling import StripMine, TileTriangular2D
 from repro.transforms.unroll import Unroll
-from repro.transforms.vectorize import AutoVectorize, Vectorize, vectorizable
+from repro.transforms.vectorize import AutoVectorize, Vectorize, for_device, vectorizable
 
 __all__ = [
     "AutoVectorize",
@@ -36,5 +36,6 @@ __all__ = [
     "Unroll",
     "Vectorize",
     "apply_passes",
+    "for_device",
     "vectorizable",
 ]

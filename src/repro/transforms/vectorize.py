@@ -149,3 +149,11 @@ class AutoVectorize(Pass):
             return loop
 
         return program.with_body(map_loops(program.body, rewrite))
+
+
+def for_device(program: Program, device) -> Program:
+    """The program ``device`` runs: auto-vectorized (what ``-O3`` does)
+    when its CPU has vector units, unchanged otherwise."""
+    if device.cpu.vector_bits:
+        return AutoVectorize().run(program)
+    return program

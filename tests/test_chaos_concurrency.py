@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.experiments import fig2
+from repro.experiments import fig2, grid
 from repro.runtime import WorkPool, clear_faults, read_journal
 from repro.runtime.journal import default_journal_path
 
@@ -93,12 +93,12 @@ class TestQuarantineUnderConcurrency:
         clear_faults()
         reset_default_runner()
         tasks = [
-            (variant, 64, 16, "mango_pi_d1", 16)
+            (fig2._build, ("fig2", variant, 64, 16, "mango_pi_d1", 16))
             for variant in ("Naive", "Blocking", "Parallel")
         ] * 2  # duplicate keys force cache (re)reads of corrupted entries
         try:
             with WorkPool(jobs=2) as pool:
-                results = pool.map(fig2._cell, tasks)
+                results = pool.map(grid._cell, tasks)
         finally:
             reset_default_runner()
         assert len(results) == len(tasks)

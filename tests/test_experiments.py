@@ -128,8 +128,8 @@ class TestCli:
     def test_figure_choices(self, capsys, monkeypatch):
         from repro import cli
 
-        monkeypatch.setattr(cli.fig1, "run", lambda pool=None: [])
-        monkeypatch.setattr(cli.fig1, "render", lambda rows: "FIG1OUT")
+        monkeypatch.setattr(fig1, "run", lambda pool=None: [])
+        monkeypatch.setattr(fig1, "render", lambda rows: "FIG1OUT")
         assert cli.main(["fig1"]) == 0
         assert "FIG1OUT" in capsys.readouterr().out
 

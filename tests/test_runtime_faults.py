@@ -434,9 +434,9 @@ class TestCliIsolation:
     @pytest.fixture
     def stub_figures(self, monkeypatch):
         from repro import cli
+        from repro.experiments import FIGURES
 
-        for name in cli.FIGURES:
-            mod = getattr(cli, name)
+        for name, mod in FIGURES.items():
             monkeypatch.setattr(mod, "run", lambda pool=None: [], raising=True)
             monkeypatch.setattr(
                 mod, "render", lambda rows, _n=name: f"{_n.upper()}OUT", raising=True
@@ -447,7 +447,7 @@ class TestCliIsolation:
         def explode(rows):
             raise RuntimeError("injected fig3 failure")
 
-        monkeypatch.setattr(stub_figures.fig3, "render", explode)
+        monkeypatch.setattr(fig3, "render", explode)
         rc = stub_figures.main(["all"])
         out, err = capsys.readouterr()
         assert rc == 1
@@ -463,28 +463,15 @@ class TestCliIsolation:
         assert "FIG1OUT" in out and "FIG7OUT" in out
 
     def test_csv_dir_output_survives_later_failure(self, stub_figures, monkeypatch, tmp_path, capsys):
-        from repro.experiments import export
+        def disk_full(result):
+            raise OSError("disk full")
 
-        written = []
-
-        def fake_writer(name):
-            def _write(result, directory):
-                if name == "fig2":
-                    raise OSError("disk full")
-                written.append(name)
-                return f"{directory}/{name}.csv"
-
-            return _write
-
-        monkeypatch.setattr(
-            export,
-            "EXPORTERS",
-            {name: (lambda pool=None: [], fake_writer(name)) for name in ("fig1", "fig2", "fig3")},
-        )
+        monkeypatch.setattr(fig2, "csv_rows", disk_full)
         rc = stub_figures.main(["fig1", "fig2", "fig3", "--csv-dir", str(tmp_path)])
         _out, err = capsys.readouterr()
         assert rc == 1
-        assert written == ["fig1", "fig3"]
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == [fig1.CSV_FILE, fig3.CSV_FILE]
         assert "fig2 (csv export)" in err
 
     def test_status_subcommand_summarizes_journal(self, tmp_path, monkeypatch, capsys):

@@ -18,6 +18,7 @@ from repro.transforms import (
     Unroll,
     Vectorize,
     apply_passes,
+    for_device,
     vectorizable,
 )
 
@@ -245,6 +246,13 @@ class TestVectorize:
         assert find_loop(triad.body, "i").vectorized
         transpose = AutoVectorize().run(transpose_program(16))
         assert not find_loop(transpose.body, "j").vectorized
+
+    def test_for_device_vectorizes_only_on_vector_cpus(self):
+        from repro.devices import get_device
+
+        triad = triad_program(64)
+        assert find_loop(for_device(triad, get_device("xeon_4310t")).body, "i").vectorized
+        assert for_device(triad, get_device("visionfive_jh7100")) is triad
 
     def test_vectorized_interp_matches_scalar(self, rng):
         n = 40
