@@ -1170,7 +1170,7 @@ def profile_main(argv: List[str]) -> int:
     if args.json:
         print(json.dumps(report.as_dict(), indent=1))
     else:
-        print(render_report(report, result.stage_s))
+        print(render_report(report, result))
     _lint_hints_for_profile(report, args)
     if args.tree:
         tree = trace_obj.render_tree(min_us=10.0)

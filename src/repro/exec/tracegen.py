@@ -10,11 +10,24 @@ Key properties:
   — bindings of the enclosing loop variables, held as int64 columns —
   so one loop level costs a handful of NumPy operations for a whole
   family of executions instead of one Python frame per iteration.
-  Streams come out as :class:`~repro.exec.trace.SegmentBatch` column
-  batches of at most ``BATCH_SEGMENTS`` segments, and no intermediate
-  context or row array grows past that bound either: contexts are
-  processed in ranges, and one context whose subtree alone is larger
-  descends into its children in order.
+* **Descriptor rows**: emitters produce *rows*, not segments.  A plain
+  row is one segment.  A loop that runs a body of fixed shape — leaves,
+  and innermost loops and pairs whose bounds do not read the loop
+  variable — emits that body once per loop execution, as a *descriptor
+  group*: the body's rows for the first iteration plus, per row, the
+  base step per iteration and the trip count.  A pair whose references
+  do not chain is one such loop over its inner loop.  So the blur's
+  19-tap stencil loops cost one row per reference per pair execution,
+  not one per outer iteration.  ``_expand`` turns rows into segments in
+  exactly the walker's order (execution, then outer iteration, then
+  reference) just before the stream yields them.
+* **Bounded batches**: streams come out as
+  :class:`~repro.exec.trace.SegmentBatch` column batches of at most
+  ``BATCH_SEGMENTS`` segments.  No context, row or expanded array grows
+  past that bound either: contexts are processed in ranges weighed by
+  the rows they emit, one context whose subtree alone is larger
+  descends into its children in order, and the expander cuts a
+  descriptor group larger than a batch by position.
 * **Parallel-loop scheduling is simulated faithfully**: ``static``
   schedules split the iteration space into contiguous slabs (or
   round-robin chunks when ``chunk`` is given), ``dynamic`` schedules are
@@ -29,7 +42,7 @@ Key properties:
   execution.  The per-iteration interleaving of references *within* one
   innermost iteration is abstracted away.  That abstraction is not yet
   validated against the exact per-access order (DESIGN.md §5.1, ROADMAP
-  item 4).
+  item 5).
 * **Per-core streams are independent**: a consumer can process core 0's
   stream to completion before core 1's.  Shared cache levels are handled
   by the hierarchy model (capacity partitioning), DRAM contention by the
@@ -60,10 +73,20 @@ from repro.runtime import faults
 #: or row array the emitter builds on the way.
 BATCH_SEGMENTS = 2048
 
-# An emitted chunk is a (5, n) int64 array; its rows are the provisional
-# reference key, base byte address, byte stride, element count, and the
-# index of the context (within the emitting call) the segment belongs to.
-_KEY, _BASE, _STRIDE, _COUNT, _CTX = range(5)
+# An emitted chunk is an (8, n) int64 array of rows.  A row is the
+# provisional reference key, byte stride, element count, outer step,
+# base byte address, outer trip count, rank in its group and the index
+# of the context (within the emitting call) it belongs to.  A group is
+# the rows ranked 0..w-1 that one context emitted.  With one trip it is
+# ``w`` plain segments; a descriptor group, which a fixed-shape loop
+# body emits for one loop execution, stands for ``reps`` rounds of its
+# ``w`` segments, each round's bases one ``step`` further on.
+_KEY, _STRIDE, _COUNT, _STEP, _BASE, _REPS, _RANK, _CTX = range(8)
+_ROWS = 8
+
+# The context column holding how many loop iterations each context of a
+# descriptor body stands for (the body's work counts that many times).
+_REPEAT = "*"
 
 _UNASSIGNED = -2  # a plan whose reference ids are not handed out yet
 
@@ -141,15 +164,22 @@ def _affine(expr, env: Env, m: int) -> np.ndarray:
 class _Bounds:
     """A loop's ``max``/``min`` affine bounds, evaluated over contexts."""
 
-    __slots__ = ("loop", "var", "step")
+    __slots__ = ("loop", "var", "step", "variables", "fixed")
 
     def __init__(self, loop: For):
         self.loop = loop
         self.var = loop.var
         self.step = loop.step
+        self.variables = loop.lo.variables | loop.hi.variables
+        self.fixed = None  # (first value, trip count) of constant bounds
+        if not self.variables:
+            self.fixed = [int(v[0]) for v in self.eval({}, 1)]
 
     def eval(self, env: Env, m: int) -> Tuple[np.ndarray, np.ndarray]:
         """(first value, trip count) per context."""
+        if self.fixed:
+            lo, trips = self.fixed
+            return np.full(m, lo, dtype=np.int64), np.full(m, trips, dtype=np.int64)
         lo_ops = self.loop.lo.operands
         hi_ops = self.loop.hi.operands
         lo = _affine(lo_ops[0], env, m)
@@ -191,16 +221,90 @@ class _Bounds:
             yield parent, child, total
 
 
-def _chunk_rows(keys, base, stride, count, ctx) -> np.ndarray:
-    """Context-major, reference-minor rows: ``base`` is (n, R)."""
-    n, refs = base.shape
-    out = np.empty((5, n, refs), dtype=np.int64)
-    out[_KEY] = keys
-    out[_BASE] = base
-    out[_STRIDE] = stride
-    out[_COUNT] = count
+def _chunk_rows(keys, base, stride, count, ctx, step=0, reps=1) -> np.ndarray:
+    """Context-major, reference-minor rows, one group per context.
+
+    ``base`` is (R, n), reference-major (NumPy is fastest along the long
+    context axis); the other columns broadcast to that shape, except
+    ``ctx``, one entry per context.
+    """
+    refs, n = base.shape
+    out = np.empty((_ROWS, n, refs), dtype=np.int64)
+    for row, value in ((_KEY, keys), (_BASE, base), (_STRIDE, stride), (_COUNT, count),
+                       (_STEP, step), (_REPS, reps)):
+        out[row] = value.T if isinstance(value, np.ndarray) else value
+    out[_RANK] = np.arange(refs)
     out[_CTX] = ctx[:, None]
-    return out.reshape(5, n * refs)
+    return out.reshape(_ROWS, n * refs)
+
+
+def _weighted(env: Env, values: np.ndarray) -> int:
+    """``values`` summed over contexts, each counted as often as it
+    repeats (once outside descriptor bodies)."""
+    repeat = env.get(_REPEAT)
+    return int(values.sum() if repeat is None else (values * repeat).sum())
+
+
+def _expand(batch: SegmentBatch, rows: np.ndarray) -> Iterator[SegmentBatch]:
+    """The segments of resolved ``rows`` (``batch`` holds their columns),
+    at most ``BATCH_SEGMENTS`` at a time; rows without a descriptor
+    among them are plain segments already.
+
+    A descriptor group expands in the walker's order: every round of its
+    loop execution, and within a round each row of the group, the base
+    advanced by ``round * step``.  A window holds whole groups, except
+    that a group larger than a batch is cut by position alone.
+
+    A loop's contexts usually repeat their group shapes, and all their
+    columns but the base: a window of the previous window's shapes reuses
+    its index pattern, and if its rows differ only in base, that window's
+    other columns too (batches share them; consumers only read them).
+    """
+    reps = rows[_REPS]
+    if not (reps > 1).any():
+        for a in range(0, len(reps), BATCH_SEGMENTS):
+            yield SegmentBatch(*(col[a : a + BATCH_SEGMENTS] for col in batch))
+        return
+    starts = np.flatnonzero(rows[_RANK] == 0)
+    width = np.diff(starts, append=len(reps))
+    reps = reps[starts]
+    size = width * reps
+    step = rows[_STEP]
+    shapes = last = None
+    for g0, g1 in _ranges(size):
+        if g1 - g0 == 1:
+            total = int(size[g0])
+            for a in range(0, total, BATCH_SEGMENTS):
+                rounds, rank = np.divmod(np.arange(a, min(a + BATCH_SEGMENTS, total)), width[g0])
+                yield _window(batch, step, starts[g0] + rank, rounds)[0]
+            continue
+        key = (width[g0:g1].tobytes(), reps[g0:g1].tobytes())
+        if key != shapes:
+            group = np.repeat(np.arange(g1 - g0), size[g0:g1])
+            offset = np.arange(len(group)) - (np.cumsum(size[g0:g1]) - size[g0:g1])[group]
+            w = width[g0:g1][group]
+            rounds = offset // w
+            rank = (starts[g0:g1] - starts[g0])[group] + offset - rounds * w
+            shapes, last = key, None
+        row = starts[g0] + rank
+        same = rows[_KEY : _STEP + 1, starts[g0] : starts[g1 - 1] + width[g1 - 1]].tobytes()
+        if last is not None and same == last[0]:
+            base = batch.base[row]
+            base += last[2]
+            yield last[1]._replace(base=base)
+            continue
+        out, delta = _window(batch, step, row, rounds)
+        last = same, out, delta
+        yield out
+
+
+def _window(batch: SegmentBatch, step: np.ndarray, row: np.ndarray, rounds: np.ndarray):
+    """Segments ``row`` of ``batch``, each base ``rounds`` steps on, and
+    those offsets."""
+    delta = rounds * step[row]
+    out = SegmentBatch(*(col[row] for col in batch))
+    np.add(out.base, delta, out=out.base)
+    return out, delta
 
 
 # -- plans: the references of one emitting statement ------------------------
@@ -250,11 +354,11 @@ class _Plan:
         return np.zeros(self.refs, dtype=np.int64)
 
     def bases(self, core_bases: np.ndarray, env: Env, n: int) -> np.ndarray:
-        """(n, refs) byte addresses of every reference under each context."""
-        out = np.empty((n, self.refs), dtype=np.int64)
-        out[:] = core_bases[self.arrays] + self.const
+        """(refs, n) byte addresses of every reference under each context."""
+        out = np.empty((self.refs, n), dtype=np.int64)
+        out[:] = (core_bases[self.arrays] + self.const)[:, None]
         for var, coeff in self.coeffs:
-            out += env[var][:, None] * coeff
+            out += coeff[:, None] * env[var]
         return out
 
 
@@ -295,8 +399,9 @@ def _children(stmt: Stmt):
 # -- emitter nodes ------------------------------------------------------------
 #
 # Every node has ``emit(run, env, m)``, yielding chunks for ``m`` contexts
-# in stream order, and ``sizes(run, env, m)``, the exact number of
-# segments it emits per context.
+# in stream order, and ``sizes(run, env, m)``, the exact number of rows
+# it emits per context (a descriptor row counts once, however many
+# segments it expands to).
 
 
 class _Leaf:
@@ -316,7 +421,8 @@ class _Leaf:
         return np.full(m, self.plan.refs, dtype=np.int64)
 
     def emit(self, run, env, m):
-        run.leaf_runs[self] = run.leaf_runs.get(self, 0) + m
+        runs = _weighted(env, np.ones(m, dtype=np.int64))
+        run.leaf_runs[self] = run.leaf_runs.get(self, 0) + runs
         plan = self.plan
         if not plan.refs:
             return
@@ -357,7 +463,7 @@ class _Innermost:
     def rows(self, run, env: Env, trips: np.ndarray, ctx: np.ndarray):
         """Segments of executions starting at ``env[var]`` with ``trips``."""
         plan = self.plan
-        run.add_trips(plan, int(trips.sum()))
+        run.add_trips(plan, _weighted(env, trips))
         if not plan.refs:
             return
         n = len(ctx)
@@ -365,7 +471,7 @@ class _Innermost:
         for a in range(0, n, per):
             sub = _slice(env, a, a + per) if n > per else env
             k = min(n - a, per)
-            count = np.where(self.point, 1, trips[a : a + k, None])
+            count = np.where(self.point[:, None], 1, trips[a : a + k])
             yield _chunk_rows(plan.keys, plan.bases(run.bases, sub, k), self.strides, count, ctx[a : a + k])
 
 
@@ -410,20 +516,23 @@ class _InnermostParallel(_Innermost):
 
 class _Pair:
     """A perfect (outer, innermost) pair whose inner bounds do not depend
-    on the outer variable.
+    on the outer variable: one row per reference per pair execution.
 
     Contexts whose every reference chains contiguously across outer
     iterations (``stride_out == stride_in * trips_in``) emit one segment
     per reference for the whole pair — the 3-iteration channel loop of
     the blur's "Unit-stride" variant merges into its parent this way.
-    Other contexts fall back to the inner loop's own plan, once per
-    outer value.
+    Other contexts emit the inner loop's own references as a descriptor
+    group: one inner-loop segment per reference, repeated for every
+    outer iteration with the base one outer step further on.
     """
 
     def __init__(self, gen: "TraceGenerator", outer: For, inner: For):
         self.outer = _Bounds(outer)
         self.inner = _Bounds(inner)
+        self.variables = self.outer.variables | self.inner.variables
         self.plan = gen._pair_plan(outer, inner)
+        self.inner_plan = gen._loop_plan(inner)
         plan = self.plan
         self.s_in = plan.coefficient(inner.var) * inner.step
         self.s_out = plan.coefficient(outer.var) * outer.step
@@ -435,8 +544,6 @@ class _Pair:
             np.flatnonzero((self.s_in != 0) & (self.s_out != 0)),  # both
         ]
         self.strides = np.where(self.s_in == 0, self.s_out, self.s_in)
-        self.fallback = _Loop(outer, _Innermost(gen, inner))
-        self.inner_refs = self.fallback.body.plan.refs
 
     def _shape(self, env, m):
         out_lo, t_out = self.outer.eval(env, m)
@@ -450,60 +557,90 @@ class _Pair:
         return out_lo, t_out, in_lo, t_in, live, chained
 
     def sizes(self, run, env, m):
-        _ol, t_out, _il, _ti, live, chained = self._shape(env, m)
-        return np.where(chained, live * self.plan.refs, t_out * self.inner_refs)
+        live = self._shape(env, m)[4]
+        return live * self.plan.refs
 
     def emit(self, run, env, m):
         if not m:
             return
-        plan = self.plan
+        plan, inner = self.plan, self.inner_plan
         if run.gen._plan_base[plan.index] == _UNASSIGNED:
             # A pair's references are numbered when the stream reaches
             # the loop, even where it emits nothing: mark the spot.
-            mark = np.zeros((5, 1), dtype=np.int64)
+            mark = np.zeros((_ROWS, 1), dtype=np.int64)
             mark[_KEY] = plan.marker
+            mark[_REPS] = 1
             yield mark
         out_lo, t_out, in_lo, t_in, live, chained = self._shape(env, m)
-        edges = np.flatnonzero(chained[1:] != chained[:-1]) + 1
-        cuts = [0] + edges.tolist() + [m]
-        for a, b in zip(cuts, cuts[1:]):
-            if not chained[a]:
-                for chunk in self.fallback.emit(run, _slice(env, a, b), b - a):
-                    chunk[_CTX] += a
-                    yield chunk
-                continue
-            idx = a + np.flatnonzero(live[a:b])
-            if not idx.size:
-                continue
-            to, ti = t_out[idx], t_in[idx]
-            run.add_trips(plan, int((to * ti).sum()), int(to.sum()))
-            if not plan.refs:
-                continue
-            sub = _take(env, idx)
-            sub[self.outer.var] = out_lo[idx]
-            sub[self.inner.var] = in_lo[idx]
-            n = len(idx)
-            count = np.empty((n, plan.refs), dtype=np.int64)
-            for kind, value in zip(self.kinds, (1, to[:, None], ti[:, None], (to * ti)[:, None])):
-                if kind.size:
-                    count[:, kind] = value
-            base = plan.bases(run.bases, sub, n)
-            per = max(1, BATCH_SEGMENTS // plan.refs)
-            for c in range(0, n, per):
-                yield _chunk_rows(plan.keys, base[c : c + per], self.strides,
-                                  count[c : c + per], idx[c : c + per])
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            return
+        to, ti, merged = t_out[idx], t_in[idx], chained[idx]
+        sub = _take(env, idx)
+        body = to * ti
+        run.add_trips(plan, _weighted(sub, body * merged), _weighted(sub, to * merged))
+        run.add_trips(inner, _weighted(sub, body * ~merged))
+        if not plan.refs:
+            return
+        sub[self.outer.var] = out_lo[idx]
+        sub[self.inner.var] = in_lo[idx]
+        n = len(idx)
+        count = np.empty((plan.refs, n), dtype=np.int64)
+        for kind, value in zip(self.kinds, (1, to, ti, body)):
+            if kind.size:
+                count[kind] = value
+        yield _chunk_rows(
+            np.where(merged, plan.keys[:, None], inner.keys[:, None]),
+            plan.bases(run.bases, sub, n),
+            np.where(merged, self.strides[:, None], self.s_in[:, None]),
+            np.where(merged, count, np.where(self.s_in[:, None] == 0, 1, ti)),
+            idx,
+            np.where(merged, 0, self.s_out[:, None]),
+            np.where(merged, 1, to)[None, :],
+        )
 
 
 class _Loop:
-    """A serial loop over non-innermost bodies: contexts expand by the
-    loop's iterations and the body emits for the children."""
+    """A serial loop over non-innermost bodies.
+
+    A body whose shape does not depend on the loop variable (leaves, and
+    innermost loops and pairs whose bounds do not read it) is emitted
+    once per loop execution, at the first value, as descriptor rows: the
+    group of rows one context emits repeats once per iteration, each
+    reference's base advancing by its step per iteration.  Any other
+    body (and a pair that does not chain in some context) runs once per
+    iteration over expanded contexts.
+    """
 
     def __init__(self, loop: For, body):
         self.bounds = _Bounds(loop)
         self.body = body
+        self.pairs: List[_Pair] = []
+        plans = _fixed_plans(body, loop.var, self.pairs)
+        self.steps = None  # provisional key -> byte step per iteration
+        if plans is not None:
+            self.steps = np.zeros(max(plan.marker for plan in plans) + 1, dtype=np.int64)
+            for plan in plans:
+                self.steps[plan.keys] = plan.coefficient(loop.var) * loop.step
+
+    def _first(self, env, m):
+        """(first values, trip counts, the contexts bound to their first
+        value), the last ``None`` unless the body emits descriptors:
+        its shape is fixed and it emits plain rows in every context."""
+        lo, trips = self.bounds.eval(env, m)
+        if self.steps is None:
+            return lo, trips, None
+        at = dict(env)
+        at[self.bounds.var] = lo
+        for pair in self.pairs:
+            if not (pair._shape(at, m)[5] | (trips == 0)).all():
+                return lo, trips, None
+        return lo, trips, at
 
     def sizes(self, run, env, m):
-        lo, trips = self.bounds.eval(env, m)
+        lo, trips, at = self._first(env, m)
+        if at is not None:
+            return (trips > 0) * self.body.sizes(run, at, m)
         out = np.zeros(m, dtype=np.int64)
         for parent, child, n in self.bounds.expand(env, lo, trips):
             weights = self.body.sizes(run, child, n)
@@ -511,12 +648,52 @@ class _Loop:
         return out
 
     def emit(self, run, env, m):
-        lo, trips = self.bounds.eval(env, m)
+        lo, trips, at = self._first(env, m)
         body = self.body
-        for parent, child, n in self.bounds.expand(env, lo, trips):
-            for chunk in body.emit(run, child, n):
-                chunk[_CTX] = parent[chunk[_CTX]]
-                yield chunk
+        if at is None:
+            for parent, child, n in self.bounds.expand(env, lo, trips):
+                for chunk in body.emit(run, child, n):
+                    chunk[_CTX] = parent[chunk[_CTX]]
+                    yield chunk
+            return
+        live = np.flatnonzero(trips)
+        if live.size < m:
+            at = _take(at, live)
+        at[_REPEAT] = trips[live]
+        n = live.size
+        for a, b in _ranges(body.sizes(run, at, n)):
+            sub = _slice(at, a, b) if b - a < n else at
+            parts = list(body.emit(run, sub, b - a))
+            if not parts:
+                continue
+            rows = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+            ctx = rows[_CTX]
+            rows[_STEP] = self.steps[rows[_KEY]]
+            rows[_REPS] = sub[_REPEAT][ctx]
+            rows[_RANK] = np.arange(ctx.size) - np.searchsorted(ctx, ctx)
+            rows[_CTX] = live[a + ctx]
+            yield rows
+
+
+def _fixed_plans(node, var: str, pairs: List["_Pair"]) -> Optional[List[_Plan]]:
+    """The plans of an emitter subtree whose emitted shape does not
+    depend on ``var`` (its pairs appended to ``pairs``), or ``None``."""
+    if isinstance(node, _Block):
+        plans: List[_Plan] = []
+        for child in node.children:
+            found = _fixed_plans(child, var, pairs)
+            if found is None:
+                return None
+            plans += found
+        return plans
+    if isinstance(node, _Leaf):
+        return [node.plan]
+    if type(node) is _Innermost and var not in node.bounds.variables:
+        return [node.plan]
+    if isinstance(node, _Pair) and var not in node.variables:
+        pairs.append(node)
+        return [node.plan]
+    return None
 
 
 class _ParallelLoop:
@@ -659,6 +836,10 @@ class TraceGenerator:
         self._next_ref = 0
         self._assignments: Dict[tuple, List[List[int]]] = {}
         self.work: List[CoreWork] = [CoreWork() for _ in range(self.num_cores)]
+        # Rows each core's last stream materialised before expansion: the
+        # emitter's own unit of work (``work[core].segments`` counts the
+        # segments they expanded to).
+        self.rows: List[int] = [0] * self.num_cores
 
         # Provisional reference keys, resolved to ref ids at the top of
         # the stream: one per plan reference plus one reach marker per
@@ -779,9 +960,14 @@ class TraceGenerator:
             )
         self._next_ref += plan.refs
 
-    def _resolve(self, rows: np.ndarray) -> SegmentBatch:
+    def _resolve(self, rows: np.ndarray) -> Tuple[SegmentBatch, np.ndarray]:
         """Turn provisional keys into ref ids (numbering plans in the
-        order the stream first reaches them) and drop reach markers."""
+        order the stream first reaches them) and drop reach markers.
+
+        Returns the rows' columns and the rows left.  A plan's first
+        row comes first in the expanded stream too (a group's first
+        round holds all its rows), so numbering needs no expansion.
+        """
         keys = rows[_KEY]
         plans = self._k_plan[keys]
         base = self._plan_base[plans]
@@ -793,8 +979,10 @@ class TraceGenerator:
         markers = self._k_marker[keys]
         if markers.any():
             keep = ~markers
+            group = np.cumsum(rows[_RANK] == 0)[keep]
             rows, keys, base = rows[:, keep], keys[keep], base[keep]
-        return SegmentBatch(
+            rows[_RANK] = np.diff(group, prepend=0) == 0  # a group may lose its lead
+        batch = SegmentBatch(
             base + self._k_local[keys],
             rows[_BASE],
             rows[_STRIDE],
@@ -802,6 +990,7 @@ class TraceGenerator:
             self._k_write[keys],
             self._k_elem[keys],
         )
+        return batch, rows
 
     def references(self) -> Dict[int, RefInfo]:
         """The ref id -> :class:`RefInfo` attribution table.
@@ -817,8 +1006,8 @@ class TraceGenerator:
         """The segments issued by ``core``, in program order, as batches
         of at most ``BATCH_SEGMENTS`` segments.
 
-        Also (re)accumulates ``self.work[core]`` as a side effect; consume
-        the stream fully before reading the work summary.
+        Also (re)accumulates ``self.work[core]`` and ``self.rows[core]``
+        as a side effect; consume the stream fully before reading them.
         """
         if not 0 <= core < self.num_cores:
             raise SimulationError(f"core {core} out of range 0..{self.num_cores - 1}")
@@ -826,7 +1015,8 @@ class TraceGenerator:
         self.work[core] = CoreWork()
         run = _Run(self, core)
         root = self._roots[min(core, 1)]
-        emitted = 0
+        self.rows[core] = 0
+        emitted = rows = 0
         pending: List[np.ndarray] = []
         held = 0
         chunks = root.emit(run, {}, 1) if root is not None else ()
@@ -838,20 +1028,19 @@ class TraceGenerator:
             for batch in self._flush(pending):
                 emitted += len(batch.ref)
                 yield batch
+            rows += held
             pending, held = [], 0
         for batch in self._flush(pending):
             emitted += len(batch.ref)
             yield batch
         self.work[core] = run.work(emitted)
+        self.rows[core] = rows + held
 
     def _flush(self, pending: List[np.ndarray]) -> Iterator[SegmentBatch]:
         if not pending:
             return
         rows = np.concatenate(pending, axis=1) if len(pending) > 1 else pending[0]
-        batch = self._resolve(rows)
-        n = len(batch.ref)
-        for a in range(0, n, BATCH_SEGMENTS):
-            yield SegmentBatch(*(col[a : a + BATCH_SEGMENTS] for col in batch))
+        yield from _expand(*self._resolve(rows))
 
     # -- scheduling ---------------------------------------------------------------
 

@@ -112,7 +112,7 @@ typedef struct tlb tlb_t;
 tlb_t *tlb_new(int64_t n1, int64_t w1, int64_t n2, int64_t w2);
 void tlb_free(tlb_t *t);
 void tlb_reset(tlb_t *t);
-void tlb_walk(tlb_t *t, const int64_t *pages, int64_t n, int64_t *stats);
+int tlb_walk(tlb_t *t, const int64_t *pages, int64_t n, int64_t *stats);
 typedef struct hier hier_t;
 hier_t *hier_new(int64_t nlev, int64_t line, int64_t page, tlb_t *tlb,
                  int64_t pf_max_stride, int64_t pf_train,
@@ -128,6 +128,7 @@ const int64_t *hier_drain(hier_t *h, const int64_t *refs,
                           const int64_t *base, const int64_t *stride,
                           const int64_t *count, const uint8_t *write,
                           const int64_t *elem, int64_t nseg);
+const int64_t *hier_nomem(void);
 """
 
 _C_SRC = r"""
@@ -158,11 +159,32 @@ static int64_t pmod(int64_t a, int64_t b)
 #define EMPTY_KEY INT64_MIN
 #define EVICT_NONE INT64_MIN
 
+/* n elements (at least one), or NULL if malloc fails or the size does
+ * not fit a size_t. */
+static void *try_alloc(int64_t n, size_t elem)
+{
+    uint64_t k = n > 0 ? (uint64_t)n : 1;
+    if (k > SIZE_MAX / elem) return 0;
+    return malloc((size_t)k * elem);
+}
+
+/* try_alloc for construction, where a failure ends the process; a drain
+ * reports one instead (DRAIN_NOMEM). */
 static void *xalloc(int64_t n, size_t elem)
 {
-    void *p = malloc((size_t)(n > 0 ? n : 1) * elem);
+    void *p = try_alloc(n, elem);
     if (!p) abort();
     return p;
+}
+
+/* What hier_drain returns when an allocation fails: distinct from the
+ * NULL of an unattributable reference id. */
+static const int64_t drain_nomem = 0;
+#define DRAIN_NOMEM (&drain_nomem)
+
+const int64_t *hier_nomem(void)
+{
+    return DRAIN_NOMEM;
 }
 
 /* ---- set-associative LRU replay ------------------------------------- */
@@ -288,6 +310,7 @@ typedef struct {
     uint64_t mcap, mused;    /* map slots (a power of two), keys stored */
     int64_t *mkeys;          /* EMPTY_KEY = free slot */
     uint32_t *mvals;
+    int nomem;               /* the map could not grow: its results are void */
 } falru_t;
 
 static void fa_init(falru_t *fa, int64_t cap)
@@ -301,6 +324,7 @@ static void fa_init(falru_t *fa, int64_t cap)
     fa->mcap = 16;
     while (fa->mcap < 4096 && fa->mcap < (uint64_t)(2 * cap + 16)) fa->mcap <<= 1;
     fa->mused = 0;
+    fa->nomem = 0;
     fa->mkeys = (int64_t *)xalloc((int64_t)fa->mcap, sizeof(int64_t));
     fa->mvals = (uint32_t *)xalloc((int64_t)fa->mcap, sizeof(uint32_t));
     for (i = 0; i < fa->mcap; i++) fa->mkeys[i] = EMPTY_KEY;
@@ -312,11 +336,13 @@ static void fa_free(falru_t *fa)
     free(fa->mkeys); free(fa->mvals);
 }
 
-static void fa_grow(falru_t *fa)
+/* Double the map; -1 (map unchanged) if the memory is not there. */
+static int fa_grow(falru_t *fa)
 {
     uint64_t ncap = fa->mcap * 2, mask = ncap - 1, i, j;
-    int64_t *nk = (int64_t *)xalloc((int64_t)ncap, sizeof(int64_t));
-    uint32_t *nv = (uint32_t *)xalloc((int64_t)ncap, sizeof(uint32_t));
+    int64_t *nk = (int64_t *)try_alloc((int64_t)ncap, sizeof(int64_t));
+    uint32_t *nv = (uint32_t *)try_alloc((int64_t)ncap, sizeof(uint32_t));
+    if (!nk || !nv) { free(nk); free(nv); return -1; }
     for (i = 0; i < ncap; i++) nk[i] = EMPTY_KEY;
     for (i = 0; i < fa->mcap; i++) {
         int64_t k = fa->mkeys[i];
@@ -328,6 +354,20 @@ static void fa_grow(falru_t *fa)
     }
     free(fa->mkeys); free(fa->mvals);
     fa->mkeys = nk; fa->mvals = nv; fa->mcap = ncap;
+    return 0;
+}
+
+/* A map that cannot grow is emptied and marked (nomem), so that every
+ * touch still finds a slot without an error check in the per-line and
+ * per-page loops; the drain reports the mark once it ends. */
+static void fa_lost(falru_t *fa)
+{
+    uint64_t i;
+    for (i = 0; i < fa->mcap; i++) fa->mkeys[i] = EMPTY_KEY;
+    fa->mused = 0;
+    fa->size = 0;
+    fa->head = fa->tail = -1;
+    fa->nomem = 1;
 }
 
 /* Map slot of key, inserted (no node, unseen) if absent. */
@@ -345,7 +385,7 @@ static uint64_t fa_find(falru_t *fa, int64_t key)
             fa->mkeys[i] = key; fa->mvals[i] = 0; fa->mused++;
             return i;
         }
-        fa_grow(fa);
+        if (fa_grow(fa)) fa_lost(fa);
     }
 }
 
@@ -489,10 +529,21 @@ static int tlb_page(tlb_t *t, int64_t page, int64_t *stats)
     return 1;
 }
 
-void tlb_walk(tlb_t *t, const int64_t *pages, int64_t n, int64_t *stats)
+/* Whether a fully associative level lost its map (see fa_lost). */
+static int tlb_nomem(const tlb_t *t)
+{
+    int k;
+    for (k = 0; k < t->nlev; k++)
+        if (t->lv[k].num_sets == 1 && t->lv[k].fa.nomem) return 1;
+    return 0;
+}
+
+/* 0, or -1 if memory ran out (the counts are then void). */
+int tlb_walk(tlb_t *t, const int64_t *pages, int64_t n, int64_t *stats)
 {
     int64_t i;
     for (i = 0; i < n; i++) tlb_page(t, pages[i], stats);
+    return tlb_nomem(t) ? -1 : 0;
 }
 
 /* ---- segment expansion ---------------------------------------------- */
@@ -727,39 +778,53 @@ void hier_free(hier_t *h)
     free(h);
 }
 
-static void opbuf_reserve(opbuf_t *b, int64_t n, int with_fill, int with_refs)
+/* Room for n ops; -1 (the buffer left empty) if the memory is not there. */
+static int opbuf_reserve(opbuf_t *b, int64_t n, int with_fill, int with_refs)
 {
     if (n > b->cap) {
         free(b->lines); free(b->probe); free(b->fill); free(b->cov);
-        b->lines = (int64_t *)xalloc(n, sizeof(int64_t));
-        b->probe = (uint8_t *)xalloc(n, 1);
-        b->cov = (uint8_t *)xalloc(n, 1);
         b->fill = 0;
+        b->lines = (int64_t *)try_alloc(n, sizeof(int64_t));
+        b->probe = (uint8_t *)try_alloc(n, 1);
+        b->cov = (uint8_t *)try_alloc(n, 1);
         b->cap = n;
+        if (!b->lines || !b->probe || !b->cov) goto fail;
     }
-    if (with_fill && !b->fill) b->fill = (uint8_t *)xalloc(b->cap, 1);
+    if (with_fill && !b->fill && !(b->fill = (uint8_t *)try_alloc(b->cap, 1))) goto fail;
     if (with_refs && n > b->rcap) {
         free(b->refs);
-        b->refs = (int64_t *)xalloc(n, sizeof(int64_t));
         b->rcap = n;
+        if (!(b->refs = (int64_t *)try_alloc(n, sizeof(int64_t)))) goto fail;
     }
+    return 0;
+fail:
+    opbuf_free(b);
+    return -1;
 }
 
-/* The tally row of ref (ref >= -1), marking it touched this drain. */
+/* Room for the tally rows of refs up to ref; -1 (rows kept) if the
+ * memory is not there. */
+static int tally_reserve(hier_t *h, int64_t ref)
+{
+    int64_t idx = ref + 1, ncap, *nt, *nl;
+    if (idx < h->tcap) return 0;
+    ncap = h->tcap * 2 > idx + 1 ? h->tcap * 2 : idx + 16;
+    nt = (int64_t *)try_alloc(ncap, h->width * sizeof(int64_t));
+    nl = (int64_t *)try_alloc(ncap, sizeof(int64_t));
+    if (!nt || !nl) { free(nt); free(nl); return -1; }
+    memset(nt, 0, (size_t)(ncap * h->width) * sizeof(int64_t));
+    if (h->tally) memcpy(nt, h->tally, (size_t)(h->tcap * h->width) * sizeof(int64_t));
+    if (h->tlist) memcpy(nl, h->tlist, (size_t)h->ntl * sizeof(int64_t));
+    free(h->tally); free(h->tlist);
+    h->tally = nt; h->tlist = nl; h->tcap = ncap;
+    return 0;
+}
+
+/* The tally row of ref (-1 <= ref, reserved), marking it touched this
+ * drain. */
 static int64_t *tally_row(hier_t *h, int64_t ref)
 {
-    int64_t idx = ref + 1, *row;
-    if (idx >= h->tcap) {
-        int64_t ncap = h->tcap * 2 > idx + 1 ? h->tcap * 2 : idx + 16;
-        int64_t *nt = (int64_t *)calloc((size_t)(ncap * h->width), sizeof(int64_t));
-        int64_t *nl = (int64_t *)xalloc(ncap, sizeof(int64_t));
-        if (!nt) abort();
-        if (h->tally) memcpy(nt, h->tally, (size_t)(h->tcap * h->width) * sizeof(int64_t));
-        if (h->tlist) memcpy(nl, h->tlist, (size_t)h->ntl * sizeof(int64_t));
-        free(h->tally); free(h->tlist);
-        h->tally = nt; h->tlist = nl; h->tcap = ncap;
-    }
-    row = h->tally + idx * h->width;
+    int64_t idx = ref + 1, *row = h->tally + idx * h->width;
     if (!row[0]) { row[0] = idx + 1; h->tlist[h->ntl++] = idx; }
     return row;
 }
@@ -896,7 +961,8 @@ static const int64_t *fold(hier_t *h)
     need = h->ntl * W + 3 * nset;
     if (need > h->fcap) {
         free(h->fold);
-        h->fold = (int64_t *)xalloc(need, sizeof(int64_t));
+        h->fcap = 0;
+        if (!(h->fold = (int64_t *)try_alloc(need, sizeof(int64_t)))) return DRAIN_NOMEM;
         h->fcap = need;
     }
     f = h->fold;
@@ -926,27 +992,34 @@ static const int64_t *fold(hier_t *h)
 /* One drain: replay nseg queued segments (parallel columns) through the
  * whole hierarchy.  Counters go to out (zeroed first); returns the fold
  * records (PMU attached) or out, or NULL — before touching any state —
- * if a reference id is below -1 while a PMU is attached. */
+ * if a reference id is below -1 while a PMU is attached.  If memory runs
+ * out it returns DRAIN_NOMEM: before any state changes when the line
+ * buffers or the tally rows are too large (a huge segment), otherwise
+ * with the hierarchy left unusable (a per-level buffer, or a TLB or
+ * shadow map that could not grow). */
 const int64_t *hier_drain(hier_t *h, const int64_t *refs,
                           const int64_t *base, const int64_t *stride,
                           const int64_t *count, const uint8_t *write,
                           const int64_t *elem, int64_t nseg)
 {
-    int64_t *out = h->out, n = 0, at = 0, ncov = 0, g, k;
+    int64_t *out = h->out, n = 0, at = 0, ncov = 0, top = -1, g, k;
     int pmu = h->pmu != 0, has_probe = 0;
     opbuf_t *cur = &h->buf[0], *nxt = &h->buf[1], *tmp;
     memset(out, 0, (size_t)h->nout * sizeof(int64_t));
     if (nseg > h->dcap) {
         free(h->dist);
-        h->dist = (int64_t *)xalloc(nseg, sizeof(int64_t));
+        h->dcap = 0;
+        if (!(h->dist = (int64_t *)try_alloc(nseg, sizeof(int64_t)))) return DRAIN_NOMEM;
         h->dcap = nseg;
     }
     for (g = 0; g < nseg; g++) {
         if (pmu && refs[g] < -1) return 0;
+        if (refs[g] > top) top = refs[g];
         h->dist[g] = seg_lines(base[g], stride[g], count[g], elem[g], h->line, 0);
         n += h->dist[g];
     }
-    opbuf_reserve(cur, n, 1, pmu);
+    if (opbuf_reserve(cur, n, 1, pmu) || (pmu && tally_reserve(h, top)))
+        return DRAIN_NOMEM;
 
     /* Expansion, prefetch coverage and the TLB walk, in segment order. */
     for (g = 0; g < nseg; g++) {
@@ -979,9 +1052,11 @@ const int64_t *hier_drain(hier_t *h, const int64_t *refs,
         const uint8_t *fill = k == 0 ? cur->fill : 0;
         if (n > h->rescap) {
             free(h->hits); free(h->missed); free(h->evict);
-            h->hits = (uint8_t *)xalloc(n, 1);
-            h->missed = (uint8_t *)xalloc(n, 1);
-            h->evict = (int64_t *)xalloc(n, sizeof(int64_t));
+            h->rescap = 0;
+            h->hits = (uint8_t *)try_alloc(n, 1);
+            h->missed = (uint8_t *)try_alloc(n, 1);
+            h->evict = (int64_t *)try_alloc(n, sizeof(int64_t));
+            if (!h->hits || !h->missed || !h->evict) return DRAIN_NOMEM;
             h->rescap = n;
         }
         if (L->rng)
@@ -1002,7 +1077,7 @@ const int64_t *hier_drain(hier_t *h, const int64_t *refs,
             if (st[0] == 0 && st[3] == 0) { o[4] += ncov; continue; }
         }
         m = st[1] + st[3];
-        opbuf_reserve(nxt, m, 0, pmu);
+        if (opbuf_reserve(nxt, m, 0, pmu)) return DRAIN_NOMEM;
         pf = next_level(cur, probe, n, h->missed, h->evict, nxt, pmu);
         o[4] += pf;
         tmp = cur; cur = nxt; nxt = tmp;
@@ -1026,12 +1101,16 @@ const int64_t *hier_drain(hier_t *h, const int64_t *refs,
                 else row[5]++;
             }
     }
+    if (h->tlb && tlb_nomem(h->tlb)) return DRAIN_NOMEM;
+    for (k = 0; pmu && k < h->nlev; k++)
+        if (h->pmu[k].sh.nomem) return DRAIN_NOMEM;
     return pmu ? fold(h) : out;
 }
 """
 
 _lib = None
 _ffi = None
+_NOMEM = None  # what a drain that ran out of memory returns (hier_nomem)
 _STATE = {"tried": False, "error": None, "warned": False}
 
 
@@ -1043,7 +1122,7 @@ def _repo_build_dir() -> str:
 
 def _load():
     """Compile (once, lock-guarded) and dlopen the C core; None on failure."""
-    global _lib, _ffi
+    global _lib, _ffi, _NOMEM
     if _STATE["tried"]:
         return _lib
     _STATE["tried"] = True
@@ -1068,7 +1147,7 @@ def _load():
         ffi.cdef(_CDEF)
         lib = ffi.dlopen(sofile)
         _selftest(ffi, lib)
-        _ffi, _lib = ffi, lib
+        _ffi, _lib, _NOMEM = ffi, lib, lib.hier_nomem()
     except Exception as exc:  # pragma: no cover - depends on toolchain
         _STATE["error"] = f"{type(exc).__name__}: {exc}"
         _lib = None
@@ -1406,7 +1485,8 @@ class NativeTlb:
     def access_pages(self, pages) -> None:
         arr = np.fromiter(pages, dtype=np.int64)
         st = np.zeros(4, dtype=np.int64)
-        _lib.tlb_walk(self._tlb, _i64(arr), len(arr), _i64(st))
+        if _lib.tlb_walk(self._tlb, _i64(arr), len(arr), _i64(st)):
+            raise SimulationError("the compiled TLB ran out of memory")
         self._count(st.tolist())
 
     @property
@@ -1595,6 +1675,11 @@ class NativeHierarchy(MemoryHierarchy):
         if rec == _ffi.NULL:
             raise SimulationError(
                 f"reference ids below -1 cannot be attributed (min {int(refs.min())})"
+            )
+        if rec == _NOMEM:
+            raise SimulationError(
+                f"the compiled replay ran out of memory draining {len(refs)} segments "
+                f"({int(count.sum())} elements)"
             )
         o = self._out.tolist()
         if self.tlb is not None:

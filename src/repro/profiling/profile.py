@@ -167,11 +167,12 @@ def profile_run(
     return report, result
 
 
-def render_report(report: ProfileReport, stage_s: Dict[str, float]) -> str:
+def render_report(report: ProfileReport, result: SimulationResult) -> str:
     """Counter table + attribution table + roofline line, for terminals,
     then the call's host seconds per ``simulate()`` stage
-    (:attr:`SimulationResult.stage_s`; host time varies run to run, so
-    it is printed but never part of :meth:`ProfileReport.as_dict`)."""
+    (:attr:`SimulationResult.stage_s`) beside the work each stage did and
+    its rate.  Host time varies run to run, so the stage tables are
+    printed but never part of :meth:`ProfileReport.as_dict`."""
     from repro.experiments.report import render_table
 
     params = ", ".join(f"{k}={v}" for k, v in report.params.items())
@@ -216,16 +217,32 @@ def render_report(report: ProfileReport, stage_s: Dict[str, float]) -> str:
             f"(per real DRAM byte moved), "
             f"attainable {roof['measured_attainable_gflops']:.4g} GF/s"
         )
+    stage_s = result.stage_s
+    segments = result.trace_segments
+    # A line op is a probe into a level or a writeback out of one.
+    line_ops = sum(probes + writebacks for probes, _misses, writebacks in result.line_ops.values())
+    work = {
+        "tracegen": (f"{segments} segments from {result.trace_rows} rows", segments, "segment"),
+        "replay": (f"{line_ops} line ops", line_ops, "line op"),
+    }
     stage_total = sum(stage_s.values()) or 1.0
-    stage_rows = [
-        [stage, f"{seconds:.6f}", f"{100.0 * seconds / stage_total:5.1f}%"]
-        for stage, seconds in sorted(stage_s.items(), key=lambda kv: -kv[1])
-    ]
+    stage_rows = []
+    for stage, seconds in sorted(stage_s.items(), key=lambda kv: -kv[1]):
+        done, units, unit = work.get(stage, ("", 0, ""))
+        rate = f"{seconds * 1e9 / units:.1f} ns/{unit}" if units else ""
+        stage_rows.append(
+            [stage, f"{seconds:.6f}", f"{100.0 * seconds / stage_total:5.1f}%", done, rate]
+        )
     stage_table = render_table(
-        ["stage", "seconds", "share"],
+        ["stage", "seconds", "share", "work", "rate"],
         stage_rows,
         title="host stages (this simulate() call's host seconds, largest first)",
     )
+    level_table = render_table(
+        ["level", "probes in", "misses out", "writebacks out"],
+        [[name, *ops] for name, ops in result.line_ops.items()],
+        title="replay line ops per level (all cores)",
+    )
     return "\n\n".join(
-        [header, wall, counter_table, attr_table, roofline_line, stage_table]
+        [header, wall, counter_table, attr_table, roofline_line, stage_table, level_table]
     )

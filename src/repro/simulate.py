@@ -72,6 +72,16 @@ class SimulationResult:
     # streams, ``replay`` feeding, draining and flushing the hierarchies,
     # ``timing`` snapshots, work accounting and the timing model.
     stage_s: Dict[str, float] = field(default_factory=dict)
+    # Observability only, like ``stage_s``: the work of the ``tracegen``
+    # and ``replay`` stages over the whole call (every repetition, where
+    # ``works`` and ``snapshots`` hold the measured ones).  Segments the
+    # generator yielded, the rows it materialised before expanding them
+    # (one per reference per innermost or descriptor loop execution),
+    # and per cache level the lines probed, missed and written back
+    # (summed over cores).
+    trace_segments: int = 0
+    trace_rows: int = 0
+    line_ops: Dict[str, List[int]] = field(default_factory=dict)
 
     @property
     def dram_bytes(self) -> int:
@@ -192,8 +202,9 @@ def simulate(
             generator = TraceGenerator(program, num_cores=active_cores)
         lap("plan")
 
-        baselines = [snapshot(h) for h in hierarchies]
+        first = baselines = [snapshot(h) for h in hierarchies]
         works = [CoreWork() for _ in range(active_cores)]
+        trace_segments = trace_rows = 0
         lap("timing")
         for rep in range(repetitions):
             if steady_state and rep == repetitions - 1:
@@ -220,6 +231,8 @@ def simulate(
             # after the loop it holds exactly this repetition's counts;
             # accumulate so ``works`` always matches the snapshot deltas.
             works = [acc.merge(one) for acc, one in zip(works, generator.work)]
+            trace_segments += sum(one.segments for one in generator.work)
+            trace_rows += sum(generator.rows)
             for core, core_pmu in enumerate(pmus):
                 # Chrome-trace counter track per core: cumulative PMU
                 # counters sampled at each repetition boundary.
@@ -236,6 +249,13 @@ def simulate(
 
         finals = [snapshot(h) for h in hierarchies]
         deltas = [final - base for final, base in zip(finals, baselines)]
+        line_ops: Dict[str, List[int]] = {}
+        for final, start in zip(finals, first):
+            for level in (final - start).levels:
+                ops = line_ops.setdefault(level.name, [0, 0, 0])
+                ops[0] += level.accesses
+                ops[1] += level.misses
+                ops[2] += level.writebacks
 
         engine_skips: Dict[str, int] = {}
         for hierarchy in hierarchies:
@@ -263,4 +283,7 @@ def simulate(
         engine=engine,
         engine_skips=engine_skips,
         stage_s={stage: ns / 1e9 for stage, ns in stage_ns.items()},
+        trace_segments=trace_segments,
+        trace_rows=trace_rows,
+        line_ops=line_ops,
     )

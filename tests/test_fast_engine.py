@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.exec.trace import Segment, SegmentBatch
 from repro.memsim import (
     C906_PREFETCH,
@@ -492,6 +493,24 @@ class TestOneCallPerDrain:
             hier.process_segment(s)
         hier._drain_buffer()
         assert calls == ["hier_drain"]
+
+
+class TestDrainOutOfMemory:
+    @pytest.mark.parametrize("pmu", [False, True])
+    def test_unallocatable_segment_fails_the_drain_not_the_process(self, pmu):
+        """2**50 lines of 8 bytes cannot be allocated: the drain raises
+        ``SimulationError`` (a failed cell) instead of aborting, before
+        the TLB walks a page or a cache sees a line of the segment."""
+        hier = build_engines()["native"]
+        if pmu:
+            hier.attach_pmu()
+        hier.process_segment(seg(0, 64, 40))
+        hier.drain()
+        before = snapshot(hier)
+        with pytest.raises(SimulationError, match="ran out of memory"):
+            hier.process_segment(seg(4096, 64, 2**50))
+            hier.drain()
+        assert snapshot(hier) == before
 
 
 # ---------------------------------------------------------------------------

@@ -204,17 +204,38 @@ class TestProfileRun:
         assert data["roofline"]["memory_bound"] in (True, False)
 
     def test_host_stage_table_ranks_stages_and_stays_out_of_json(self):
+        profile_run("transpose", "Naive", "mango_pi_d1", n=64)  # load the replay core
         install_faults("tracegen_slow:0.05")
         try:
             report, result = profile_run("transpose", "Naive", "mango_pi_d1", n=64)
         finally:
             clear_faults()
-        text = render_report(report, result.stage_s)
-        table = text.split("host stages")[1].splitlines()
-        rows = [line.split("|")[0].strip() for line in table[3:]]
+        text = render_report(report, result)
+        table = text.split("host stages")[1].split("\n\n")[0].splitlines()
+        assert [c.strip() for c in table[1].split("|")] == [
+            "stage", "seconds", "share", "work", "rate"
+        ]
+        rows = {cells[0]: cells for cells in
+                ([c.strip() for c in line.split("|")] for line in table[3:])}
         assert sorted(rows) == sorted(["build", "plan", "tracegen", "replay", "timing"])
-        assert rows[0] == "tracegen"
-        assert "stage" not in json.dumps(report.as_dict())
+        assert table[3].split("|")[0].strip() == "tracegen"
+        # Work and rate: segments (CoreWork) from the emitter's rows, and
+        # line ops summed from the per-level table below.
+        segments = sum(work.segments for work in result.works)
+        assert result.trace_segments == segments  # one repetition
+        assert rows["tracegen"][3] == f"{segments} segments from {result.trace_rows} rows"
+        assert 0 < result.trace_rows <= segments
+        assert rows["tracegen"][4].endswith(" ns/segment")
+        levels = text.split("replay line ops per level")[1].splitlines()[3:]
+        ops = [[int(c) for c in line.split("|")[1:]] for line in levels]
+        assert len(ops) == len(result.snapshots[0].levels)
+        assert ops[0] == [sum(getattr(snap.levels[0], name) for snap in result.snapshots)
+                          for name in ("accesses", "misses", "writebacks")]
+        assert rows["replay"][3] == f"{sum(p + w for p, _m, w in ops)} line ops"
+        assert rows["replay"][4].endswith(" ns/line op")
+        assert rows["build"][3:] == ["", ""]
+        dumped = json.dumps(report.as_dict())
+        assert "stage" not in dumped and "ns/" not in dumped and "rows" not in dumped
 
 
 # -- baselines -----------------------------------------------------------------

@@ -154,6 +154,24 @@ class TestStageTimes:
         assert result.stage_s["replay"] > 0 and result.stage_s["tracegen"] > 0
         assert sum(result.stage_s.values()) <= wall
 
+    def test_stage_work_covers_every_repetition(self):
+        """The work beside the stage seconds counts every repetition the
+        seconds cover, where ``works`` and ``snapshots`` count the
+        measured one."""
+        device = visionfive_jh7100().scaled(16)
+        program = transpose.blocking(64, block=16)
+        once = simulate(program, device)
+        warm = simulate(program, device, repetitions=2, steady_state=True)
+        segments = sum(work.segments for work in once.works)
+        assert once.trace_segments == segments == sum(work.segments for work in warm.works)
+        assert warm.trace_segments == 2 * segments
+        assert warm.trace_rows == 2 * once.trace_rows > 0
+        l1 = [snap.levels[0] for snap in once.snapshots]  # every core's L1
+        assert once.line_ops["L1"] == [
+            sum(getattr(level, name) for level in l1) for name in ("accesses", "misses", "writebacks")
+        ]
+        assert warm.line_ops["L1"][0] == 2 * once.line_ops["L1"][0]
+
     def test_injected_tracegen_delay_lands_in_tracegen(self):
         program = transpose.naive(64)
         install_faults("tracegen_slow:0.05")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.opcount import iteration_cost
 from repro.devices import get_device
+from repro.experiments.config import BLUR_FILTER, CACHE_SCALE, TRANSPOSE_BLOCK, scaled_device
 from repro.exec import tracegen
 from repro.exec.tracegen import BATCH_SEGMENTS, TraceGenerator, split_dynamic
 from repro.ir import DType, LoopBuilder
@@ -21,7 +22,7 @@ from repro.ir.program import Program
 from repro.ir.stmt import For, walk_stmts
 from repro.kernels import blur, transpose
 from repro.simulate import has_parallel_loop
-from repro.transforms import AutoVectorize
+from repro.transforms import AutoVectorize, for_device
 
 from tests.strategies import nests
 from tests.tracegen_walker import WalkerTraceGenerator
@@ -61,6 +62,29 @@ def test_figure_cells_match_walker(device_key, vectorize):
             program = AutoVectorize().run(program)
         cores = device.cores if has_parallel_loop(program) else 1
         assert_streams_identical(program, cores)
+
+
+#: The benchmark's cells (``perfbench`` ``fig6_visionfive`` and the
+#: ``fig2_fresh`` cells that emit descriptors): unlike the small cells,
+#: each flush's descriptors expand to many batches, and windows repeat
+#: their group shapes.
+BENCHMARK_CELLS = [
+    ("blur", v, (40, 192, BLUR_FILTER), "visionfive_jh7100") for v in blur.VARIANT_ORDER
+]
+BENCHMARK_CELLS += [
+    ("transpose", v, (512, TRANSPOSE_BLOCK), "xeon_4310t") for v in ("Manual_blocking", "Dynamic")
+]
+
+
+@pytest.mark.parametrize("kernel, variant, dims, device_key", BENCHMARK_CELLS)
+def test_benchmark_cells_match_walker(kernel, variant, dims, device_key):
+    device = scaled_device(device_key, CACHE_SCALE)
+    if kernel == "blur":
+        program = blur.build(variant, dims[0], dims[1], dims[2])
+    else:
+        program = transpose.build(variant, dims[0], block=dims[1])
+    program = for_device(program, device)
+    assert_streams_identical(program, device.cores if has_parallel_loop(program) else 1)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -105,6 +129,123 @@ def test_innermost_parallel_runs_coalesce_like_walker(cores, schedule):
     assert_streams_identical(b.build(), cores)
 
 
+# -- descriptor rows: edges -----------------------------------------------------
+
+
+def assert_descriptors_match_walker(program, cores=1):
+    """The walker differential, plus: descriptors did stand in for
+    segments (fewer rows than segments were materialised)."""
+    assert_streams_identical(program, cores)
+    gen = TraceGenerator(program, num_cores=cores)
+    for core in range(cores):
+        for _ in gen.core_stream(core):
+            pass
+    assert sum(gen.rows) < sum(work.segments for work in gen.work)
+
+
+def test_descriptor_loops_with_zero_and_one_trips():
+    b = LoopBuilder("trips")
+    a = b.array("a", DType.F64, (8, 16))
+    c = b.array("c", DType.F64, (8, 16))
+    with b.loop("i", 0, 6) as i:
+        with b.loop("k", 3, i + 1) as k:  # 0 trips while i < 3, then 1, 2, 3
+            with b.loop("l", 0, 4) as l:  # a pair whose rows do not chain
+                b.store(a, (k, l), a[k, l] + 1.0)
+        with b.loop("m", 4, i) as m:  # 0 trips while i <= 4, 1 at i = 5
+            b.store(c, (m, 0), 1.0)
+            with b.loop("n", 0, 3) as n:
+                b.store(c, (m, n + 4), c[m, n] * 2.0)
+    assert_descriptors_match_walker(b.build())
+
+
+def test_one_descriptor_expanding_past_a_batch():
+    """A single execution whose rounds hold several batches' worth of
+    segments: a pair that does not chain, and a loop over a leaf and an
+    innermost loop."""
+    b = LoopBuilder("long")
+    a = b.array("a", DType.F64, (3000, 8))
+    c = b.array("c", DType.F64, (4000, 4))
+    with b.loop("k", 0, 3000) as k:
+        with b.loop("l", 0, 5) as l:
+            b.store(a, (k, l), a[k, l] * 2.0 + a[k, l + 1])
+    with b.loop("r", 0, 4000) as r:
+        b.store(c, (r, 0), 0.0)
+        with b.loop("s", 1, 3) as s:
+            b.accumulate(c, (r, 0), c[r, s])
+    program = b.build()
+    assert_descriptors_match_walker(program)
+    gen = TraceGenerator(program)
+    sizes = [len(batch.ref) for batch in gen.core_stream(0)]
+    assert gen.rows[0] < 20 and max(sizes) == BATCH_SEGMENTS
+    assert sum(sizes) == gen.work[0].segments > 9 * BATCH_SEGMENTS
+
+
+def test_windows_of_equal_group_shapes_keep_their_own_columns():
+    """Consecutive expansion windows whose groups have the same shapes
+    but other references or counts: nothing carries over but the
+    pattern."""
+    b = LoopBuilder("shapes")
+    a = b.array("a", DType.F64, (310, 8))
+    c = b.array("c", DType.F64, (310, 8))
+    d = b.array("d", DType.F64, (4, 1000))
+    with b.loop("i", 0, 300) as i:  # 300 groups of 2 references x 5 rounds,
+        with b.loop("k", 0, 5) as k:
+            with b.loop("l", 0, 2) as l:
+                b.store(a, (i + k, l), a[i, l] + 1.0)
+    with b.loop("i2", 0, 300) as i2:  # then as many of other references
+        with b.loop("k2", 0, 5) as k2:
+            with b.loop("l2", 0, 2) as l2:
+                b.store(c, (i2 + k2, l2), c[i2, l2] * 2.0)
+    with b.loop("j", 1, 1000) as j:  # and groups of one shape, counts growing
+        with b.loop("p", 0, 4) as p:
+            with b.loop("q", 0, j) as q:
+                b.store(d, (p, q), d[p, q] + 1.0)
+    assert_descriptors_match_walker(b.build())
+
+
+def _sibling_program(rows, cols):
+    b = LoopBuilder("siblings")
+    a = b.array("a", DType.F64, (rows + 5, cols + 3))
+    out = b.array("out", DType.F64, (rows + 5, cols))
+    with b.loop("i", 0, rows) as i:
+        with b.loop("j", 0, cols) as j:
+            b.store(out, (i, j), 0.0)  # a leaf before a pair's descriptor group
+            with b.loop("p", 0, 5) as p:
+                with b.loop("q", 0, 3) as q:
+                    b.accumulate(out, (i, j), a[i + p, j + q])
+            b.store(out, (i + 1, j), out[i, j])  # a leaf between
+            with b.loop("r", 0, 4) as r:  # a loop over a leaf and an innermost loop
+                b.store(out, (i, r), 1.0)
+                with b.loop("s", 0, 2) as s:
+                    b.store(out, (i + r, s), a[r, s])
+            b.store(out, (i, 0), out[i, 1])  # and a leaf after
+    return b.build()
+
+
+def test_descriptors_merge_in_blocks_beside_leaves():
+    assert_descriptors_match_walker(_sibling_program(30, 20))
+    assert_descriptors_match_walker(_sibling_program(1, 1))
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize(
+    "schedule", [("static", None), ("static", 2), ("dynamic", 1), ("dynamic", 3)]
+)
+def test_descriptors_under_parallel_schedules(cores, schedule):
+    b = LoopBuilder("scheduled")
+    a = b.array("a", DType.F64, (13, 80))
+    c = b.array("c", DType.F64, (16, 8))
+    with b.loop("i", 0, 13, parallel=True, schedule=schedule[0], chunk=schedule[1]) as i:
+        with b.loop("k", 0, i) as k:  # triangular: the dynamic costs differ per value
+            with b.loop("l", 0, 4) as l:
+                b.store(a, (i, k * 5 + l), a[i, k * 5 + l] + 1.0)
+        with b.loop("m", 0, 3) as m:
+            b.store(c, (i + m, 0), 0.0)
+            with b.loop("n", 1, 8) as n:
+                b.accumulate(c, (i + m, 0), c[i, n])
+    assert_descriptors_match_walker(b.build(), cores)
+
+
 def _deep_program(rows, cols):
     b = LoopBuilder("deep")
     a = b.array("a", DType.F64, (rows, cols))
@@ -119,11 +260,12 @@ def _deep_program(rows, cols):
 
 
 def test_batches_and_intermediates_stay_bounded(monkeypatch):
-    widest = {"rows": 0, "contexts": 0}
-    chunk_rows, take = tracegen._chunk_rows, tracegen._take
+    widest = {"rows": 0, "contexts": 0, "expanded": 0}
+    expanded = []  # widths the expander yielded for the current program
+    chunk_rows, take, expand = tracegen._chunk_rows, tracegen._take, tracegen._expand
 
-    def counting_rows(keys, base, stride, count, ctx):
-        out = chunk_rows(keys, base, stride, count, ctx)
+    def counting_rows(*args):
+        out = chunk_rows(*args)
         widest["rows"] = max(widest["rows"], out.shape[1])
         return out
 
@@ -131,19 +273,31 @@ def test_batches_and_intermediates_stay_bounded(monkeypatch):
         widest["contexts"] = max(widest["contexts"], len(index))
         return take(env, index)
 
+    def counting_expand(batch, rows):
+        for out in expand(batch, rows):
+            widest["expanded"] = max(widest["expanded"], len(out.ref))
+            expanded.append(len(out.ref))
+            yield out
+
     monkeypatch.setattr(tracegen, "_chunk_rows", counting_rows)
     monkeypatch.setattr(tracegen, "_take", counting_take)
+    monkeypatch.setattr(tracegen, "_expand", counting_expand)
     # Many small contexts, and single contexts whose subtree alone is
-    # larger than the bound.
+    # larger than the bound; the deep programs' middle loops emit
+    # descriptor rows.
     for program in (_deep_program(40, 300), _deep_program(3, 5000), transpose.naive(1500)):
         if program.name == "deep":
             assert_streams_identical(program, 1)
+        expanded.clear()
         gen = TraceGenerator(program)
         sizes = [len(batch.ref) for batch in gen.core_stream(0)]
-        assert sum(sizes) == gen.work[0].segments > 2 * BATCH_SEGMENTS
+        assert sum(sizes) == sum(expanded) == gen.work[0].segments > 2 * BATCH_SEGMENTS
         assert max(sizes) <= BATCH_SEGMENTS
+        if program.name == "deep":
+            assert gen.rows[0] < gen.work[0].segments
     assert 0 < widest["rows"] <= BATCH_SEGMENTS
     assert 0 < widest["contexts"] <= BATCH_SEGMENTS
+    assert 0 < widest["expanded"] <= BATCH_SEGMENTS
 
 
 # -- dynamic-schedule costs ----------------------------------------------------
