@@ -259,8 +259,35 @@ def _deep_program(rows, cols):
     return b.build()
 
 
+def _loop_over_pair_program(outer):
+    """A loop directly over a pair that does not chain: the loop hands
+    the pair more contexts than a batch holds rows of its references."""
+    b = LoopBuilder("loop_over_pair")
+    a = b.array("a", DType.F64, (3, outer + 4))
+    src = b.array("src", DType.F64, (3, outer + 4))
+    with b.loop("i", 0, outer) as i:
+        with b.loop("k", 0, 3) as k:
+            with b.loop("l", 0, 4) as l:
+                b.store(a, (k, l + i), src[k, l + i] + src[k, l])
+    return b.build()
+
+
+def test_windows_that_repeat_share_columns_read_only():
+    """Windows whose rows differ only in base share the other columns
+    with the previous batch; those columns cannot be written."""
+    batches = list(TraceGenerator(_loop_over_pair_program(1100)).core_stream(0))
+    shared = 0
+    for prev, batch in zip(batches, batches[1:]):
+        assert batch.base is not prev.base and batch.base.flags.writeable
+        for old, new in zip(prev, batch):
+            if new is old:
+                assert not new.flags.writeable
+                shared += 1
+    assert shared
+
+
 def test_batches_and_intermediates_stay_bounded(monkeypatch):
-    widest = {"rows": 0, "contexts": 0, "expanded": 0}
+    widest = {"rows": 0, "contexts": 0, "flushed": 0, "expanded": 0}
     expanded = []  # widths the expander yielded for the current program
     chunk_rows, take, expand = tracegen._chunk_rows, tracegen._take, tracegen._expand
 
@@ -274,6 +301,7 @@ def test_batches_and_intermediates_stay_bounded(monkeypatch):
         return take(env, index)
 
     def counting_expand(batch, rows):
+        widest["flushed"] = max(widest["flushed"], rows.shape[1])
         for out in expand(batch, rows):
             widest["expanded"] = max(widest["expanded"], len(out.ref))
             expanded.append(len(out.ref))
@@ -284,9 +312,11 @@ def test_batches_and_intermediates_stay_bounded(monkeypatch):
     monkeypatch.setattr(tracegen, "_expand", counting_expand)
     # Many small contexts, and single contexts whose subtree alone is
     # larger than the bound; the deep programs' middle loops emit
-    # descriptor rows.
-    for program in (_deep_program(40, 300), _deep_program(3, 5000), transpose.naive(1500)):
-        if program.name == "deep":
+    # descriptor rows, and the loop over a pair emits them per context.
+    programs = (_deep_program(40, 300), _deep_program(3, 5000), _loop_over_pair_program(1100),
+                transpose.naive(1500))
+    for program in programs:
+        if not program.name.startswith("transpose"):
             assert_streams_identical(program, 1)
         expanded.clear()
         gen = TraceGenerator(program)
@@ -297,6 +327,7 @@ def test_batches_and_intermediates_stay_bounded(monkeypatch):
             assert gen.rows[0] < gen.work[0].segments
     assert 0 < widest["rows"] <= BATCH_SEGMENTS
     assert 0 < widest["contexts"] <= BATCH_SEGMENTS
+    assert 0 < widest["flushed"] <= BATCH_SEGMENTS
     assert 0 < widest["expanded"] <= BATCH_SEGMENTS
 
 
