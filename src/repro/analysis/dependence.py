@@ -14,8 +14,13 @@ Three complementary mechanisms:
   exceeds the budget the oracle is *skipped* (the symbolic proof stands on
   its own) rather than failing the certification.  "Over budget" is
   decided before enumerating, by an exact early-exit count of the accesses
-  the walk would record (:func:`_count_accesses`), so a skip costs time
-  proportional to the loop structure, not to the budget.
+  the walk would record (:func:`_count_accesses`).  The count multiplies
+  out every loop whose nested loop bounds do not read its variable (trip
+  count times one evaluation of its body), so on rectangular nests a skip
+  costs time proportional to the loop structure, not to the budget.  A
+  loop that a nested bound reads (triangular nests, and the tile levels
+  of a tiled triangular nest) is walked value by value, stopping as soon
+  as the running total passes the budget.
 
 The transform passes call :func:`certify_parallel` /
 :func:`certify_interchange`; see ``tests/test_dependence.py`` and the
@@ -165,38 +170,85 @@ def _count_accesses(
     computed without recording a single access.
 
     Counts global loads plus one per global store, only inside the
-    candidate loop ``loop_var`` (everywhere when ``None``).  An innermost
-    loop collapses to trip count times body weight; any other loop walks
-    its iterations and stops as soon as the running total exceeds
+    candidate loop ``loop_var`` (everywhere when ``None``).  A loop whose
+    nested loop bounds do not read its variable counts as its trip count
+    times its body counted once; any other loop walks its iterations.
+    Either way the count stops as soon as the running total exceeds
     ``limit``, returning that partial total (some value > ``limit``).
     """
-    if isinstance(stmt, Block):
-        total = 0
-        for child in stmt.stmts:
-            total += _count_accesses(child, env, loop_var, limit - total)
-            if total > limit:
-                break
-        return total
-    if isinstance(stmt, For):
-        inside = loop_var is None or loop_var in env or stmt.var == loop_var
-        if not inside and all(loop.var != loop_var for loop in loops_in(stmt.body)):
-            return 0  # entirely outside the candidate loop
-        body = stmt.body.stmts if isinstance(stmt.body, Block) else (stmt.body,)
-        if all(isinstance(s, (Store, LocalAssign)) for s in body):
-            return stmt.trip_count(env) * sum(_leaf_weight(s) for s in body)
-        total = 0
-        for value in stmt.iter_values(env):
-            env[stmt.var] = value
-            total += _count_accesses(stmt.body, env, loop_var, limit - total)
-            if total > limit:
-                break
-        env.pop(stmt.var, None)
-        return total
-    if isinstance(stmt, (Store, LocalAssign)):
-        if loop_var is not None and loop_var not in env:
-            return 0
-        return _leaf_weight(stmt)
-    raise AnalysisError(f"unknown statement {stmt!r}")
+    return _AccessCounter(loop_var).count(stmt, env, limit)
+
+
+class _AccessCounter:
+    """:func:`_count_accesses` for one candidate loop, with each node's
+    static facts computed once per count rather than once per visit."""
+
+    def __init__(self, loop_var: Optional[str]):
+        self.loop_var = loop_var
+        self._weights: Dict[int, int] = {}
+        self._loops: Dict[int, Tuple[Optional[int], bool, bool]] = {}
+
+    def _weight(self, stmt: Stmt) -> int:
+        weight = self._weights.get(id(stmt))
+        if weight is None:
+            weight = self._weights[id(stmt)] = _leaf_weight(stmt)
+        return weight
+
+    def _facts(self, loop: For) -> Tuple[Optional[int], bool, bool]:
+        """(weight of one body execution if the body is leaves only, else
+        ``None``; whether the candidate loop is nested in it; whether a
+        nested loop's bounds read its variable)."""
+        facts = self._loops.get(id(loop))
+        if facts is None:
+            body = loop.body.stmts if isinstance(loop.body, Block) else (loop.body,)
+            leaves = None
+            if all(isinstance(s, (Store, LocalAssign)) for s in body):
+                leaves = sum(self._weight(s) for s in body)
+            nested = list(loops_in(loop.body))
+            facts = self._loops[id(loop)] = (
+                leaves,
+                any(inner.var == self.loop_var for inner in nested),
+                any(loop.var in inner.lo.variables | inner.hi.variables for inner in nested),
+            )
+        return facts
+
+    def count(self, stmt: Stmt, env: Dict[str, int], limit: int) -> int:
+        loop_var = self.loop_var
+        if isinstance(stmt, Block):
+            total = 0
+            for child in stmt.stmts:
+                total += self.count(child, env, limit - total)
+                if total > limit:
+                    break
+            return total
+        if isinstance(stmt, For):
+            leaves, holds_candidate, bounds_read_var = self._facts(stmt)
+            inside = loop_var is None or loop_var in env or stmt.var == loop_var
+            if not inside and not holds_candidate:
+                return 0  # entirely outside the candidate loop
+            if leaves is not None:
+                return stmt.trip_count(env) * leaves
+            if not bounds_read_var:
+                trips = stmt.trip_count(env)
+                if not trips:
+                    return 0
+                env[stmt.var] = stmt.lo.evaluate(env)
+                once = self.count(stmt.body, env, limit // trips)
+                env.pop(stmt.var, None)
+                return trips * once
+            total = 0
+            for value in stmt.iter_values(env):
+                env[stmt.var] = value
+                total += self.count(stmt.body, env, limit - total)
+                if total > limit:
+                    break
+            env.pop(stmt.var, None)
+            return total
+        if isinstance(stmt, (Store, LocalAssign)):
+            if loop_var is not None and loop_var not in env:
+                return 0
+            return self._weight(stmt)
+        raise AnalysisError(f"unknown statement {stmt!r}")
 
 
 def _accesses(

@@ -15,13 +15,18 @@ and scratch op buffers the state owns and grows).  In order, it runs:
   the cross-segment stream table, in segment order;
 * the TLB walk (``seg_pages``) — every page of every segment through
   the two-level TLB, with per-segment walk counts;
-* per cache level: ``lru_batch`` / ``rand_batch`` (per-set array replay;
-  LRU order as a position array with a linear way scan, or the
+* one pass per cache level (``level_pass``), which handles each op of
+  the level's stream once, in stream order: the set lookup and update
+  (LRU order as a position array shifted with ``memmove``, or the
   xorshift64 PRNG sequence of the random policy in chronological global
-  order), the PMU's 3C classification (``pmu_level``), and assembly of
-  the next level's op stream into the other buffer (``next_level``: dirty
-  eviction installs precede their demand probe, source order preserved);
-* DRAM line counts at the bottom.
+  order), the PMU's 3C classification when one is attached, and the op's
+  output — its dirty eviction (an install) and then its demand miss,
+  appended to the next level's stream in the other buffer, or counted as
+  DRAM lines written and read past the last level.
+
+``NativeCache.process_batch`` (LRU or random policy) runs the same pass
+(``level_batch``) with per-op results instead of an output stream, so
+the core has one implementation of a cache level.
 
 Fully-associative structures — single-set dTLB levels and the PMU's
 shadow cache — share one O(1) LRU (``falru``: an open-addressing hash
@@ -35,7 +40,10 @@ Every counter is bit-identical to the exact engine, which stays the
 oracle and the fallback: the toolchain is probed once per process, and
 if it fails (no compiler, no cffi, a read-only tree, a core that fails
 its self-test) ``DeviceSpec.build_hierarchies`` builds exact
-hierarchies and logs one warning carrying :func:`native_status`.
+hierarchies and logs one warning carrying :func:`native_status`.  Memory
+that runs out is a failed cell, not a fallback: a hierarchy, TLB or PMU
+state that cannot be allocated, like a drain that cannot grow its
+buffers, raises :class:`~repro.errors.SimulationError`.
 
 Compilation uses cffi in ABI (``dlopen``) mode — a plain shared object
 built with the system C compiler, no Python headers or setuptools
@@ -96,18 +104,12 @@ _ROW_FIXED = 6
 _COLUMN_DTYPES = (np.int64, np.int64, np.int64, np.int64, np.uint8, np.int64)
 
 _CDEF = """
-void lru_batch(int64_t num_sets, int64_t ways, int64_t mask,
-               int64_t *ln, uint8_t *dy, int32_t *occ,
-               const int64_t *lines, const uint8_t *probe,
-               const uint8_t *fill, int fill_u, int64_t n,
-               uint8_t *hits, uint8_t *missed, int64_t *evict,
-               int64_t *stats);
-uint64_t rand_batch(int64_t num_sets, int64_t ways, int64_t mask,
-                    int64_t *ln, uint8_t *dy, int32_t *occ, uint64_t x,
-                    const int64_t *lines, const uint8_t *probe,
-                    const uint8_t *fill, int fill_u, int64_t n,
-                    uint8_t *hits, uint8_t *missed, int64_t *evict,
-                    int64_t *stats);
+void level_batch(int64_t num_sets, int64_t ways, int64_t mask,
+                 int64_t *ln, uint8_t *dy, int32_t *occ, uint64_t *rng,
+                 const int64_t *lines, const uint8_t *probe,
+                 const uint8_t *fill, int fill_u, int64_t n,
+                 uint8_t *hits, uint8_t *missed, int64_t *evict,
+                 int64_t *stats);
 typedef struct tlb tlb_t;
 tlb_t *tlb_new(int64_t n1, int64_t w1, int64_t n2, int64_t w2);
 void tlb_free(tlb_t *t);
@@ -120,8 +122,8 @@ hier_t *hier_new(int64_t nlev, int64_t line, int64_t page, tlb_t *tlb,
 void hier_level(hier_t *h, int64_t k, int64_t num_sets, int64_t ways,
                 int64_t mask, int64_t *ln, uint8_t *dy, int32_t *occ,
                 uint64_t *rng);
-void hier_pmu(hier_t *h, int on);
-void hier_reset(hier_t *h);
+int hier_pmu(hier_t *h, int on);
+int hier_reset(hier_t *h);
 void hier_release(hier_t *h);
 void hier_free(hier_t *h);
 const int64_t *hier_drain(hier_t *h, const int64_t *refs,
@@ -168,15 +170,6 @@ static void *try_alloc(int64_t n, size_t elem)
     return malloc((size_t)k * elem);
 }
 
-/* try_alloc for construction, where a failure ends the process; a drain
- * reports one instead (DRAIN_NOMEM). */
-static void *xalloc(int64_t n, size_t elem)
-{
-    void *p = try_alloc(n, elem);
-    if (!p) abort();
-    return p;
-}
-
 /* What hier_drain returns when an allocation fails: distinct from the
  * NULL of an unattributable reference id. */
 static const int64_t drain_nomem = 0;
@@ -185,106 +178,6 @@ static const int64_t drain_nomem = 0;
 const int64_t *hier_nomem(void)
 {
     return DRAIN_NOMEM;
-}
-
-/* ---- set-associative LRU replay ------------------------------------- */
-/* Per set: lines in LRU order (slot 0 = victim, slot occ-1 = MRU) plus a
- * parallel dirty byte; identical observable behaviour to the exact
- * Cache with an LRU policy. */
-
-void lru_batch(int64_t num_sets, int64_t ways, int64_t mask,
-               int64_t *ln, uint8_t *dy, int32_t *occ,
-               const int64_t *lines, const uint8_t *probe,
-               const uint8_t *fill, int fill_u, int64_t n,
-               uint8_t *hits, uint8_t *missed, int64_t *evict,
-               int64_t *stats)
-{
-    int64_t h = 0, m = 0, fi = 0, wb = 0;
-    int64_t i;
-    for (i = 0; i < n; i++) {
-        int64_t line = lines[i];
-        int64_t s = mask >= 0 ? (line & mask) : pmod(line, num_sets);
-        int64_t *L = ln + s * ways;
-        uint8_t *D = dy + s * ways;
-        int32_t o = occ[s];
-        int is_probe = probe ? probe[i] : 1;
-        uint8_t f = fill ? fill[i] : (uint8_t)fill_u;
-        int32_t idx = -1, j;
-        for (j = o - 1; j >= 0; j--)
-            if (L[j] == line) { idx = j; break; }
-        if (idx >= 0) {
-            uint8_t d = D[idx];
-            for (j = idx; j < o - 1; j++) { L[j] = L[j + 1]; D[j] = D[j + 1]; }
-            L[o - 1] = line;
-            if (is_probe) { D[o - 1] = (uint8_t)(d | f); h++; }
-            else D[o - 1] = 1;
-            hits[i] = 1; missed[i] = 0; evict[i] = EVICT_NONE;
-            continue;
-        }
-        {
-            uint8_t newd = is_probe ? f : 1;
-            if (is_probe) { m++; fi++; }
-            evict[i] = EVICT_NONE;
-            if (o >= ways) {
-                int64_t old = L[0];
-                uint8_t od = D[0];
-                for (j = 0; j < o - 1; j++) { L[j] = L[j + 1]; D[j] = D[j + 1]; }
-                L[o - 1] = line; D[o - 1] = newd;
-                if (od) { wb++; evict[i] = old; }
-            } else {
-                L[o] = line; D[o] = newd; occ[s] = o + 1;
-            }
-            hits[i] = 0; missed[i] = 1;
-        }
-    }
-    stats[0] += h; stats[1] += m; stats[2] += fi; stats[3] += wb;
-}
-
-/* ---- random-replacement replay -------------------------------------- */
-/* One xorshift64 draw per eviction, in chronological order across all
- * sets (the exact RandomPolicy's sequence).  Way positions are stable;
- * free ways are the prefix [occ, ways). */
-
-uint64_t rand_batch(int64_t num_sets, int64_t ways, int64_t mask,
-                    int64_t *ln, uint8_t *dy, int32_t *occ, uint64_t x,
-                    const int64_t *lines, const uint8_t *probe,
-                    const uint8_t *fill, int fill_u, int64_t n,
-                    uint8_t *hits, uint8_t *missed, int64_t *evict,
-                    int64_t *stats)
-{
-    int64_t h = 0, m = 0, fi = 0, wb = 0;
-    int64_t i;
-    for (i = 0; i < n; i++) {
-        int64_t line = lines[i];
-        int64_t s = mask >= 0 ? (line & mask) : pmod(line, num_sets);
-        int64_t *L = ln + s * ways;
-        uint8_t *D = dy + s * ways;
-        int32_t o = occ[s];
-        int is_probe = probe ? probe[i] : 1;
-        uint8_t f = fill ? fill[i] : (uint8_t)fill_u;
-        int32_t way = -1, j;
-        for (j = 0; j < o; j++)
-            if (L[j] == line) { way = j; break; }
-        if (way >= 0) {
-            hits[i] = 1; missed[i] = 0; evict[i] = EVICT_NONE;
-            if (is_probe) { h++; if (f) D[way] = 1; }
-            else D[way] = 1;
-            continue;
-        }
-        evict[i] = EVICT_NONE;
-        if (o < ways) { way = o; occ[s] = o + 1; }
-        else {
-            x ^= x << 13; x ^= x >> 7; x ^= x << 17;
-            way = (int32_t)(x % (uint64_t)ways);
-            if (D[way]) { wb++; evict[i] = L[way]; }
-        }
-        L[way] = line;
-        D[way] = is_probe ? f : 1;
-        if (is_probe) { m++; fi++; }
-        hits[i] = 0; missed[i] = 1;
-    }
-    stats[0] += h; stats[1] += m; stats[2] += fi; stats[3] += wb;
-    return x;
 }
 
 /* ---- fully-associative LRU: hash map + doubly linked list ----------- */
@@ -313,27 +206,43 @@ typedef struct {
     int nomem;               /* the map could not grow: its results are void */
 } falru_t;
 
-static void fa_init(falru_t *fa, int64_t cap)
-{
-    uint64_t i;
-    fa->cap = cap; fa->size = 0;
-    fa->head = fa->tail = -1;
-    fa->prev = (int32_t *)xalloc(cap, sizeof(int32_t));
-    fa->next = (int32_t *)xalloc(cap, sizeof(int32_t));
-    fa->slot = (uint32_t *)xalloc(cap, sizeof(uint32_t));
-    fa->mcap = 16;
-    while (fa->mcap < 4096 && fa->mcap < (uint64_t)(2 * cap + 16)) fa->mcap <<= 1;
-    fa->mused = 0;
-    fa->nomem = 0;
-    fa->mkeys = (int64_t *)xalloc((int64_t)fa->mcap, sizeof(int64_t));
-    fa->mvals = (uint32_t *)xalloc((int64_t)fa->mcap, sizeof(uint32_t));
-    for (i = 0; i < fa->mcap; i++) fa->mkeys[i] = EMPTY_KEY;
-}
-
 static void fa_free(falru_t *fa)
 {
     free(fa->prev); free(fa->next); free(fa->slot);
     free(fa->mkeys); free(fa->mvals);
+    fa->prev = fa->next = 0; fa->slot = 0; fa->mkeys = 0; fa->mvals = 0;
+}
+
+/* Empty the LRU and its map (every key unseen). */
+static void fa_clear(falru_t *fa)
+{
+    uint64_t i;
+    for (i = 0; i < fa->mcap; i++) fa->mkeys[i] = EMPTY_KEY;
+    fa->mused = 0;
+    fa->size = 0;
+    fa->head = fa->tail = -1;
+    fa->nomem = 0;
+}
+
+/* An empty LRU of cap keys; -1 (nothing left allocated) if the memory is
+ * not there. */
+static int fa_init(falru_t *fa, int64_t cap)
+{
+    memset(fa, 0, sizeof(*fa));
+    fa->cap = cap;
+    fa->mcap = 16;
+    while (fa->mcap < 4096 && fa->mcap < (uint64_t)(2 * cap + 16)) fa->mcap <<= 1;
+    fa->prev = (int32_t *)try_alloc(cap, sizeof(int32_t));
+    fa->next = (int32_t *)try_alloc(cap, sizeof(int32_t));
+    fa->slot = (uint32_t *)try_alloc(cap, sizeof(uint32_t));
+    fa->mkeys = (int64_t *)try_alloc((int64_t)fa->mcap, sizeof(int64_t));
+    fa->mvals = (uint32_t *)try_alloc((int64_t)fa->mcap, sizeof(uint32_t));
+    if (!fa->prev || !fa->next || !fa->slot || !fa->mkeys || !fa->mvals) {
+        fa_free(fa);
+        return -1;
+    }
+    fa_clear(fa);
+    return 0;
 }
 
 /* Double the map; -1 (map unchanged) if the memory is not there. */
@@ -362,11 +271,7 @@ static int fa_grow(falru_t *fa)
  * per-page loops; the drain reports the mark once it ends. */
 static void fa_lost(falru_t *fa)
 {
-    uint64_t i;
-    for (i = 0; i < fa->mcap; i++) fa->mkeys[i] = EMPTY_KEY;
-    fa->mused = 0;
-    fa->size = 0;
-    fa->head = fa->tail = -1;
+    fa_clear(fa);
     fa->nomem = 1;
 }
 
@@ -447,30 +352,25 @@ struct tlb {
 };
 typedef struct tlb tlb_t;
 
-static void tlblvl_init(tlblvl_t *lv, int64_t num_sets, int64_t ways)
+/* 0, or -1 (nothing left allocated) if the memory is not there. */
+static int tlblvl_init(tlblvl_t *lv, int64_t num_sets, int64_t ways)
 {
     lv->num_sets = num_sets; lv->ways = ways;
     lv->mask = (num_sets & (num_sets - 1)) ? -1 : num_sets - 1;
     lv->ln = 0; lv->occ = 0;
-    if (num_sets == 1) { fa_init(&lv->fa, ways); return; }
-    lv->ln = (int64_t *)xalloc(num_sets * ways, sizeof(int64_t));
+    if (num_sets == 1) return fa_init(&lv->fa, ways);
+    lv->ln = (int64_t *)try_alloc(num_sets * ways, sizeof(int64_t));
     lv->occ = (int32_t *)calloc((size_t)num_sets, sizeof(int32_t));
-    if (!lv->occ) abort();
+    if (lv->ln && lv->occ) return 0;
+    free(lv->ln); free(lv->occ);
+    lv->ln = 0; lv->occ = 0;
+    return -1;
 }
 
 static void tlblvl_free(tlblvl_t *lv)
 {
     if (lv->num_sets == 1) fa_free(&lv->fa);
     else { free(lv->ln); free(lv->occ); }
-}
-
-tlb_t *tlb_new(int64_t n1, int64_t w1, int64_t n2, int64_t w2)
-{
-    tlb_t *t = (tlb_t *)xalloc(1, sizeof(tlb_t));
-    t->nlev = n2 ? 2 : 1;
-    tlblvl_init(&t->lv[0], n1, w1);
-    if (n2) tlblvl_init(&t->lv[1], n2, w2);
-    return t;
 }
 
 void tlb_free(tlb_t *t)
@@ -480,13 +380,28 @@ void tlb_free(tlb_t *t)
     free(t);
 }
 
+/* NULL if the memory is not there. */
+tlb_t *tlb_new(int64_t n1, int64_t w1, int64_t n2, int64_t w2)
+{
+    tlb_t *t = (tlb_t *)calloc(1, sizeof(tlb_t));
+    if (!t) return 0;
+    if (tlblvl_init(&t->lv[0], n1, w1)) { free(t); return 0; }
+    t->nlev = 1;
+    if (n2) {
+        if (tlblvl_init(&t->lv[1], n2, w2)) { tlb_free(t); return 0; }
+        t->nlev = 2;
+    }
+    return t;
+}
+
+/* Empty every level in place (no allocation, so it cannot fail). */
 void tlb_reset(tlb_t *t)
 {
     int k;
     for (k = 0; k < t->nlev; k++) {
         tlblvl_t *lv = &t->lv[k];
-        tlblvl_free(lv);
-        tlblvl_init(lv, lv->num_sets, lv->ways);
+        if (lv->num_sets == 1) fa_clear(&lv->fa);
+        else memset(lv->occ, 0, (size_t)lv->num_sets * sizeof(int32_t));
     }
 }
 
@@ -679,33 +594,36 @@ struct hier {
     /* scratch, grown on demand and freed by hier_release */
     int64_t *dist, dcap;
     opbuf_t buf[2];
-    uint8_t *hits, *missed;
-    int64_t *evict, rescap;
     int64_t *fold, fcap;
     int64_t *out;
 };
 typedef struct hier hier_t;
 
+void hier_free(hier_t *h);
+
+/* NULL if the memory is not there. */
 hier_t *hier_new(int64_t nlev, int64_t line, int64_t page, tlb_t *tlb,
                  int64_t pf_max_stride, int64_t pf_train,
                  int64_t pf_streams, int pf_cross, int64_t *out)
 {
     hier_t *h = (hier_t *)calloc(1, sizeof(hier_t));
-    if (!h) abort();
+    if (!h) return 0;
     h->nlev = nlev; h->line = line; h->page = page; h->tlb = tlb;
     h->width = ROW_FIXED + 3 * nlev;
     h->nout = OUT_LEVELS + 9 * nlev;
-    h->lv = (level_t *)calloc((size_t)nlev, sizeof(level_t));
-    if (!h->lv) abort();
     h->pf_max = pf_max_stride; h->pf_train = pf_train;
     h->pf_streams = pf_streams; h->pf_cross = pf_cross;
-    h->st_ref = (int64_t *)xalloc(pf_streams, sizeof(int64_t));
-    h->st_base = (int64_t *)xalloc(pf_streams, sizeof(int64_t));
-    h->st_delta = (int64_t *)xalloc(pf_streams, sizeof(int64_t));
-    h->st_conf = (int64_t *)xalloc(pf_streams, sizeof(int64_t));
-    h->st_dvalid = (uint8_t *)xalloc(pf_streams, sizeof(uint8_t));
     h->out = out;
-    return h;
+    h->lv = (level_t *)calloc((size_t)nlev, sizeof(level_t));
+    h->st_ref = (int64_t *)try_alloc(pf_streams, sizeof(int64_t));
+    h->st_base = (int64_t *)try_alloc(pf_streams, sizeof(int64_t));
+    h->st_delta = (int64_t *)try_alloc(pf_streams, sizeof(int64_t));
+    h->st_conf = (int64_t *)try_alloc(pf_streams, sizeof(int64_t));
+    h->st_dvalid = (uint8_t *)try_alloc(pf_streams, sizeof(uint8_t));
+    if (h->lv && h->st_ref && h->st_base && h->st_delta && h->st_conf && h->st_dvalid)
+        return h;
+    hier_free(h);
+    return 0;
 }
 
 void hier_level(hier_t *h, int64_t k, int64_t num_sets, int64_t ways,
@@ -731,28 +649,32 @@ static void pmu_drop(hier_t *h)
 }
 
 /* Drop any PMU state; with on, start a fresh one (empty shadows, nothing
- * seen) — attach_pmu on a warm hierarchy. */
-void hier_pmu(hier_t *h, int on)
+ * seen) — attach_pmu on a warm hierarchy.  -1 (no PMU left attached) if
+ * the memory is not there. */
+int hier_pmu(hier_t *h, int on)
 {
     int64_t k;
     pmu_drop(h);
-    if (!on) return;
-    h->pmu = (pmulvl_t *)xalloc(h->nlev, sizeof(pmulvl_t));
+    if (!on) return 0;
+    if (!(h->pmu = (pmulvl_t *)calloc((size_t)h->nlev, sizeof(pmulvl_t)))) return -1;
     for (k = 0; k < h->nlev; k++) {
         pmulvl_t *p = &h->pmu[k];
         int64_t sets = h->lv[k].num_sets;
-        fa_init(&p->sh, sets * h->lv[k].ways);
         p->sconf = (int64_t *)calloc((size_t)sets, sizeof(int64_t));
-        if (!p->sconf) abort();
-        p->stouch = (int32_t *)xalloc(sets, sizeof(int32_t));
-        p->nstouch = 0;
+        p->stouch = (int32_t *)try_alloc(sets, sizeof(int32_t));
+        if (fa_init(&p->sh, sets * h->lv[k].ways) || !p->sconf || !p->stouch) {
+            pmu_drop(h);
+            return -1;
+        }
     }
+    return 0;
 }
 
-void hier_reset(hier_t *h)
+/* 0, or -1 as hier_pmu. */
+int hier_reset(hier_t *h)
 {
     h->st_n = 0;
-    if (h->pmu) hier_pmu(h, 1);
+    return h->pmu ? hier_pmu(h, 1) : 0;
 }
 
 static void opbuf_free(opbuf_t *b)
@@ -764,9 +686,9 @@ static void opbuf_free(opbuf_t *b)
 void hier_release(hier_t *h)
 {
     opbuf_free(&h->buf[0]); opbuf_free(&h->buf[1]);
-    free(h->dist); free(h->hits); free(h->missed); free(h->evict); free(h->fold);
-    h->dist = 0; h->hits = h->missed = 0; h->evict = 0; h->fold = 0;
-    h->dcap = h->rescap = h->fcap = 0;
+    free(h->dist); free(h->fold);
+    h->dist = 0; h->fold = 0;
+    h->dcap = h->fcap = 0;
 }
 
 void hier_free(hier_t *h)
@@ -778,28 +700,46 @@ void hier_free(hier_t *h)
     free(h);
 }
 
-/* Room for n ops; -1 (the buffer left empty) if the memory is not there. */
+/* realloc to n elements, or NULL (p freed) if the memory is not there. */
+static void *regrow(void *p, int64_t n, size_t elem)
+{
+    void *q = (uint64_t)n <= SIZE_MAX / elem ? realloc(p, (size_t)n * elem) : 0;
+    if (!q) free(p);
+    return q;
+}
+
+/* Room for n ops, the ops already there kept; refs (with_refs) as many as
+ * lines.  -1 (the buffer left empty) if the memory is not there. */
 static int opbuf_reserve(opbuf_t *b, int64_t n, int with_fill, int with_refs)
 {
     if (n > b->cap) {
-        free(b->lines); free(b->probe); free(b->fill); free(b->cov);
+        free(b->fill);
         b->fill = 0;
-        b->lines = (int64_t *)try_alloc(n, sizeof(int64_t));
-        b->probe = (uint8_t *)try_alloc(n, 1);
-        b->cov = (uint8_t *)try_alloc(n, 1);
+        b->lines = (int64_t *)regrow(b->lines, n, sizeof(int64_t));
+        b->probe = (uint8_t *)regrow(b->probe, n, 1);
+        b->cov = (uint8_t *)regrow(b->cov, n, 1);
         b->cap = n;
         if (!b->lines || !b->probe || !b->cov) goto fail;
     }
     if (with_fill && !b->fill && !(b->fill = (uint8_t *)try_alloc(b->cap, 1))) goto fail;
-    if (with_refs && n > b->rcap) {
-        free(b->refs);
-        b->rcap = n;
-        if (!(b->refs = (int64_t *)try_alloc(n, sizeof(int64_t)))) goto fail;
+    if (with_refs && b->rcap < b->cap) {
+        b->rcap = b->cap;
+        if (!(b->refs = (int64_t *)regrow(b->refs, b->cap, sizeof(int64_t)))) goto fail;
     }
     return 0;
 fail:
     opbuf_free(b);
     return -1;
+}
+
+/* Room in the next level's stream, m ops in and left ops of the pass to
+ * go: half as much again, and at least two ops more, but never more than
+ * the rest of the pass can add (two per op). */
+static int opbuf_more(opbuf_t *b, int64_t m, int64_t left, int with_refs)
+{
+    int64_t want = b->cap + b->cap / 2, most = m + 2 * left;
+    if (want < 4096) want = 4096;
+    return opbuf_reserve(b, want < most ? want : most, 0, with_refs);
 }
 
 /* Room for the tally rows of refs up to ref; -1 (rows kept) if the
@@ -888,68 +828,200 @@ static int64_t pf_cover(hier_t *h, int64_t ref, int64_t base,
     return covered;
 }
 
-/* The PMU's observe()/observe_install() over one level's op batch: 3C
- * classes into the level counters, the per-ref tallies and the per-set
- * conflict counts; prefetch accuracy from the covered flags (level 0). */
-static void pmu_level(hier_t *h, int64_t k, const opbuf_t *b,
-                      const uint8_t *probe, const uint8_t *cov, int64_t n)
+/* ---- one cache level ------------------------------------------------ */
+/* level_pass replays n ops of stream b through level k, each op once and
+ * in stream order:
+ * - the set lookup and update, as the exact Cache does it.  LRU keeps
+ *   each set's lines in LRU order (slot 0 = victim, slot occ-1 = MRU)
+ *   with a parallel dirty byte, shifted with memmove.  The random policy
+ *   keeps way positions stable (free ways are the prefix [occ, ways)) and
+ *   draws once per eviction from the xorshift64 sequence, in
+ *   chronological order across sets (the exact RandomPolicy's sequence);
+ * - with pmu, the PMU's observe()/observe_install(): 3C classes into the
+ *   level counters, the per-ref tallies and the per-set conflict counts,
+ *   and prefetch accuracy from the covered flags pfcov (level 0);
+ * - the op's output: its dirty eviction (an install, probe 0), then its
+ *   demand miss, both with the op's reference id, appended to the next
+ *   level's stream nb; past the last level (nb NULL) they count as DRAM
+ *   lines written and read.  With per-op results (hits, missed, evict:
+ *   process_batch) there is no output stream.
+ * probe NULL: every op is a demand probe; fill NULL: a probe fill's dirty
+ * bit is fill_u.  The level counters o are hits, misses, fills,
+ * writebacks, prefetch hits (covered demand misses passed on) and
+ * replayed ops.  Returns the next stream's length, -1 if it could not
+ * grow.  Always inlined: level_run's and level_batch's constant policy,
+ * PMU and result arguments fold away in each copy. */
+static inline __attribute__((always_inline)) int64_t level_pass(
+    hier_t *h, int64_t k, const level_t *L, int rnd, int pmu,
+    const opbuf_t *b, const uint8_t *probe, const uint8_t *fill, int fill_u,
+    const uint8_t *pfcov, int64_t n, int64_t *o, opbuf_t *nb,
+    uint8_t *hits, uint8_t *missed, int64_t *evict)
 {
-    falru_t *sh = &h->pmu[k].sh;
-    pmulvl_t *p = &h->pmu[k];
-    const level_t *L = &h->lv[k];
-    int64_t *o = h->out + OUT_LEVELS + 6 * h->nlev + 3 * k;
-    int64_t useful = 0, poll = 0, i, col = ROW_FIXED + 3 * k;
+    /* Everything the loop reads or writes through a pointer is copied to
+     * a local first: a byte store may alias any struct field, and would
+     * otherwise force a reload of each after every dirty-bit write. */
+    const int64_t num_sets = L->num_sets, ways = L->ways, mask = L->mask;
+    int64_t *const ln = L->ln;
+    uint8_t *const dy = L->dy;
+    int32_t *const occ = L->occ;
+    const int64_t *const lines = b->lines, *const refs = b->refs;
+    const uint8_t *const cov = b->cov;
+    uint64_t x = rnd ? *L->rng : 0;
+    int64_t nhit = 0, nmiss = 0, wb = 0, pf = 0, m = 0, i;
+    /* the next level's stream */
+    int64_t cap = nb ? nb->cap : 0, *nl = nb ? nb->lines : 0, *nr = nb ? nb->refs : 0;
+    uint8_t *np = nb ? nb->probe : 0, *nc = nb ? nb->cov : 0;
+    /* PMU state */
+    pmulvl_t *p = pmu ? &h->pmu[k] : 0;
+    falru_t *sh = pmu ? &p->sh : 0;
+    int64_t *const tally = pmu ? h->tally : 0, width = pmu ? h->width : 0;
+    int64_t *const sconf = pmu ? p->sconf : 0;
+    int32_t *const stouch = pmu ? p->stouch : 0;
+    int64_t nstouch = pmu ? p->nstouch : 0, c3[3] = {0, 0, 0}, useful = 0, poll = 0;
     for (i = 0; i < n; i++) {
-        int64_t ln = b->lines[i], *row;
-        uint64_t slot;
-        int in_shadow;
-        if (probe && !probe[i]) {
-            /* Writeback install: tracked only when it allocated. */
-            if (h->missed[i]) { fa_touch(sh, ln, &slot); sh->mvals[slot] |= 1u; }
+        int64_t line = lines[i], ev = EVICT_NONE;
+        int64_t s = mask >= 0 ? (line & mask) : pmod(line, num_sets);
+        int64_t *S = ln + s * ways;
+        uint8_t *D = dy + s * ways;
+        int32_t used = occ[s], j;
+        int is_probe = probe ? probe[i] : 1, hit;
+        /* the dirty bit the op gives the line: an install's is always set */
+        uint8_t f = !is_probe ? 1 : fill ? fill[i] : (uint8_t)fill_u;
+        if (rnd) {
+            for (j = 0; j < used; j++)
+                if (S[j] == line) break;
+            hit = j < used;
+            if (hit) D[j] |= f;
+            else {
+                if (used < ways) occ[s] = used + 1;
+                else {
+                    x ^= x << 13; x ^= x >> 7; x ^= x << 17;
+                    j = (int32_t)(x % (uint64_t)ways);
+                    if (D[j]) ev = S[j];
+                }
+                S[j] = line; D[j] = f;
+            }
+        } else {
+            for (j = used - 1; j >= 0; j--)
+                if (S[j] == line) break;
+            hit = j >= 0;
+            if (hit || used >= ways) {
+                if (hit) f |= D[j];
+                else { j = 0; if (D[0]) ev = S[0]; }
+                memmove(S + j, S + j + 1, (size_t)(used - 1 - j) * sizeof(int64_t));
+                memmove(D + j, D + j + 1, (size_t)(used - 1 - j));
+                j = used - 1;
+            } else {
+                j = used; occ[s] = used + 1;
+            }
+            S[j] = line; D[j] = f;
+        }
+        if (is_probe) { if (hit) nhit++; else nmiss++; }
+        if (ev != EVICT_NONE) wb++;
+        if (pmu) {
+            uint64_t slot;
+            if (!is_probe) {
+                /* Writeback install: tracked only when it allocated. */
+                if (!hit) { fa_touch(sh, line, &slot); sh->mvals[slot] |= 1u; }
+            } else {
+                int in_shadow = fa_touch(sh, line, &slot);
+                if (pfcov && pfcov[i]) { if (hit) poll++; else useful++; }
+                if (!hit) {
+                    int c = 1;                      /* capacity */
+                    if (!(sh->mvals[slot] & 1u)) { sh->mvals[slot] |= 1u; c = 0; }
+                    else if (in_shadow) {           /* conflict */
+                        if (sconf[s]++ == 0) stouch[nstouch++] = (int32_t)s;
+                        c = 2;
+                    }
+                    c3[c]++;
+                    tally[(refs[i] + 1) * width + ROW_FIXED + 3 * k + c]++;
+                }
+            }
+        }
+        if (hits) {
+            hits[i] = (uint8_t)hit; missed[i] = (uint8_t)!hit; evict[i] = ev;
             continue;
         }
-        in_shadow = fa_touch(sh, ln, &slot);
-        if (cov && cov[i]) { if (h->hits[i]) poll++; else useful++; }
-        if (h->hits[i]) continue;
-        row = h->tally + (b->refs[i] + 1) * h->width + col;
-        if (!(sh->mvals[slot] & 1u)) {
-            sh->mvals[slot] |= 1u;
-            o[0]++; row[0]++;
-        } else if (in_shadow) {
-            int64_t s = L->mask >= 0 ? (ln & L->mask) : pmod(ln, L->num_sets);
-            if (p->sconf[s]++ == 0) p->stouch[p->nstouch++] = (int32_t)s;
-            o[2]++; row[2]++;
-        } else {
-            o[1]++; row[1]++;
+        if (nb && m + 2 > cap) {
+            if (opbuf_more(nb, m, n - i, pmu)) return -1;
+            cap = nb->cap; nl = nb->lines; nr = nb->refs; np = nb->probe; nc = nb->cov;
+        }
+        if (ev != EVICT_NONE) {
+            if (nb) {
+                nl[m] = ev; np[m] = 0; nc[m] = 0;
+                if (pmu) nr[m] = refs[i];
+                m++;
+            } else if (pmu) {
+                tally[(refs[i] + 1) * width + 5]++;
+            }
+        }
+        if (!hit && is_probe) {
+            uint8_t cv = cov[i];
+            pf += cv;
+            if (nb) {
+                nl[m] = line; np[m] = 1; nc[m] = cv;
+                if (pmu) nr[m] = refs[i];
+                m++;
+            } else if (pmu) {
+                tally[(refs[i] + 1) * width + 4]++;
+            }
         }
     }
-    if (cov) { h->out[OUT_PMU_PF] += useful; h->out[OUT_PMU_PF + 1] += poll; }
+    if (rnd) *L->rng = x;
+    o[0] += nhit; o[1] += nmiss; o[2] += nmiss; o[3] += wb; o[4] += pf; o[5] += n;
+    if (!nb && !hits) {
+        /* past the last level, demand misses read DRAM lines and dirty
+         * evictions write them */
+        h->out[OUT_DRAM] += nmiss; h->out[OUT_DRAM + 1] += wb;
+    }
+    if (pmu) {
+        int64_t *o3 = h->out + OUT_LEVELS + 6 * h->nlev + 3 * k;
+        o3[0] += c3[0]; o3[1] += c3[1]; o3[2] += c3[2];
+        p->nstouch = nstouch;
+    }
+    if (pfcov) { h->out[OUT_PMU_PF] += useful; h->out[OUT_PMU_PF + 1] += poll; }
+    return m;
 }
 
-/* Next level's op stream: each op's dirty eviction (an install, probe
- * 0) precedes its demand probe; source order preserved; both inherit
- * the op's reference id.  Returns the covered demand misses (this
- * level's prefetch hits). */
-static int64_t next_level(const opbuf_t *b, const uint8_t *probe,
-                          int64_t n, const uint8_t *missed,
-                          const int64_t *evict, opbuf_t *nb, int with_refs)
+/* Level k of a drain: stream b (n ops) in, nb (NULL past the last level)
+ * out.  Level 0 sees demand probes only, each with its own fill bit;
+ * below it a probe fills clean. */
+static int64_t level_run(hier_t *h, int64_t k, const opbuf_t *b, int64_t n, opbuf_t *nb)
 {
-    int64_t m = 0, pf = 0, i;
-    for (i = 0; i < n; i++) {
-        if (evict[i] != EVICT_NONE) {
-            nb->lines[m] = evict[i]; nb->probe[m] = 0; nb->cov[m] = 0;
-            if (with_refs) nb->refs[m] = b->refs[i];
-            m++;
-        }
-        if (missed[i] && (!probe || probe[i])) {
-            uint8_t cv = b->cov[i];
-            nb->lines[m] = b->lines[i]; nb->probe[m] = 1; nb->cov[m] = cv;
-            if (with_refs) nb->refs[m] = b->refs[i];
-            pf += cv;
-            m++;
-        }
-    }
-    return pf;
+    const level_t *L = &h->lv[k];
+    int64_t *o = h->out + OUT_LEVELS + 6 * k;
+#define PASS(rnd, pmu, probe, fill, pfcov) \
+    level_pass(h, k, L, rnd, pmu, b, probe, fill, 0, pfcov, n, o, nb, 0, 0, 0)
+    if (k == 0 && h->pmu)
+        return L->rng ? PASS(1, 1, 0, b->fill, b->cov) : PASS(0, 1, 0, b->fill, b->cov);
+    if (k == 0)
+        return L->rng ? PASS(1, 0, 0, b->fill, 0) : PASS(0, 0, 0, b->fill, 0);
+    if (h->pmu)
+        return L->rng ? PASS(1, 1, b->probe, 0, 0) : PASS(0, 1, b->probe, 0, 0);
+    return L->rng ? PASS(1, 0, b->probe, 0, 0) : PASS(0, 0, b->probe, 0, 0);
+#undef PASS
+}
+
+/* One op batch through one level, outside a hierarchy (process_batch):
+ * per-op hit, allocated and dirty-eviction results; stats += hits,
+ * misses, fills, writebacks.  rng NULL: LRU. */
+void level_batch(int64_t num_sets, int64_t ways, int64_t mask,
+                 int64_t *ln, uint8_t *dy, int32_t *occ, uint64_t *rng,
+                 const int64_t *lines, const uint8_t *probe,
+                 const uint8_t *fill, int fill_u, int64_t n,
+                 uint8_t *hits, uint8_t *missed, int64_t *evict,
+                 int64_t *stats)
+{
+    level_t L = {num_sets, ways, mask, ln, dy, occ, rng};
+    opbuf_t b;
+    int64_t o[6] = {0, 0, 0, 0, 0, 0};
+    memset(&b, 0, sizeof(b));
+    b.lines = (int64_t *)lines;
+    if (rng)
+        level_pass(0, 0, &L, 1, 0, &b, probe, fill, fill_u, 0, n, o, 0, hits, missed, evict);
+    else
+        level_pass(0, 0, &L, 0, 0, &b, probe, fill, fill_u, 0, n, o, 0, hits, missed, evict);
+    stats[0] += o[0]; stats[1] += o[1]; stats[2] += o[2]; stats[3] += o[3];
 }
 
 /* Move every touched tally row and per-set conflict count into the fold
@@ -995,15 +1067,15 @@ static const int64_t *fold(hier_t *h)
  * if a reference id is below -1 while a PMU is attached.  If memory runs
  * out it returns DRAIN_NOMEM: before any state changes when the line
  * buffers or the tally rows are too large (a huge segment), otherwise
- * with the hierarchy left unusable (a per-level buffer, or a TLB or
+ * with the hierarchy left unusable (a next level's stream, or a TLB or
  * shadow map that could not grow). */
 const int64_t *hier_drain(hier_t *h, const int64_t *refs,
                           const int64_t *base, const int64_t *stride,
                           const int64_t *count, const uint8_t *write,
                           const int64_t *elem, int64_t nseg)
 {
-    int64_t *out = h->out, n = 0, at = 0, ncov = 0, top = -1, g, k;
-    int pmu = h->pmu != 0, has_probe = 0;
+    int64_t *out = h->out, n = 0, at = 0, top = -1, g, k;
+    int pmu = h->pmu != 0;
     opbuf_t *cur = &h->buf[0], *nxt = &h->buf[1], *tmp;
     memset(out, 0, (size_t)h->nout * sizeof(int64_t));
     if (nseg > h->dcap) {
@@ -1041,65 +1113,15 @@ const int64_t *hier_drain(hier_t *h, const int64_t *refs,
             for (j = 0; j < d; j++) cur->refs[at + j] = refs[g];
         }
         at += d;
-        ncov += cv;
     }
 
-    /* Level by level; dirty evictions and demand misses flow down. */
+    /* Level by level, one pass each; dirty evictions and demand misses
+     * flow down, and past the last level to DRAM. */
     for (k = 0; k < h->nlev && n; k++) {
-        level_t *L = &h->lv[k];
-        int64_t st[4] = {0, 0, 0, 0}, *o = out + OUT_LEVELS + 6 * k, m, pf;
-        const uint8_t *probe = has_probe ? cur->probe : 0;
-        const uint8_t *fill = k == 0 ? cur->fill : 0;
-        if (n > h->rescap) {
-            free(h->hits); free(h->missed); free(h->evict);
-            h->rescap = 0;
-            h->hits = (uint8_t *)try_alloc(n, 1);
-            h->missed = (uint8_t *)try_alloc(n, 1);
-            h->evict = (int64_t *)try_alloc(n, sizeof(int64_t));
-            if (!h->hits || !h->missed || !h->evict) return DRAIN_NOMEM;
-            h->rescap = n;
-        }
-        if (L->rng)
-            *L->rng = rand_batch(L->num_sets, L->ways, L->mask, L->ln, L->dy,
-                                 L->occ, *L->rng, cur->lines, probe, fill, 0,
-                                 n, h->hits, h->missed, h->evict, st);
-        else
-            lru_batch(L->num_sets, L->ways, L->mask, L->ln, L->dy, L->occ,
-                      cur->lines, probe, fill, 0, n, h->hits, h->missed,
-                      h->evict, st);
-        o[0] += st[0]; o[1] += st[1]; o[2] += st[2]; o[3] += st[3];
-        o[5] += n;
-        if (pmu) pmu_level(h, k, cur, probe, k == 0 ? cur->cov : 0, n);
-        if (!has_probe) {
-            /* All-probe shortcuts: all hit -> nothing flows down; none
-             * hit and no dirty evictions -> the stream passes unchanged. */
-            if (st[0] == n) { n = 0; break; }
-            if (st[0] == 0 && st[3] == 0) { o[4] += ncov; continue; }
-        }
-        m = st[1] + st[3];
-        if (opbuf_reserve(nxt, m, 0, pmu)) return DRAIN_NOMEM;
-        pf = next_level(cur, probe, n, h->missed, h->evict, nxt, pmu);
-        o[4] += pf;
+        opbuf_t *nb = k + 1 < h->nlev ? nxt : 0;
+        if (nb && opbuf_reserve(nb, 0, 0, pmu)) return DRAIN_NOMEM;
+        if ((n = level_run(h, k, cur, n, nb)) < 0) return DRAIN_NOMEM;
         tmp = cur; cur = nxt; nxt = tmp;
-        n = m; ncov = pf; has_probe = 1;
-    }
-
-    /* Whatever passed the last level hits DRAM: probes fill from it,
-     * installs write back to it. */
-    {
-        int64_t reads = n, i;
-        if (has_probe) {
-            reads = 0;
-            for (i = 0; i < n; i++) reads += cur->probe[i];
-        }
-        out[OUT_DRAM] += reads;
-        out[OUT_DRAM + 1] += n - reads;
-        if (pmu)
-            for (i = 0; i < n; i++) {
-                int64_t *row = h->tally + (cur->refs[i] + 1) * h->width;
-                if (!has_probe || cur->probe[i]) row[4]++;
-                else row[5]++;
-            }
     }
     if (h->tlb && tlb_nomem(h->tlb)) return DRAIN_NOMEM;
     for (k = 0; pmu && k < h->nlev; k++)
@@ -1215,7 +1237,8 @@ def _selftest(ffi, lib) -> None:
             ptr("uint8_t", [0] * 2 * sets, np.uint8), ptr("int32_t", [0] * sets, np.int32),
             policy_state,
         )
-    lib.hier_pmu(h, 1)
+    if lib.hier_pmu(h, 1):
+        raise RuntimeError("native self-test could not allocate its PMU")
     rec = lib.hier_drain(
         h,
         ptr("int64_t", [0, 1, 2, 0, 2, 1, 1], np.int64),                     # ref
@@ -1268,12 +1291,12 @@ def _i32(arr: np.ndarray):
     return _ffi.cast("int32_t *", arr.ctypes.data)
 
 
-class _NativeCacheBase:
-    """Geometry, stats and array state shared by the native cache models."""
+class NativeCache:
+    """One cache level whose replay runs in the compiled level pass: an
+    LRU level, or a random-replacement level with the exact xorshift64
+    draw sequence."""
 
-    policy_name = "?"
-
-    def __init__(self, name: str, size_bytes: int, ways: int, line_size: int = 64):
+    def __init__(self, name: str, size_bytes: int, ways: int, line_size: int, policy: str):
         if size_bytes % (ways * line_size):
             raise SimulationError(
                 f"{name}: size {size_bytes} not divisible by ways*line "
@@ -1290,6 +1313,10 @@ class _NativeCacheBase:
         self._ln = np.full(self.num_sets * ways, -1, dtype=np.int64)
         self._dy = np.zeros(self.num_sets * ways, dtype=np.uint8)
         self._occ = np.zeros(self.num_sets, dtype=np.int32)
+        self.policy_name = policy
+        # The random policy's state, a one-element array the compiled
+        # level advances in place (None: LRU).
+        self._rng = np.array([RANDOM_SEED], dtype=np.uint64) if policy == "random" else None
         self.skips: Dict[str, int] = {"resident": 0, "streaming": 0, "replayed": 0}
 
     def set_index(self, line: int) -> int:
@@ -1319,6 +1346,8 @@ class _NativeCacheBase:
         self._ln.fill(-1)
         self._dy.fill(0)
         self._occ.fill(0)
+        if self._rng is not None:
+            self._rng[0] = RANDOM_SEED
         self.skips = {"resident": 0, "streaming": 0, "replayed": 0}
 
     def access(self, line: int, is_write: bool):
@@ -1361,7 +1390,15 @@ class _NativeCacheBase:
         else:
             fill_arr, fill_u = None, 1 if fill else 0
         st = np.zeros(4, dtype=np.int64)
-        self._batch(arr, probe_arr, fill_arr, fill_u, hits, missed, evict, st)
+        _lib.level_batch(
+            self.num_sets, self.ways, self._cmask,
+            _i64(self._ln), _u8(self._dy), _i32(self._occ), self._rng_ptr(),
+            _i64(arr),
+            _u8(probe_arr) if probe_arr is not None else _ffi.NULL,
+            _u8(fill_arr) if fill_arr is not None else _ffi.NULL,
+            fill_u, n,
+            _u8(hits), _u8(missed), _i64(evict), _i64(st),
+        )
         stats = self.stats
         stats.hits += int(st[0])
         stats.misses += int(st[1])
@@ -1370,66 +1407,21 @@ class _NativeCacheBase:
         self.skips["replayed"] += n
         return hits, missed, evict
 
+    def _rng_ptr(self):
+        """The PRNG state the compiled level advances in place (NULL: LRU)."""
+        rng = self._rng
+        return _ffi.NULL if rng is None else _ffi.cast("uint64_t *", rng.ctypes.data)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kib = self.size_bytes / 1024
         return f"{type(self).__name__}({self.name}: {kib:g} KiB, {self.ways}-way)"
 
 
-class NativeLruCache(_NativeCacheBase):
-    """LRU cache level replayed by the compiled ``lru_batch`` loop."""
-
-    policy_name = "lru"
-    _rng = None
-
-    def _batch(self, arr, probe, fill_arr, fill_u, hits, missed, evict, st) -> None:
-        _lib.lru_batch(
-            self.num_sets, self.ways, self._cmask,
-            _i64(self._ln), _u8(self._dy), _i32(self._occ),
-            _i64(arr),
-            _u8(probe) if probe is not None else _ffi.NULL,
-            _u8(fill_arr) if fill_arr is not None else _ffi.NULL,
-            fill_u, len(arr),
-            _u8(hits), _u8(missed), _i64(evict), _i64(st),
-        )
-
-
-class NativeRandomCache(_NativeCacheBase):
-    """Random-replacement level replayed by the compiled global-order
-    loop with the exact xorshift64 draw sequence."""
-
-    policy_name = "random"
-
-    def __init__(self, name: str, size_bytes: int, ways: int, line_size: int = 64):
-        super().__init__(name, size_bytes, ways, line_size)
-        # One-element array: the drain advances it in place.
-        self._rng = np.array([RANDOM_SEED], dtype=np.uint64)
-
-    def reset(self) -> None:
-        super().reset()
-        self._rng[0] = RANDOM_SEED
-
-    def _batch(self, arr, probe, fill_arr, fill_u, hits, missed, evict, st) -> None:
-        self._rng[0] = _lib.rand_batch(
-            self.num_sets, self.ways, self._cmask,
-            _i64(self._ln), _u8(self._dy), _i32(self._occ),
-            int(self._rng[0]),
-            _i64(arr),
-            _u8(probe) if probe is not None else _ffi.NULL,
-            _u8(fill_arr) if fill_arr is not None else _ffi.NULL,
-            fill_u, len(arr),
-            _u8(hits), _u8(missed), _i64(evict), _i64(st),
-        )
-
-
-_NATIVE_CACHES = {"lru": NativeLruCache, "random": NativeRandomCache}
-
-
 def native_cache(name: str, size_bytes: int, ways: int, line_size: int, policy: str):
     """Native cache model for ``policy``, or ``None`` if unsupported."""
-    cls = _NATIVE_CACHES.get(policy)
-    if cls is None:
+    if policy not in ("lru", "random"):
         return None
-    return cls(name, size_bytes, ways, line_size)
+    return NativeCache(name, size_bytes, ways, line_size, policy)
 
 
 class _NativeTlbLevel:
@@ -1462,14 +1454,14 @@ class NativeTlb:
             else None
         )
         l2 = self.l2
-        self._tlb = _ffi.gc(
-            _lib.tlb_new(
-                self.l1.num_sets, self.l1.ways,
-                l2.num_sets if l2 is not None else 0,
-                l2.ways if l2 is not None else 0,
-            ),
-            _lib.tlb_free,
+        tlb = _lib.tlb_new(
+            self.l1.num_sets, self.l1.ways,
+            l2.num_sets if l2 is not None else 0,
+            l2.ways if l2 is not None else 0,
         )
+        if tlb == _ffi.NULL:
+            raise SimulationError(f"the compiled TLB ({spec}) could not be allocated")
+        self._tlb = _ffi.gc(tlb, _lib.tlb_free)
 
     def _count(self, st) -> None:
         """Add ``st[0:4]`` = {L1 hits, L1 misses, L2 hits, L2 misses}."""
@@ -1524,7 +1516,8 @@ class NativeHierarchy(MemoryHierarchy):
         tlb: Optional[TlbSpec] = None,
         line_size: int = 64,
     ):
-        super().__init__(caches, prefetch=prefetch, tlb=tlb, line_size=line_size)
+        # The compiled TLB replaces the exact one, which is never built.
+        super().__init__(caches, prefetch=prefetch, tlb=None, line_size=line_size)
         if tlb is not None:
             self.tlb = NativeTlb(tlb)
         # Queued work in stream order: column batches, then the segments
@@ -1537,21 +1530,19 @@ class NativeHierarchy(MemoryHierarchy):
         # writes each drain's counters into ``_out``.
         self._out = np.zeros(_OUT_LEVELS + 9 * len(self.caches), dtype=np.int64)
         spec = self.prefetcher.spec
-        self._state = _ffi.gc(
-            _lib.hier_new(
-                len(self.caches), line_size, PAGE_SIZE,
-                self.tlb._tlb if self.tlb is not None else _ffi.NULL,
-                spec.max_stride_lines, spec.train_lines, max(1, spec.streams),
-                1 if spec.cross_segment else 0, _i64(self._out),
-            ),
-            _lib.hier_free,
+        state = _lib.hier_new(
+            len(self.caches), line_size, PAGE_SIZE,
+            self.tlb._tlb if self.tlb is not None else _ffi.NULL,
+            spec.max_stride_lines, spec.train_lines, max(1, spec.streams),
+            1 if spec.cross_segment else 0, _i64(self._out),
         )
+        if state == _ffi.NULL:
+            raise SimulationError("the compiled hierarchy could not be allocated")
+        self._state = _ffi.gc(state, _lib.hier_free)
         for k, cache in enumerate(self.caches):
             _lib.hier_level(
                 self._state, k, cache.num_sets, cache.ways, cache._cmask,
-                _i64(cache._ln), _u8(cache._dy), _i32(cache._occ),
-                _ffi.NULL if cache._rng is None
-                else _ffi.cast("uint64_t *", cache._rng.ctypes.data),
+                _i64(cache._ln), _u8(cache._dy), _i32(cache._occ), cache._rng_ptr(),
             )
 
     # -- buffer management ---------------------------------------------------
@@ -1568,16 +1559,23 @@ class NativeHierarchy(MemoryHierarchy):
 
     def attach_pmu(self):
         self._drain_buffer()
-        pmu = super().attach_pmu()
-        _lib.hier_pmu(self._state, 1)
-        return pmu
+        if _lib.hier_pmu(self._state, 1):
+            self._pmu_lost()
+        return super().attach_pmu()
 
     def reset(self) -> None:
         self._buf_cols = []
         self._buf_segs = []
         self._buf_ops = 0
         super().reset()
-        _lib.hier_reset(self._state)
+        if _lib.hier_reset(self._state):
+            self._pmu_lost()
+
+    def _pmu_lost(self) -> None:
+        """The C core could not allocate the PMU's state and holds none:
+        detach the Python side too, and fail the cell."""
+        self.pmu = None
+        raise SimulationError("the compiled PMU state could not be allocated")
 
     def flush(self) -> None:
         self._drain_buffer()

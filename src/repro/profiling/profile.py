@@ -223,7 +223,12 @@ def render_report(report: ProfileReport, result: SimulationResult) -> str:
     line_ops = sum(probes + writebacks for probes, _misses, writebacks in result.line_ops.values())
     work = {
         "tracegen": (f"{segments} segments from {result.trace_rows} rows", segments, "segment"),
-        "replay": (f"{line_ops} line ops", line_ops, "line op"),
+        "replay": (
+            f"{line_ops} line ops; TLB {result.tlb_pages} pages, {result.tlb_walks} walks; "
+            f"{result.prefetch_covered} prefetch-covered lines",
+            line_ops,
+            "line op",
+        ),
     }
     stage_total = sum(stage_s.values()) or 1.0
     stage_rows = []

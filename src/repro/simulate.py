@@ -78,10 +78,14 @@ class SimulationResult:
     # generator yielded, the rows it materialised before expanding them
     # (one per reference per innermost or descriptor loop execution),
     # and per cache level the lines probed, missed and written back
-    # (summed over cores).
+    # (summed over cores); beside them the pages the TLB looked up, its
+    # page walks, and the lines the prefetcher covered.
     trace_segments: int = 0
     trace_rows: int = 0
     line_ops: Dict[str, List[int]] = field(default_factory=dict)
+    tlb_pages: int = 0
+    tlb_walks: int = 0
+    prefetch_covered: int = 0
 
     @property
     def dram_bytes(self) -> int:
@@ -203,6 +207,7 @@ def simulate(
         lap("plan")
 
         first = baselines = [snapshot(h) for h in hierarchies]
+        first_tlb_prefetch = _tlb_prefetch_work(hierarchies)
         works = [CoreWork() for _ in range(active_cores)]
         trace_segments = trace_rows = 0
         lap("timing")
@@ -257,6 +262,11 @@ def simulate(
                 ops[1] += level.misses
                 ops[2] += level.writebacks
 
+        tlb_pages, tlb_walks, prefetch_covered = (
+            now - then
+            for now, then in zip(_tlb_prefetch_work(hierarchies), first_tlb_prefetch)
+        )
+
         engine_skips: Dict[str, int] = {}
         for hierarchy in hierarchies:
             counts_fn = getattr(hierarchy, "skip_counts", None)
@@ -286,4 +296,20 @@ def simulate(
         trace_segments=trace_segments,
         trace_rows=trace_rows,
         line_ops=line_ops,
+        tlb_pages=tlb_pages,
+        tlb_walks=tlb_walks,
+        prefetch_covered=prefetch_covered,
     )
+
+
+def _tlb_prefetch_work(hierarchies) -> List[int]:
+    """TLB pages looked up, TLB page walks and prefetch-covered lines so
+    far, summed over ``hierarchies`` (drained)."""
+    work = [0, 0, 0]
+    for hierarchy in hierarchies:
+        tlb = hierarchy.tlb
+        if tlb is not None:
+            work[0] += tlb.l1.stats.hits + tlb.l1.stats.misses
+            work[1] += tlb.walks
+        work[2] += hierarchy.prefetcher.covered_lines
+    return work

@@ -164,7 +164,10 @@ class TestAccessCount:
     @pytest.mark.parametrize("program", _kernel_programs(), ids=lambda p: p.name)
     def test_count_equals_walker_on_kernels(self, program):
         for var in _loop_vars(program.body, []) + [None]:
-            _assert_count_exact(program.body, var)
+            exact = _assert_count_exact(program.body, var)
+            # At the budget threshold the early exit decides as the walk does.
+            assert dependence._count_accesses(program.body, {}, var, exact) == exact
+            assert dependence._count_accesses(program.body, {}, var, exact - 1) > exact - 1
 
     def test_count_equal_to_budget_enumerates(self):
         # triad: two loads and one store per iteration.
@@ -221,6 +224,22 @@ class TestAccessCount:
             "enumeration oracle skipped for 'transpose_naive_512': iteration "
             "space exceeds the 200000-access budget"
         )
+
+    def test_rectangular_nest_of_a_trillion_accesses_counts_exactly(self):
+        """Loops whose nested bounds do not read their variable multiply
+        out: 2 x 10**12 accesses count exactly under a larger limit,
+        where a walk of the two outer loops would make 10**8 calls."""
+        n = 10 ** 4
+        b = LoopBuilder("cube")
+        a = b.array("a", DType.F64, (n, n, n))
+        with b.loop("i", 0, n) as i:
+            with b.loop("j", 0, n) as j:
+                with b.loop("k", 0, n) as k:
+                    b.store(a, (i, j, k), a[i, j, k] + 1.0)
+        body = b.build().body
+        for var in ("i", "j", "k", None):
+            assert dependence._count_accesses(body, {}, var, 10 ** 13) == 2 * n ** 3
+            assert dependence._count_accesses(body, {}, var, 2 * n ** 3 - 1) > 2 * n ** 3 - 1
 
 
 @settings(max_examples=150, deadline=None)

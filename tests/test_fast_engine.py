@@ -443,6 +443,102 @@ class TestCompiledStructureEdges:
         )
 
 
+def _phase_runs(levels, phases, check):
+    """Run ``phases`` (one drain each) through both engines under a PMU;
+    ``check(exact, k, before)`` asserts on the exact engine after phase
+    ``k`` (``before``: its snapshot before that phase) that the phase
+    reached the case it is there for.  Every observable must agree."""
+    results = {}
+    for name, hier in build_engines(levels).items():
+        p = hier.attach_pmu()
+        for k, phase in enumerate(phases):
+            before = snapshot(hier)
+            hier.run(phase)
+            if name == "exact":
+                check(hier, k, before)
+        results[name] = {
+            "snapshot": snapshot(hier),
+            "dirty": [sorted(c.dirty_lines()) for c in hier.caches],
+            "pmu": pmu_state(p),
+        }
+    assert results["native"] == results["exact"]
+
+
+def _level_delta(hier, before, k):
+    now, then = snapshot(hier).levels[k], before.levels[k]
+    return now.hits - then.hits, now.misses - then.misses, now.writebacks - then.writebacks
+
+
+class TestLevelPassEdges:
+    """Drains at the edges of the per-level pass: a level where every op
+    hits (nothing flows down), a level where none hits and nothing is
+    written back (its stream passes on unchanged), writeback installs
+    that hit and that allocate, random levels over several drains, and a
+    modulo-indexed 1280-set L3."""
+
+    def test_every_op_hits_and_nothing_flows_down(self):
+        footprint = [seg(0, 64, 16, write=True), seg(4096, 8, 64, ref=1)]
+
+        def check(exact, k, before):
+            if k == 1:
+                hits, misses, _wb = _level_delta(exact, before, 0)
+                assert hits > 0 and misses == 0
+                assert _level_delta(exact, before, 1) == (0, 0, 0)
+
+        _phase_runs(SMALL_LEVELS, [footprint, footprint * 3], check)
+
+    def test_no_hit_no_writeback_stream_passes_unchanged(self):
+        # Read-only sweeps over fresh lines: L1 evicts clean lines only.
+        sweeps = [[seg(b << 16, 64, 200, ref=b)] for b in range(1, 4)]
+
+        def check(exact, k, before):
+            hits, misses, wb = _level_delta(exact, before, 0)
+            assert hits == 0 and wb == 0 and misses == 200
+            assert _level_delta(exact, before, 1)[0] == 0
+
+        _phase_runs(SMALL_LEVELS, sweeps, check)
+
+    def test_writeback_installs_that_allocate_and_that_hit(self):
+        """64-set L1 over a 16-set L2: line 0 leaves L2 while it stays
+        dirty in L1, so its writeback allocates; line 1 is still in L2
+        when it is written back, so that install hits."""
+        levels = [("L1", 8192, 2, "lru"), ("L2", 16384, 16, "lru")]
+        others = [k for k in range(1, 22) if k % 4][:16]   # L2 set 0, never L1 set 0
+        phases = [
+            [seg(0, 8, 1, write=True)],
+            [seg(16 * 64 * k, 8, 1) for k in others],
+            [seg(64 * 64, 8, 1), seg(128 * 64, 8, 1)],
+            [seg(64, 8, 1, write=True, ref=1)],
+            [seg(65 * 64, 8, 1, ref=1), seg(129 * 64, 8, 1, ref=1)],
+        ]
+
+        def check(exact, k, before):
+            l1, l2 = exact.caches
+            if k == 1:
+                assert 0 in l1.dirty_lines() and not l2.contains(0)
+            if k == 2:
+                assert 0 in l2.dirty_lines() and not l1.contains(0)
+            if k == 3:
+                assert l2.contains(1) and 1 not in l2.dirty_lines()
+            if k == 4:
+                assert 1 in l2.dirty_lines() and not l1.contains(1)
+
+        _phase_runs(levels, phases, check)
+
+    def test_random_levels_across_several_drains(self):
+        levels = [("L1", 4096, 4, "random"), ("L2", 16384, 8, "random")]
+        stream = _random_stream(seed=21, n=1500, span_lines=3000, max_count=120)
+        assert sum(s.count for s in stream) > 2 * _BUF_OPS
+        _assert_stream_identical(stream, levels, TLB)
+
+    @pytest.mark.parametrize("policy", ["lru", "random"])
+    def test_modulo_indexed_1280_set_l3(self, policy):
+        levels = SMALL_LEVELS + [("L3", 1280 * 4 * 64, 4, policy)]
+        assert set_mask(1280) is None
+        stream = _random_stream(seed=17, n=800, span_lines=12000, max_count=120)
+        _assert_stream_identical(stream, levels, TLB)
+
+
 class TestScalarShims:
     def test_access_reports_negative_evicted_lines(self):
         """``access`` returns the evicted dirty line even when its id is
@@ -511,6 +607,21 @@ class TestDrainOutOfMemory:
             hier.process_segment(seg(4096, 64, 2**50))
             hier.drain()
         assert snapshot(hier) == before
+
+
+class TestConstructionOutOfMemory:
+    def test_unallocatable_tlb_fails_the_cell_not_the_process(self):
+        """A 2**60-entry direct-mapped dTLB-L2 cannot be allocated: its
+        construction raises ``SimulationError`` at once (the allocation
+        fails outright, so nothing large is ever mapped)."""
+        require_native()
+        spec = TlbSpec(l1_entries=20, l1_ways=0, l2_entries=2**60, l2_ways=1)
+        with pytest.raises(SimulationError, match="could not be allocated"):
+            native.NativeTlb(spec)
+        # A hierarchy over that TLB builds only the compiled one, and fails
+        # the same way.
+        with pytest.raises(SimulationError, match="could not be allocated"):
+            NativeHierarchy([native_cache("L1", 4096, 4, 64, "lru")], tlb=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -231,11 +231,20 @@ class TestProfileRun:
         assert len(ops) == len(result.snapshots[0].levels)
         assert ops[0] == [sum(getattr(snap.levels[0], name) for snap in result.snapshots)
                           for name in ("accesses", "misses", "writebacks")]
-        assert rows["replay"][3] == f"{sum(p + w for p, _m, w in ops)} line ops"
+        # Beside them the TLB's pages and walks and the prefetcher's
+        # covered lines, from the counters replay already keeps.
+        assert rows["replay"][3] == (
+            f"{sum(p + w for p, _m, w in ops)} line ops; TLB {result.tlb_pages} pages, "
+            f"{result.tlb_walks} walks; {result.prefetch_covered} prefetch-covered lines"
+        )
+        assert result.tlb_walks == sum(snap.tlb_walks for snap in result.snapshots) > 0
+        assert result.tlb_pages > result.tlb_walks
+        assert 0 < result.prefetch_covered <= ops[0][0]
         assert rows["replay"][4].endswith(" ns/line op")
         assert rows["build"][3:] == ["", ""]
         dumped = json.dumps(report.as_dict())
         assert "stage" not in dumped and "ns/" not in dumped and "rows" not in dumped
+        assert "pages" not in dumped and "prefetch-covered" not in dumped
 
 
 # -- baselines -----------------------------------------------------------------

@@ -171,6 +171,9 @@ class TestStageTimes:
             sum(getattr(level, name) for level in l1) for name in ("accesses", "misses", "writebacks")
         ]
         assert warm.line_ops["L1"][0] == 2 * once.line_ops["L1"][0]
+        assert once.tlb_walks == sum(snap.tlb_walks for snap in once.snapshots)
+        assert warm.tlb_pages == 2 * once.tlb_pages > 0
+        assert warm.prefetch_covered == 2 * once.prefetch_covered > 0
 
     def test_injected_tracegen_delay_lands_in_tracegen(self):
         program = transpose.naive(64)
