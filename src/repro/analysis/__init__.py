@@ -7,8 +7,9 @@
 * :mod:`repro.analysis.footprint` — footprint boxes, essential DRAM
   traffic, working-set sizes;
 * :mod:`repro.analysis.reuse` — LRU stack-distance histograms;
-* :mod:`repro.analysis.lint` — the symbolic dependence engine and the
-  ``repro lint`` diagnostics framework.
+* :mod:`repro.analysis.symbolic` — the symbolic dependence engine behind
+  certification, the cache-model proofs and the linter;
+* :mod:`repro.analysis.lint` — the ``repro lint`` diagnostics framework.
 """
 
 from repro.analysis.dependence import (

@@ -8,7 +8,7 @@ either
   demand; or
 * a **fourier-motzkin** step — an affine constraint system handed to the
   integer-tightened Fourier–Motzkin engine from
-  :mod:`repro.analysis.lint.symbolic`, expected to come back
+  :mod:`repro.analysis.symbolic`, expected to come back
   ``INFEASIBLE`` (the sound direction: the system encodes the *negation*
   of the claim, e.g. "two line runs share a cache line").
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from repro.ir.affine import Affine
-from repro.analysis.lint import symbolic
+from repro.analysis import symbolic
 from repro.exec.trace import LineRun
 
 _OPS = {

@@ -5,7 +5,7 @@ Three complementary mechanisms:
 * **Fast conservative tests** on affine subscript pairs (ZIV and GCD tests)
   that can *disprove* a dependence without enumerating iterations.
 * **Symbolic certification** (primary): exact distance/direction vectors
-  from :mod:`repro.analysis.lint.symbolic` — Banerjee bounds plus a small
+  from :mod:`repro.analysis.symbolic` — Banerjee bounds plus a small
   integer solver — giving size-generic proofs whose cost is independent of
   the iteration space.
 * **Concrete enumeration** (cross-check oracle): exhaustively execute the
@@ -364,7 +364,7 @@ def certify_parallel(
     budget; over budget it is skipped and the skip is reported in the
     return value (``None`` means fully cross-checked).
     """
-    from repro.analysis.lint.symbolic import certify_parallel_symbolic
+    from repro.analysis.symbolic import certify_parallel_symbolic
 
     certify_parallel_symbolic(program, var)
     oracle = enumeration_oracle(program, var, budget)
@@ -410,7 +410,7 @@ def certify_interchange(
     evidence of semantic preservation.  Over-budget iteration spaces skip
     the comparison and report it in the return value instead of raising —
     the symbolic direction-vector proof
-    (:func:`repro.analysis.lint.symbolic.certify_interchange_symbolic`)
+    (:func:`repro.analysis.symbolic.certify_interchange_symbolic`)
     is the primary legality argument.
     """
     from collections import Counter

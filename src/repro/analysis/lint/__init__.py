@@ -1,12 +1,12 @@
 """Symbolic IR linter.
 
-A small MLIR-style diagnostics framework over the affine loop-nest IR:
+A small MLIR-style diagnostics framework over the affine loop-nest IR.
+Its race and certification checkers read dependences from
+:mod:`repro.analysis.symbolic` (exact distance/direction vectors via
+Banerjee bounds, integer equality elimination and Fourier-Motzkin with
+integer tightening), the engine that transform certification and the
+cache-model proofs call too; the linter is one consumer of it.
 
-* :mod:`repro.analysis.lint.symbolic` — the symbolic dependence engine
-  (exact distance/direction vectors via Banerjee bounds, integer equality
-  elimination and Fourier-Motzkin with integer tightening).  Size-generic:
-  no iteration-space enumeration, so certification cost is independent of
-  the problem size.
 * :mod:`repro.analysis.lint.diagnostics` — structured :class:`Diagnostic`
   records with stable ``RPR0xx`` codes and text / JSON / SARIF emitters.
 * :mod:`repro.analysis.lint.checkers` — the checkers encoding the paper's
@@ -32,13 +32,6 @@ from repro.analysis.lint.engine import (
     strict_failures,
 )
 from repro.analysis.lint.evidence import CacheEvidence
-from repro.analysis.lint.symbolic import (
-    SymbolicDependence,
-    carried_dependences,
-    certify_interchange_symbolic,
-    certify_parallel_symbolic,
-    dependence_relations,
-)
 
 __all__ = [
     "CODES",
@@ -48,11 +41,6 @@ __all__ = [
     "FIGURE_WAIVERS",
     "LintReport",
     "Severity",
-    "SymbolicDependence",
-    "carried_dependences",
-    "certify_interchange_symbolic",
-    "certify_parallel_symbolic",
-    "dependence_relations",
     "lint_program",
     "render_json",
     "render_sarif",

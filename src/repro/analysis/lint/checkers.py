@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from repro.analysis.footprint import ArrayFootprint, _walk
 from repro.analysis.lint.diagnostics import Diagnostic, Severity, default_severity
 from repro.analysis.lint.evidence import CacheEvidence
-from repro.analysis.lint.symbolic import carried_dependences
+from repro.analysis.symbolic import carried_dependences
 from repro.devices.spec import LINE_SIZE, DeviceSpec
 from repro.ir.expr import loads_in
 from repro.ir.program import Program

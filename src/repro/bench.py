@@ -23,7 +23,7 @@ are reduced with
   so the same samples always produce the same interval.
 
 :func:`host_fingerprint` captures everything that makes two runs'
-seconds comparable — machine, Python, core count, numpy, cffi/native
+seconds comparable — machine, Python, core count, numpy, native
 engine availability, the resolved ``REPRO_ENGINE`` — and
 :func:`fingerprint_hash` reduces the identity-bearing subset to a short
 stable hash stored with every result file.
@@ -221,11 +221,6 @@ def host_fingerprint() -> Dict[str, Any]:
         native = bool(native_available())
     except Exception:
         native = False
-    try:
-        import cffi  # noqa: F401
-        has_cffi = True
-    except Exception:
-        has_cffi = False
     from repro.memsim.columnar import resolve_engine
 
     return {
@@ -235,7 +230,6 @@ def host_fingerprint() -> Dict[str, Any]:
         "implementation": platform.python_implementation(),
         "cores": os.cpu_count() or 1,
         "numpy": numpy_version,
-        "cffi": has_cffi,
         "native": native,
         "engine": resolve_engine(None),
         "env": {

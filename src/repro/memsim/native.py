@@ -38,27 +38,31 @@ each drain; Python otherwise reads back counters only.
 
 Every counter is bit-identical to the exact engine, which stays the
 oracle and the fallback: the toolchain is probed once per process, and
-if it fails (no compiler, no cffi, a read-only tree, a core that fails
-its self-test) ``DeviceSpec.build_hierarchies`` builds exact
+if it fails (no compiler, a read-only tree, a core that fails its
+self-test) ``DeviceSpec.build_hierarchies`` builds exact
 hierarchies and logs one warning carrying :func:`native_status`.  Memory
 that runs out is a failed cell, not a fallback: a hierarchy, TLB or PMU
 state that cannot be allocated, like a drain that cannot grow its
 buffers, raises :class:`~repro.errors.SimulationError`.
 
-Compilation uses cffi in ABI (``dlopen``) mode — a plain shared object
-built with the system C compiler, no Python headers or setuptools
-involved — cached under ``build/native/`` keyed by a hash of the C
-source, with an ``flock`` guarding concurrent builds (the figure
-pipeline's worker pool may import this module from many processes).
+The core is a plain shared object built with the system C compiler (no
+Python headers or setuptools involved), cached under ``build/native/``
+keyed by a hash of the C source, with an ``flock`` guarding concurrent
+builds (the figure pipeline's worker pool may import this module from
+many processes).  Python calls it through :mod:`ctypes`, which numpy
+has already imported: one signature table (:data:`_SIGNATURES`),
+pointers passed as addresses, so loading a cached core costs a
+``dlopen`` and the self-test.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import logging
 import os
-import subprocess
 import tempfile
+import weakref
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -103,35 +107,27 @@ _ROW_FIXED = 6
 #: C types of the ``SegmentBatch`` columns a drain passes by pointer.
 _COLUMN_DTYPES = (np.int64, np.int64, np.int64, np.int64, np.uint8, np.int64)
 
-_CDEF = """
-void level_batch(int64_t num_sets, int64_t ways, int64_t mask,
-                 int64_t *ln, uint8_t *dy, int32_t *occ, uint64_t *rng,
-                 const int64_t *lines, const uint8_t *probe,
-                 const uint8_t *fill, int fill_u, int64_t n,
-                 uint8_t *hits, uint8_t *missed, int64_t *evict,
-                 int64_t *stats);
-typedef struct tlb tlb_t;
-tlb_t *tlb_new(int64_t n1, int64_t w1, int64_t n2, int64_t w2);
-void tlb_free(tlb_t *t);
-void tlb_reset(tlb_t *t);
-int tlb_walk(tlb_t *t, const int64_t *pages, int64_t n, int64_t *stats);
-typedef struct hier hier_t;
-hier_t *hier_new(int64_t nlev, int64_t line, int64_t page, tlb_t *tlb,
-                 int64_t pf_max_stride, int64_t pf_train,
-                 int64_t pf_streams, int pf_cross, int64_t *out);
-void hier_level(hier_t *h, int64_t k, int64_t num_sets, int64_t ways,
-                int64_t mask, int64_t *ln, uint8_t *dy, int32_t *occ,
-                uint64_t *rng);
-int hier_pmu(hier_t *h, int on);
-int hier_reset(hier_t *h);
-void hier_release(hier_t *h);
-void hier_free(hier_t *h);
-const int64_t *hier_drain(hier_t *h, const int64_t *refs,
-                          const int64_t *base, const int64_t *stride,
-                          const int64_t *count, const uint8_t *write,
-                          const int64_t *elem, int64_t nseg);
-const int64_t *hier_nomem(void);
-"""
+_P, _I64, _INT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
+
+#: The C core's entry points: name -> (restype, argtypes).  Every pointer
+#: is a ``void *`` passed as an address (``None`` is NULL) and returned
+#: as an int (``None`` for NULL); the C source documents the types.
+_SIGNATURES = {
+    "level_batch": (None, [_I64, _I64, _I64, _P, _P, _P, _P, _P, _P, _P,
+                           _INT, _I64, _P, _P, _P, _P]),
+    "tlb_new": (_P, [_I64, _I64, _I64, _I64]),
+    "tlb_free": (None, [_P]),
+    "tlb_reset": (None, [_P]),
+    "tlb_walk": (_INT, [_P, _P, _I64, _P]),
+    "hier_new": (_P, [_I64, _I64, _I64, _P, _I64, _I64, _I64, _INT, _P]),
+    "hier_level": (None, [_P, _I64, _I64, _I64, _I64, _P, _P, _P, _P]),
+    "hier_pmu": (_INT, [_P, _INT]),
+    "hier_reset": (_INT, [_P]),
+    "hier_release": (None, [_P]),
+    "hier_free": (None, [_P]),
+    "hier_drain": (_P, [_P, _P, _P, _P, _P, _P, _P, _I64]),
+    "hier_nomem": (_P, []),
+}
 
 _C_SRC = r"""
 #include <stdint.h>
@@ -1131,7 +1127,6 @@ const int64_t *hier_drain(hier_t *h, const int64_t *refs,
 """
 
 _lib = None
-_ffi = None
 _NOMEM = None  # what a drain that ran out of memory returns (hier_nomem)
 _STATE = {"tried": False, "error": None, "warned": False}
 
@@ -1144,13 +1139,11 @@ def _repo_build_dir() -> str:
 
 def _load():
     """Compile (once, lock-guarded) and dlopen the C core; None on failure."""
-    global _lib, _ffi, _NOMEM
+    global _lib, _NOMEM
     if _STATE["tried"]:
         return _lib
     _STATE["tried"] = True
     try:
-        import cffi
-
         tag = hashlib.sha1(_C_SRC.encode()).hexdigest()[:12]
         base = os.environ.get(NATIVE_CACHE_ENV) or _repo_build_dir()
         try:
@@ -1165,11 +1158,12 @@ def _load():
         sofile = os.path.join(base, f"reprosim-{tag}.so")
         if not os.path.exists(sofile):
             _compile(base, tag, sofile)
-        ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        lib = ffi.dlopen(sofile)
-        _selftest(ffi, lib)
-        _ffi, _lib, _NOMEM = ffi, lib, lib.hier_nomem()
+        lib = ctypes.CDLL(sofile)
+        for name, (restype, argtypes) in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+        _selftest(lib)
+        _lib, _NOMEM = lib, lib.hier_nomem()
     except Exception as exc:  # pragma: no cover - depends on toolchain
         _STATE["error"] = f"{type(exc).__name__}: {exc}"
         _lib = None
@@ -1179,6 +1173,7 @@ def _load():
 def _compile(base: str, tag: str, sofile: str) -> None:
     import fcntl
     import shutil
+    import subprocess
 
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
@@ -1213,46 +1208,50 @@ _SELFTEST_FOLD = [
     1, 0, 1]
 
 
-def _selftest(ffi, lib) -> None:
+def _selftest(lib) -> None:
     """Drain a few segments through a tiny two-level hierarchy (one-set
     LRU L1, two-set random L2) with a fully-associative two-entry dTLB,
     a prefetcher and a PMU, and compare every counter with the exact
     engine's: catches a miscompiled or stale library in microseconds."""
-    def ptr(ctype, values, dtype):
+    def ptr(values, dtype):
         arr = np.array(values, dtype=dtype)
         keep.append(arr)
-        return ffi.cast(ctype + " *", arr.ctypes.data)
+        return arr.ctypes.data
 
     keep: List[np.ndarray] = []
     out = np.zeros(_OUT_LEVELS + 9 * 2, dtype=np.int64)
-    tlb = ffi.gc(lib.tlb_new(1, 2, 0, 0), lib.tlb_free)
-    h = ffi.gc(
-        lib.hier_new(2, 64, PAGE_SIZE, tlb, 16, 1, 2, 1, ffi.cast("int64_t *", out.ctypes.data)),
-        lib.hier_free,
-    )
-    random_state = ptr("uint64_t", [RANDOM_SEED], np.uint64)
-    for k, (sets, policy_state) in enumerate([(1, ffi.NULL), (2, random_state)]):
-        lib.hier_level(
-            h, k, sets, 2, sets - 1, ptr("int64_t", [0] * 2 * sets, np.int64),
-            ptr("uint8_t", [0] * 2 * sets, np.uint8), ptr("int32_t", [0] * sets, np.int32),
-            policy_state,
+    tlb = lib.tlb_new(1, 2, 0, 0)
+    h = lib.hier_new(2, 64, PAGE_SIZE, tlb, 16, 1, 2, 1, out.ctypes.data) if tlb else None
+    try:
+        if h is None:
+            raise RuntimeError("native self-test could not allocate its hierarchy")
+        random_state = ptr([RANDOM_SEED], np.uint64)
+        for k, (sets, policy_state) in enumerate([(1, None), (2, random_state)]):
+            lib.hier_level(
+                h, k, sets, 2, sets - 1, ptr([0] * 2 * sets, np.int64),
+                ptr([0] * 2 * sets, np.uint8), ptr([0] * sets, np.int32), policy_state,
+            )
+        if lib.hier_pmu(h, 1):
+            raise RuntimeError("native self-test could not allocate its PMU")
+        rec = lib.hier_drain(
+            h,
+            ptr([0, 1, 2, 0, 2, 1, 1], np.int64),                     # ref
+            ptr([0, 4096, -8192, -8000, 64 * 4096, 0, 0], np.int64),  # base
+            ptr([64, 4096, 64, 64, 4096, 128, 0], np.int64),          # stride
+            ptr([3, 3, 2, 1, 4, 3, 1], np.int64),                     # count
+            ptr([1, 0, 1, 1, 0, 0, 0], np.uint8),                     # write
+            ptr([8] * 7, np.int64),                                   # elem
+            7,
         )
-    if lib.hier_pmu(h, 1):
-        raise RuntimeError("native self-test could not allocate its PMU")
-    rec = lib.hier_drain(
-        h,
-        ptr("int64_t", [0, 1, 2, 0, 2, 1, 1], np.int64),                     # ref
-        ptr("int64_t", [0, 4096, -8192, -8000, 64 * 4096, 0, 0], np.int64),  # base
-        ptr("int64_t", [64, 4096, 64, 64, 4096, 128, 0], np.int64),          # stride
-        ptr("int64_t", [3, 3, 2, 1, 4, 3, 1], np.int64),                     # count
-        ptr("uint8_t", [1, 0, 1, 1, 0, 0, 0], np.uint8),                     # write
-        ptr("int64_t", [8] * 7, np.int64),                                   # elem
-        7,
-    )
-    got = out.tolist()
-    nfold = got[_OUT_NREF] * (_ROW_FIXED + 6) + 3 * got[_OUT_NSET]
-    if got != _SELFTEST_OUT or list(ffi.unpack(rec, nfold)) != _SELFTEST_FOLD:
-        raise RuntimeError("native self-test mismatch")
+        got = out.tolist()
+        nfold = got[_OUT_NREF] * (_ROW_FIXED + 6) + 3 * got[_OUT_NSET]
+        if got != _SELFTEST_OUT or _unpack(rec, nfold) != _SELFTEST_FOLD:
+            raise RuntimeError("native self-test mismatch")
+    finally:
+        if h:
+            lib.hier_free(h)
+        if tlb:
+            lib.tlb_free(tlb)
 
 
 def native_available() -> bool:
@@ -1279,16 +1278,14 @@ def warn_exact_fallback() -> None:
     )
 
 
-def _i64(arr: np.ndarray):
-    return _ffi.cast("int64_t *", arr.ctypes.data)
+def _addr(arr: Optional[np.ndarray]) -> Optional[int]:
+    """The address of ``arr``'s data (``None``, NULL, for no array)."""
+    return None if arr is None else arr.ctypes.data
 
 
-def _u8(arr: np.ndarray):
-    return _ffi.cast("uint8_t *", arr.ctypes.data)
-
-
-def _i32(arr: np.ndarray):
-    return _ffi.cast("int32_t *", arr.ctypes.data)
+def _unpack(ptr: int, n: int) -> List[int]:
+    """The ``n`` int64 values at address ``ptr``."""
+    return (ctypes.c_int64 * n).from_address(ptr)[:]
 
 
 class NativeCache:
@@ -1392,12 +1389,9 @@ class NativeCache:
         st = np.zeros(4, dtype=np.int64)
         _lib.level_batch(
             self.num_sets, self.ways, self._cmask,
-            _i64(self._ln), _u8(self._dy), _i32(self._occ), self._rng_ptr(),
-            _i64(arr),
-            _u8(probe_arr) if probe_arr is not None else _ffi.NULL,
-            _u8(fill_arr) if fill_arr is not None else _ffi.NULL,
-            fill_u, n,
-            _u8(hits), _u8(missed), _i64(evict), _i64(st),
+            _addr(self._ln), _addr(self._dy), _addr(self._occ), _addr(self._rng),
+            _addr(arr), _addr(probe_arr), _addr(fill_arr), fill_u, n,
+            _addr(hits), _addr(missed), _addr(evict), _addr(st),
         )
         stats = self.stats
         stats.hits += int(st[0])
@@ -1406,11 +1400,6 @@ class NativeCache:
         stats.writebacks += int(st[3])
         self.skips["replayed"] += n
         return hits, missed, evict
-
-    def _rng_ptr(self):
-        """The PRNG state the compiled level advances in place (NULL: LRU)."""
-        rng = self._rng
-        return _ffi.NULL if rng is None else _ffi.cast("uint64_t *", rng.ctypes.data)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kib = self.size_bytes / 1024
@@ -1459,9 +1448,10 @@ class NativeTlb:
             l2.num_sets if l2 is not None else 0,
             l2.ways if l2 is not None else 0,
         )
-        if tlb == _ffi.NULL:
+        if tlb is None:
             raise SimulationError(f"the compiled TLB ({spec}) could not be allocated")
-        self._tlb = _ffi.gc(tlb, _lib.tlb_free)
+        self._tlb = tlb
+        weakref.finalize(self, _lib.tlb_free, tlb)
 
     def _count(self, st) -> None:
         """Add ``st[0:4]`` = {L1 hits, L1 misses, L2 hits, L2 misses}."""
@@ -1477,7 +1467,7 @@ class NativeTlb:
     def access_pages(self, pages) -> None:
         arr = np.fromiter(pages, dtype=np.int64)
         st = np.zeros(4, dtype=np.int64)
-        if _lib.tlb_walk(self._tlb, _i64(arr), len(arr), _i64(st)):
+        if _lib.tlb_walk(self._tlb, _addr(arr), len(arr), _addr(st)):
             raise SimulationError("the compiled TLB ran out of memory")
         self._count(st.tolist())
 
@@ -1532,17 +1522,18 @@ class NativeHierarchy(MemoryHierarchy):
         spec = self.prefetcher.spec
         state = _lib.hier_new(
             len(self.caches), line_size, PAGE_SIZE,
-            self.tlb._tlb if self.tlb is not None else _ffi.NULL,
+            self.tlb._tlb if self.tlb is not None else None,
             spec.max_stride_lines, spec.train_lines, max(1, spec.streams),
-            1 if spec.cross_segment else 0, _i64(self._out),
+            1 if spec.cross_segment else 0, _addr(self._out),
         )
-        if state == _ffi.NULL:
+        if state is None:
             raise SimulationError("the compiled hierarchy could not be allocated")
-        self._state = _ffi.gc(state, _lib.hier_free)
+        self._state = state
+        weakref.finalize(self, _lib.hier_free, state)
         for k, cache in enumerate(self.caches):
             _lib.hier_level(
-                self._state, k, cache.num_sets, cache.ways, cache._cmask,
-                _i64(cache._ln), _u8(cache._dy), _i32(cache._occ), cache._rng_ptr(),
+                state, k, cache.num_sets, cache.ways, cache._cmask,
+                _addr(cache._ln), _addr(cache._dy), _addr(cache._occ), _addr(cache._rng),
             )
 
     # -- buffer management ---------------------------------------------------
@@ -1667,10 +1658,10 @@ class NativeHierarchy(MemoryHierarchy):
             for col, dtype in zip(columns, _COLUMN_DTYPES)
         )
         rec = _lib.hier_drain(
-            self._state, _i64(refs), _i64(base), _i64(stride), _i64(count),
-            _u8(write), _i64(elem), len(refs),
+            self._state, _addr(refs), _addr(base), _addr(stride), _addr(count),
+            _addr(write), _addr(elem), len(refs),
         )
-        if rec == _ffi.NULL:
+        if rec is None:
             raise SimulationError(
                 f"reference ids below -1 cannot be attributed (min {int(refs.min())})"
             )
@@ -1716,7 +1707,7 @@ class NativeHierarchy(MemoryHierarchy):
         pmu.current_ref = last_ref
         width = _ROW_FIXED + 3 * len(levels)
         nrows = o[_OUT_NREF] * width
-        flat = _ffi.unpack(rec, nrows + 3 * o[_OUT_NSET])
+        flat = _unpack(rec, nrows + 3 * o[_OUT_NSET])
         rb, ra = pmu.ref_bytes, pmu.ref_accesses
         for i in range(0, nrows, width):
             ref, nbytes, accesses, walks, reads, writes = flat[i : i + _ROW_FIXED]

@@ -10,7 +10,7 @@ the inner loop depending on the outer variable — a triangular nest needs
 :func:`repro.transforms.tiling.tile_triangular` instead).  Semantic
 legality — no dependence with a ``(<, >)`` direction at the swapped levels
 — is proven symbolically by default
-(:func:`repro.analysis.lint.symbolic.certify_interchange_symbolic`), with
+(:func:`repro.analysis.symbolic.certify_interchange_symbolic`), with
 the access-multiset enumeration of
 ``repro.analysis.dependence.certify_interchange`` as a budget-limited
 cross-check oracle.
@@ -64,7 +64,7 @@ class Interchange(Pass):
 
     def run(self, program: Program) -> Program:
         if self.certify == "symbolic":
-            from repro.analysis.lint.symbolic import certify_interchange_symbolic
+            from repro.analysis.symbolic import certify_interchange_symbolic
 
             certify_interchange_symbolic(program, self.outer_var, self.inner_var)
 

@@ -32,6 +32,29 @@ def require_native():
         pytest.skip(f"native engine {native_status()}")
 
 
+def fresh_modules(code: str, prefixes) -> list:
+    """Run ``code`` in a fresh interpreter with this checkout's ``repro``
+    on the path; return the sorted imported modules under ``prefixes``."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    probe = (
+        f"{code}\nimport json, sys\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r}))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def stream_segments(generator, core: int = 0):
     """Every segment of one core's stream, flattened out of its batches."""
     return [seg for batch in generator.core_stream(core) for seg in batch.segments()]

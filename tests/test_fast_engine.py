@@ -37,7 +37,7 @@ from repro.memsim.native import (
     native_status,
 )
 
-from tests.conftest import require_native
+from tests.conftest import fresh_modules, require_native
 
 TLB = TlbSpec(l1_entries=4, l1_ways=0, l2_entries=16, l2_ways=2, walk_cycles=40)
 
@@ -677,6 +677,18 @@ class TestFigureSliceDifferential:
         _assert_simulations_identical(_small_blur(variant), device)
 
 
+class TestFreshLoad:
+    def test_loading_the_core_imports_no_ffi_package(self):
+        """A fresh process loads the core through ctypes: neither cffi
+        nor its C parser is imported."""
+        require_native()
+        code = (
+            "from repro.memsim import native\n"
+            "assert native.native_available(), native.native_status()"
+        )
+        assert fresh_modules(code, ("cffi", "_cffi_backend", "pycparser")) == []
+
+
 # ---------------------------------------------------------------------------
 # Fallback: no native core -> exact replay, said out loud
 # ---------------------------------------------------------------------------
@@ -694,7 +706,6 @@ class TestExactFallback:
         monkeypatch.setenv(native.NATIVE_CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(native, "_compile", no_compiler)
         monkeypatch.setattr(native, "_lib", None)
-        monkeypatch.setattr(native, "_ffi", None)
         for key, value in (("tried", False), ("error", None), ("warned", False)):
             monkeypatch.setitem(native._STATE, key, value)
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.dependence import loop_conflicts
-from repro.analysis.lint.symbolic import (
+from repro.analysis.symbolic import (
     carried_dependences,
     certify_interchange_symbolic,
     certify_parallel_symbolic,
@@ -23,6 +23,8 @@ from repro.analysis.lint.symbolic import (
 from repro.errors import AnalysisError
 from repro.ir import Affine, DType, LoopBuilder
 from repro.ir.stmt import Block, For
+
+from tests.conftest import fresh_modules
 
 
 def _loop_vars(stmt, out):
@@ -193,3 +195,11 @@ def test_copy_nest_interchange_certifies():
         with b.loop("j", 0, 8) as j:
             b.store(dst, (i, j), src[i, j])
     certify_interchange_symbolic(b.build(), "i", "j")
+
+
+def test_certifying_a_parallel_variant_leaves_the_linter_unimported():
+    """Building a figure variant certifies its parallel loop through
+    :mod:`repro.analysis.symbolic` without importing the linter."""
+    code = "from repro.kernels import transpose\ntranspose.build('Parallel', 64)"
+    loaded = fresh_modules(code, ("repro.analysis.symbolic", "repro.analysis.lint"))
+    assert loaded == ["repro.analysis.symbolic"]
