@@ -11,7 +11,13 @@ device whose naive cell failed keeps its other times only as a footnote
 
 The cells are independent, so they fan out across a
 :class:`~repro.runtime.WorkPool`; collection follows the task list, so
-the grid is byte-identical for any worker count.
+the grid is byte-identical for any worker count.  A variant's program is
+device-independent (each device's cell derives its own program from it
+through ``for_device``, and passes never mutate their input), so each
+process builds and certifies it once per ``(variant, dims)`` and shares
+it across devices.  The build stays inside the supervised cell: a cached
+cell never builds, and a build that raises fails only its cell and is
+not remembered.
 
 Figs. 3 and 7 turn a finished grid into the Section 3.3 utilization
 metric, whose denominator is Fig. 1's achieved DRAM bandwidth.
@@ -72,18 +78,31 @@ class SpeedupGrid:
 
 Grid = TypeVar("Grid", bound=SpeedupGrid)
 
+#: Programs this process has built, keyed by ``(build, variant, *dims)``:
+#: one per figure variant and size, so it stays as small as the figures.
+_PROGRAMS: Dict[Tuple, Program] = {}
+
+
+def _program(build: Callable[..., Program], variant: str, dims: Sequence) -> Program:
+    """``build(variant, *dims)``, built once per process."""
+    key = (build, variant, *dims)
+    program = _PROGRAMS.get(key)
+    if program is None:
+        program = _PROGRAMS[key] = build(variant, *dims)
+    return program
+
 
 def _cell(task: Tuple[Callable[..., Program], Tuple]) -> CellResult:
     """One (variant, device) cell; runs in a work-pool worker process.
 
     ``task`` is ``(build, key)``: ``key`` is the runner cache key
     ``(figure, variant, *dims, device, scale)`` and the program is
-    ``build(variant, *dims)``.
+    ``build(variant, *dims)``, shared with the variant's other devices.
     """
     build, key = task
     _figure, variant, *dims, device_key, scale = key
     outcome = default_runner().run_supervised(
-        key, lambda: build(variant, *dims), scaled_device(device_key, scale)
+        key, lambda: _program(build, variant, dims), scaled_device(device_key, scale)
     )
     return cell_result(outcome)
 

@@ -5,6 +5,11 @@ once: a failed non-naive cell, a device with no naive time and a device
 the capacity rule excludes.  Each case must survive run → render → CSV →
 canonical JSON, and the utilization figures built on the grids (Figs. 3
 and 7) must turn it into placeholder rows.
+
+Real (small) cells check that each variant's program is built once per
+process and shared across devices: cached cells never build, a failed
+build is not remembered, and a panel leaves the shared programs as it
+found them.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ import json
 import pytest
 
 from repro.experiments import export, fig1, fig2, fig3, fig6, fig7, grid
+from repro.experiments.config import CACHE_SCALE, all_device_keys
 from repro.experiments.runner import CellResult, RunRecord, reset_default_runner
+from repro.ir.printer import format_program
 from repro.kernels import blur, transpose
 
 EXCLUDED = "mango_pi_d1"
@@ -108,3 +115,108 @@ def test_utilization_rows_from_degraded_grid(fake_grid, module):
     text = module.render(rows)
     assert f"{EXCLUDED}: " in text and "does not fit in DRAM (out of memory)" in text
     assert f"{NO_NAIVE}: " in text and "failed upstream" in text
+
+
+# -- one build per (variant, dims), shared across devices ----------------
+
+DIMS = (64, 16)                       # transpose n and block: subsecond cells
+TWO_DEVICES = ["xeon_4310t", "mango_pi_d1"]
+
+
+class CountingBuild:
+    """``fig2._build`` that counts its calls and can fail the first ones."""
+
+    def __init__(self, fail_first: int = 0):
+        self.calls = 0
+        self.fail_first = fail_first
+
+    def __call__(self, variant, *dims):
+        self.calls += 1
+        if self.calls <= self.fail_first:
+            raise RuntimeError("injected build failure")
+        return fig2._build(variant, *dims)
+
+
+@pytest.fixture
+def real_cells(monkeypatch):
+    """Uncached, PMU-off real cells with an empty program memo."""
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    monkeypatch.setenv("REPRO_PMU", "off")
+    monkeypatch.setattr(grid, "_PROGRAMS", {})
+    reset_default_runner()
+    yield
+    reset_default_runner()
+
+
+@pytest.fixture
+def two_devices(monkeypatch):
+    monkeypatch.setattr(grid, "all_device_keys", lambda: list(TWO_DEVICES))
+
+
+def _run(build, variants):
+    return grid.run(
+        fig2.Fig2Panel(paper_n=0, sim_n=DIMS[0]), "fig2", build, DIMS,
+        paper_bytes=1, variants=variants, scale=CACHE_SCALE,
+    )
+
+
+def test_each_variant_builds_once_across_devices(real_cells, two_devices):
+    build = CountingBuild()
+    panel = _run(build, ["Naive", "Blocking"])
+    assert [row.device_key for row in panel.rows] == TWO_DEVICES
+    assert not panel.failures
+    assert build.calls == 2
+
+
+def test_cached_cells_never_build(real_cells, monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache.json"))
+    reset_default_runner()
+    key = ("fig2", "Naive", *DIMS, "mango_pi_d1", CACHE_SCALE)
+    first = grid._cell((CountingBuild(), key))
+    assert first.ok
+
+    never = CountingBuild(fail_first=1)
+    monkeypatch.setattr(grid, "_PROGRAMS", {})
+    for hit in ("memory-cache hit", "disk-cache hit"):
+        cached = grid._cell((never, key))
+        assert (cached.status, cached.reason, cached.record) == ("completed", hit, first.record)
+        reset_default_runner()
+    assert never.calls == 0
+
+
+def test_failed_build_fails_one_cell_and_is_not_remembered(real_cells, two_devices):
+    build = CountingBuild(fail_first=1)
+    panel = _run(build, ["Naive"])
+    first, second = TWO_DEVICES
+    assert [(f.device_key, f.item, f.status) for f in panel.failures] == [
+        (first, "Naive", "failed")
+    ]
+    assert "injected build failure" in panel.failures[0].reason
+    assert [row.device_key for row in panel.rows] == [second]
+    assert build.calls == 2
+
+
+def _digest(program):
+    """Structural digest: the pretty-printed body (loop flags, bounds,
+    subscripts), ``meta`` and every array's fields and data."""
+    arrays = [
+        (a.name, a.dtype, a.shape, a.scope, None if a.data is None else a.data.tobytes())
+        for a in program.arrays
+    ]
+    return (program.name, format_program(program), repr(program.meta), arrays)
+
+
+def test_a_panel_leaves_the_shared_programs_unchanged(real_cells, monkeypatch):
+    """Passes never mutate their input, so the program a variant's cells
+    share reads the same after all four devices derived and simulated
+    their own program from it (PMU on, the full cell path)."""
+    monkeypatch.setenv("REPRO_PMU", "on")
+    variants = transpose.VARIANT_ORDER
+    shared = {v: grid._program(fig2._build, v, DIMS) for v in variants}
+    before = {v: _digest(p) for v, p in shared.items()}
+
+    panel = _run(fig2._build, variants)
+    assert [row.device_key for row in panel.rows] == all_device_keys()
+    assert not panel.failures
+    assert all(grid._PROGRAMS[(fig2._build, v, *DIMS)] is p for v, p in shared.items())
+    assert {v: _digest(p) for v, p in shared.items()} == before
