@@ -1,11 +1,10 @@
 """Robust statistics and host identity for the committed benchmark files.
 
-``benchmarks/bench_simulator.py`` and ``benchmarks/bench_runner.py``
-write ``BENCH_simulator.json`` and ``BENCH_runner.json``: repeated
-wall-clock measurements reduced to medians with bootstrap confidence
-intervals, stamped with the measuring host and commit.  This module is
-the shared reduction; the repository's wall-clock regression benchmark
-is ``perfbench/``.
+``benchmarks/bench_simulator.py`` writes ``BENCH_simulator.json``:
+repeated wall-clock measurements reduced to medians with bootstrap
+confidence intervals, stamped with the measuring host and commit.  This
+module is that reduction; the repository's wall-clock regression
+benchmark is ``perfbench/``.
 
 Wall-clock samples on shared hosts are contaminated: scheduler
 preemption, page-cache state and turbo transitions produce a

@@ -46,9 +46,9 @@ from repro.transforms import for_device
 def pmu_enabled() -> bool:
     """``REPRO_PMU`` gate for figure-cell simulations (default: on).
 
-    With the PMU on, a figure cell's replay takes 1.4–2.5× its PMU-off
-    replay (fig2 cells at 512², fig6 cells at 40×192, measured at
-    ``4e77752``), so ``REPRO_PMU=off`` (or ``0``/``no``) turns it off for
+    With the PMU on, a figure cell's replay takes 1.0–1.8× its PMU-off
+    replay (fig2 cells at 512², fig6 cells at 40×192, best of 3, 2-core
+    x86 host), so ``REPRO_PMU=off`` (or ``0``/``no``) turns it off for
     quick local figure runs; the per-figure ``perf.json`` is then empty.
     """
     return os.environ.get("REPRO_PMU", "").strip().lower() not in ("off", "0", "no")

@@ -29,12 +29,15 @@ and scratch op buffers the state owns and grows).  In order, it runs:
 the core has one implementation of a cache level.
 
 Fully-associative structures — single-set dTLB levels and the PMU's
-shadow cache — share one O(1) LRU (``falru``: an open-addressing hash
-map plus a doubly linked list).  Its map never deletes a key; for the
-PMU the value also carries the *seen* bit, so the 3C observer needs no
-second set.  Per-reference PMU tallies accumulate in dense C arrays and
-are folded into the :class:`~repro.memsim.pmu.Pmu` dictionaries after
-each drain; Python otherwise reads back counters only.
+shadow cache — share one O(1) LRU (``falru``: a doubly linked list over
+paged direct slots).  Every key owns one 32-bit slot holding its list
+node and, for the PMU, the *seen* bit, so the 3C observer needs no
+second set and no touch hashes its key.  Slots live in zeroed blocks of
+2**16 consecutive keys, mapped on first touch and found through a
+one-block memo in front of a small directory.  Per-reference PMU tallies
+accumulate in dense C arrays and are folded into the
+:class:`~repro.memsim.pmu.Pmu` dictionaries after each drain; Python
+otherwise reads back counters only.
 
 Every counter is bit-identical to the exact engine, which stays the
 oracle and the fallback: the toolchain is probed once per process, and
@@ -43,7 +46,8 @@ self-test) ``DeviceSpec.build_hierarchies`` builds exact
 hierarchies and logs one warning carrying :func:`native_status`.  Memory
 that runs out is a failed cell, not a fallback: a hierarchy, TLB or PMU
 state that cannot be allocated, like a drain that cannot grow its
-buffers, raises :class:`~repro.errors.SimulationError`.
+buffers or map a block of slots, raises
+:class:`~repro.errors.SimulationError`.
 
 The core is a plain shared object built with the system C compiler (no
 Python headers or setuptools involved), cached under ``build/native/``
@@ -133,6 +137,7 @@ _C_SRC = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 
 /* Floor division / positive modulo: C truncates toward zero, Python
  * floors — line and page numbers can be negative (traces may address
@@ -151,10 +156,9 @@ static int64_t pmod(int64_t a, int64_t b)
     return r < 0 ? r + b : r;
 }
 
-/* Line ids can be negative too, so -1 cannot mark "empty" or "no
- * eviction".  INT64_MIN is unreachable as a line id (it is not
- * fdiv(addr, line) of any int64 address). */
-#define EMPTY_KEY INT64_MIN
+/* Line ids can be negative too, so -1 cannot mark "no eviction".
+ * INT64_MIN is unreachable as a line id (it is not fdiv(addr, line) of
+ * any int64 address). */
 #define EVICT_NONE INT64_MIN
 
 /* n elements (at least one), or NULL if malloc fails or the size does
@@ -176,12 +180,21 @@ const int64_t *hier_nomem(void)
     return DRAIN_NOMEM;
 }
 
-/* ---- fully-associative LRU: hash map + doubly linked list ----------- */
-/* The map (open addressing, linear probing) never deletes a key: an
- * evicted key keeps its slot with node "none".  A value is
- * (node + 1) << 1 | seen, where node 0..cap-1 indexes the list (head =
- * LRU, tail = MRU) and the seen bit is the PMU's "ever resident" mark,
- * which the LRU itself neither sets nor clears. */
+/* ---- fully-associative LRU: paged direct slots + linked list -------- */
+/* Every key owns one slot, (node + 1) << 1 | seen: node 0..cap-1 indexes
+ * the list (head = LRU, tail = MRU), node "none" (0) means not resident,
+ * and the seen bit is the PMU's "ever resident" mark, which the LRU
+ * itself neither sets nor clears.  Slots live in blocks of FA_KEYS
+ * consecutive keys, mapped zeroed on first touch (only the memory pages
+ * a replay touches count toward RSS) and found through a small
+ * directory keyed by block number.  A one-block memo sits in front of
+ * the directory, so only a touch that changes block searches it.  Each
+ * node points at its key's slot: evicting the LRU key looks nothing up. */
+
+#define FA_BITS 16
+#define FA_KEYS ((uint64_t)1 << FA_BITS)
+#define FA_BLOCK_BYTES (FA_KEYS * sizeof(uint32_t))
+#define FA_NONE UINT64_MAX       /* no block: a block number is below 2^48 */
 
 static uint64_t mix64(uint64_t x)
 {
@@ -195,29 +208,38 @@ typedef struct {
     int64_t cap, size;       /* capacity, resident keys */
     int32_t head, tail;
     int32_t *prev, *next;
-    uint32_t *slot;          /* map slot of each node */
-    uint64_t mcap, mused;    /* map slots (a power of two), keys stored */
-    int64_t *mkeys;          /* EMPTY_KEY = free slot */
-    uint32_t *mvals;
-    int nomem;               /* the map could not grow: its results are void */
+    uint32_t **node;         /* the slot of each node's key */
+    uint64_t bkey;           /* the memo: last block touched, or FA_NONE */
+    uint32_t *blk;           /* ... and its slots */
+    uint64_t dcap, dused;    /* directory entries (a power of two), blocks */
+    uint64_t *dkeys;         /* block numbers, FA_NONE = free entry */
+    uint32_t **dblks;
+    uint32_t spare;          /* the slot of every touch once nomem is set */
+    int nomem;               /* a block could not be mapped: results are void */
 } falru_t;
 
-static void fa_free(falru_t *fa)
-{
-    free(fa->prev); free(fa->next); free(fa->slot);
-    free(fa->mkeys); free(fa->mvals);
-    fa->prev = fa->next = 0; fa->slot = 0; fa->mkeys = 0; fa->mvals = 0;
-}
-
-/* Empty the LRU and its map (every key unseen). */
+/* Unmap every block and empty the LRU (every key unseen). */
 static void fa_clear(falru_t *fa)
 {
     uint64_t i;
-    for (i = 0; i < fa->mcap; i++) fa->mkeys[i] = EMPTY_KEY;
-    fa->mused = 0;
+    for (i = 0; i < fa->dcap; i++)
+        if (fa->dkeys[i] != FA_NONE) {
+            munmap(fa->dblks[i], FA_BLOCK_BYTES);
+            fa->dkeys[i] = FA_NONE;
+        }
+    fa->dused = 0;
+    fa->bkey = FA_NONE;
     fa->size = 0;
     fa->head = fa->tail = -1;
     fa->nomem = 0;
+}
+
+static void fa_free(falru_t *fa)
+{
+    fa_clear(fa);
+    free(fa->prev); free(fa->next); free(fa->node);
+    free(fa->dkeys); free(fa->dblks);
+    memset(fa, 0, sizeof(*fa));
 }
 
 /* An empty LRU of cap keys; -1 (nothing left allocated) if the memory is
@@ -226,68 +248,74 @@ static int fa_init(falru_t *fa, int64_t cap)
 {
     memset(fa, 0, sizeof(*fa));
     fa->cap = cap;
-    fa->mcap = 16;
-    while (fa->mcap < 4096 && fa->mcap < (uint64_t)(2 * cap + 16)) fa->mcap <<= 1;
     fa->prev = (int32_t *)try_alloc(cap, sizeof(int32_t));
     fa->next = (int32_t *)try_alloc(cap, sizeof(int32_t));
-    fa->slot = (uint32_t *)try_alloc(cap, sizeof(uint32_t));
-    fa->mkeys = (int64_t *)try_alloc((int64_t)fa->mcap, sizeof(int64_t));
-    fa->mvals = (uint32_t *)try_alloc((int64_t)fa->mcap, sizeof(uint32_t));
-    if (!fa->prev || !fa->next || !fa->slot || !fa->mkeys || !fa->mvals) {
+    fa->node = (uint32_t **)try_alloc(cap, sizeof(uint32_t *));
+    fa->dkeys = (uint64_t *)try_alloc(16, sizeof(uint64_t));
+    fa->dblks = (uint32_t **)try_alloc(16, sizeof(uint32_t *));
+    if (!fa->prev || !fa->next || !fa->node || !fa->dkeys || !fa->dblks) {
         fa_free(fa);
         return -1;
     }
+    fa->dcap = 16;
+    memset(fa->dkeys, 0xff, 16 * sizeof(uint64_t));
     fa_clear(fa);
     return 0;
 }
 
-/* Double the map; -1 (map unchanged) if the memory is not there. */
+/* The directory entry (open addressing, linear probing) of block b in
+ * keys[0..mask]: b's own, or the free entry where b would go. */
+static uint64_t fa_probe(const uint64_t *keys, uint64_t mask, uint64_t b)
+{
+    uint64_t i = mix64(b) & mask;
+    while (keys[i] != FA_NONE && keys[i] != b) i = (i + 1) & mask;
+    return i;
+}
+
+/* Double the directory; -1 (directory unchanged) if the memory is not
+ * there. */
 static int fa_grow(falru_t *fa)
 {
-    uint64_t ncap = fa->mcap * 2, mask = ncap - 1, i, j;
-    int64_t *nk = (int64_t *)try_alloc((int64_t)ncap, sizeof(int64_t));
-    uint32_t *nv = (uint32_t *)try_alloc((int64_t)ncap, sizeof(uint32_t));
-    if (!nk || !nv) { free(nk); free(nv); return -1; }
-    for (i = 0; i < ncap; i++) nk[i] = EMPTY_KEY;
-    for (i = 0; i < fa->mcap; i++) {
-        int64_t k = fa->mkeys[i];
-        if (k == EMPTY_KEY) continue;
-        j = mix64((uint64_t)k) & mask;
-        while (nk[j] != EMPTY_KEY) j = (j + 1) & mask;
-        nk[j] = k; nv[j] = fa->mvals[i];
-        if (nv[j] >> 1) fa->slot[(nv[j] >> 1) - 1] = (uint32_t)j;
+    uint64_t ncap = fa->dcap * 2, i, j;
+    uint64_t *nk = (uint64_t *)try_alloc((int64_t)ncap, sizeof(uint64_t));
+    uint32_t **nb = (uint32_t **)try_alloc((int64_t)ncap, sizeof(uint32_t *));
+    if (!nk || !nb) { free(nk); free(nb); return -1; }
+    memset(nk, 0xff, ncap * sizeof(uint64_t));
+    for (i = 0; i < fa->dcap; i++) {
+        if (fa->dkeys[i] == FA_NONE) continue;
+        j = fa_probe(nk, ncap - 1, fa->dkeys[i]);
+        nk[j] = fa->dkeys[i]; nb[j] = fa->dblks[i];
     }
-    free(fa->mkeys); free(fa->mvals);
-    fa->mkeys = nk; fa->mvals = nv; fa->mcap = ncap;
+    free(fa->dkeys); free(fa->dblks);
+    fa->dkeys = nk; fa->dblks = nb; fa->dcap = ncap;
     return 0;
 }
 
-/* A map that cannot grow is emptied and marked (nomem), so that every
- * touch still finds a slot without an error check in the per-line and
- * per-page loops; the drain reports the mark once it ends. */
-static void fa_lost(falru_t *fa)
+/* Point the memo at block b, mapped (every slot zero) on its first touch.
+ * -1 if the memory is not there: the LRU is then marked nomem and every
+ * later touch gets the spare slot, so the per-line and per-page loops
+ * need no error check; the drain reports the mark once it ends. */
+static int fa_block(falru_t *fa, uint64_t b)
 {
-    fa_clear(fa);
-    fa->nomem = 1;
-}
-
-/* Map slot of key, inserted (no node, unseen) if absent. */
-static uint64_t fa_find(falru_t *fa, int64_t key)
-{
-    for (;;) {
-        uint64_t mask = fa->mcap - 1;
-        uint64_t i = mix64((uint64_t)key) & mask;
-        int64_t k;
-        while ((k = fa->mkeys[i]) != EMPTY_KEY) {
-            if (k == key) return i;
-            i = (i + 1) & mask;
+    uint64_t i;
+    void *blk;
+    if (fa->nomem) return -1;
+    i = fa_probe(fa->dkeys, fa->dcap - 1, b);
+    if (fa->dkeys[i] != b) {
+        if ((fa->dused + 1) * 10 > fa->dcap * 7) {
+            if (fa_grow(fa)) goto lost;
+            i = fa_probe(fa->dkeys, fa->dcap - 1, b);
         }
-        if ((fa->mused + 1) * 10 <= fa->mcap * 7) {
-            fa->mkeys[i] = key; fa->mvals[i] = 0; fa->mused++;
-            return i;
-        }
-        if (fa_grow(fa)) fa_lost(fa);
+        blk = mmap(0, FA_BLOCK_BYTES, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (blk == MAP_FAILED) goto lost;
+        fa->dkeys[i] = b; fa->dblks[i] = (uint32_t *)blk; fa->dused++;
     }
+    fa->bkey = b; fa->blk = fa->dblks[i];
+    return 0;
+lost:
+    fa->nomem = 1;
+    fa->bkey = FA_NONE;
+    return -1;
 }
 
 static void fa_unlink(falru_t *fa, int32_t nd)
@@ -306,12 +334,16 @@ static void fa_push_tail(falru_t *fa, int32_t nd)
 
 /* One LRU touch: bump key to MRU if resident (returns 1), else install
  * it, evicting the LRU key when full (returns 0).  *slot receives the
- * key's map slot (valid until the next touch). */
-static int fa_touch(falru_t *fa, int64_t key, uint64_t *slot)
+ * key's slot, valid until the LRU is cleared. */
+static int fa_touch(falru_t *fa, int64_t key, uint32_t **slot)
 {
-    uint64_t s = fa_find(fa, key);
-    uint32_t v = fa->mvals[s];
-    int32_t nd = (int32_t)(v >> 1) - 1;
+    uint64_t b = (uint64_t)key >> FA_BITS;
+    uint32_t *s, v;
+    int32_t nd;
+    if (b != fa->bkey && fa_block(fa, b)) { *slot = &fa->spare; return 0; }
+    s = fa->blk + ((uint64_t)key & (FA_KEYS - 1));
+    v = *s;
+    nd = (int32_t)(v >> 1) - 1;
     *slot = s;
     if (nd >= 0) {
         if (fa->tail != nd) { fa_unlink(fa, nd); fa_push_tail(fa, nd); }
@@ -320,12 +352,12 @@ static int fa_touch(falru_t *fa, int64_t key, uint64_t *slot)
     if (fa->size >= fa->cap) {
         nd = fa->head;
         fa_unlink(fa, nd);
-        fa->mvals[fa->slot[nd]] &= 1u;
+        *fa->node[nd] &= 1u;
     } else {
         nd = (int32_t)fa->size++;
     }
-    fa->slot[nd] = (uint32_t)s;
-    fa->mvals[s] = ((uint32_t)(nd + 1) << 1) | (v & 1u);
+    fa->node[nd] = s;
+    *s = ((uint32_t)(nd + 1) << 1) | (v & 1u);
     fa_push_tail(fa, nd);
     return 0;
 }
@@ -406,7 +438,7 @@ static int tlblvl_access(tlblvl_t *lv, int64_t page)
     int64_t s, *L;
     int32_t o, j, k;
     if (lv->num_sets == 1) {
-        uint64_t slot;
+        uint32_t *slot;
         return fa_touch(&lv->fa, page, &slot);
     }
     s = lv->mask >= 0 ? (page & lv->mask) : pmod(page, lv->num_sets);
@@ -440,7 +472,8 @@ static int tlb_page(tlb_t *t, int64_t page, int64_t *stats)
     return 1;
 }
 
-/* Whether a fully associative level lost its map (see fa_lost). */
+/* Whether a fully associative level could not map a block (see
+ * fa_block). */
 static int tlb_nomem(const tlb_t *t)
 {
     int k;
@@ -915,16 +948,16 @@ static inline __attribute__((always_inline)) int64_t level_pass(
         if (is_probe) { if (hit) nhit++; else nmiss++; }
         if (ev != EVICT_NONE) wb++;
         if (pmu) {
-            uint64_t slot;
+            uint32_t *slot;
             if (!is_probe) {
                 /* Writeback install: tracked only when it allocated. */
-                if (!hit) { fa_touch(sh, line, &slot); sh->mvals[slot] |= 1u; }
+                if (!hit) { fa_touch(sh, line, &slot); *slot |= 1u; }
             } else {
                 int in_shadow = fa_touch(sh, line, &slot);
                 if (pfcov && pfcov[i]) { if (hit) poll++; else useful++; }
                 if (!hit) {
                     int c = 1;                      /* capacity */
-                    if (!(sh->mvals[slot] & 1u)) { sh->mvals[slot] |= 1u; c = 0; }
+                    if (!(*slot & 1u)) { *slot |= 1u; c = 0; }
                     else if (in_shadow) {           /* conflict */
                         if (sconf[s]++ == 0) stouch[nstouch++] = (int32_t)s;
                         c = 2;
@@ -1063,8 +1096,8 @@ static const int64_t *fold(hier_t *h)
  * if a reference id is below -1 while a PMU is attached.  If memory runs
  * out it returns DRAIN_NOMEM: before any state changes when the line
  * buffers or the tally rows are too large (a huge segment), otherwise
- * with the hierarchy left unusable (a next level's stream, or a TLB or
- * shadow map that could not grow). */
+ * with the hierarchy left unusable (a next level's stream, or a block of
+ * slots a TLB level or a PMU shadow could not map). */
 const int64_t *hier_drain(hier_t *h, const int64_t *refs,
                           const int64_t *base, const int64_t *stride,
                           const int64_t *count, const uint8_t *write,
@@ -1431,7 +1464,7 @@ class _NativeTlbLevel:
 
 class NativeTlb:
     """Drop-in twin of :class:`repro.memsim.tlb.Tlb` over the compiled
-    TLB (a single-set level is an O(1) hash-map LRU); hit/miss/walk
+    TLB (a single-set level is the O(1) ``falru``); hit/miss/walk
     counts identical page for page."""
 
     def __init__(self, spec: TlbSpec):

@@ -376,9 +376,18 @@ def _replay_observables(hier, stream, warm, mode, warm_pmu=False):
     hier.drain()
     return {
         "snapshot": snapshot(hier),
+        "tlb": _tlb_stats(hier),
         "pmu": pmu_state(p),
         "dirty": [sorted(c.dirty_lines()) for c in hier.caches],
     }
+
+
+def _tlb_stats(hier):
+    """Per-level TLB hits and misses (a snapshot holds only the walks)."""
+    tlb = hier.tlb
+    if tlb is None:
+        return None
+    return [(lvl.stats.hits, lvl.stats.misses) for lvl in (tlb.l1, tlb.l2) if lvl is not None]
 
 
 def _assert_stream_identical(stream, levels, tlb, warm=(), warm_pmu=False):
@@ -443,6 +452,99 @@ class TestCompiledStructureEdges:
         )
 
 
+#: Keys (lines or pages) per block of the compiled fully-associative
+#: LRU's slots; a new block also grows its directory past 11 blocks.
+BLOCK = 1 << 16
+
+#: The paper's one-set dTLB-L1 sizes (D1, JH7100, RPi), without an L2.
+FA_TLBS = [TlbSpec(l1_entries=n, l1_ways=0) for n in (20, 40, 48)]
+
+
+def _block_stream(seed, n, blocks, unit, max_count=24):
+    """``n`` random segments over ``blocks`` distinct 2**16-key blocks of
+    ``unit``-byte keys (64: lines, 4096: pages), half of them at negative
+    block numbers.  Every segment starts within a few keys of a block
+    edge and may run across it."""
+    rng = np.random.default_rng(seed)
+    first = -(blocks // 2)
+    stream = []
+    for _ in range(n):
+        block = int(rng.integers(first, first + blocks))
+        edge = int(rng.choice([0, BLOCK])) + int(rng.integers(-4, 4))
+        stream.append(seg(
+            (block * BLOCK + edge) * unit + int(rng.integers(0, 8)) * 8,
+            int(rng.choice([-unit, -64, 8, 64, unit, 3 * unit])),
+            int(rng.integers(1, max_count)),
+            write=bool(rng.integers(0, 2)),
+            ref=int(rng.integers(-1, 4)),
+        ))
+    return stream
+
+
+class TestPagedSlots:
+    """The fully-associative LRU keeps one slot per key in blocks of 2**16
+    keys behind a one-block memo and a directory: streams spread over
+    many blocks, keys at block edges (block -1 next to block 0), LRU
+    victims outside the memo's block, and a reset before reuse."""
+
+    @pytest.mark.parametrize("unit", [64, 4096], ids=["lines", "pages"])
+    @pytest.mark.parametrize("tlb", FA_TLBS, ids=lambda t: f"dtlb{t.l1_entries}")
+    def test_streams_over_many_blocks(self, unit, tlb):
+        stream = _block_stream(seed=unit + tlb.l1_entries, n=400, blocks=40, unit=unit)
+        assert len({(s.base // unit) // BLOCK for s in stream}) > 16
+        _assert_stream_identical(stream, SMALL_LEVELS, tlb)
+
+    def test_keys_across_block_edges(self):
+        """Sweeps, up and down, across the edges at keys -2**16, 0 and
+        2**16 (lines and pages), single keys on either side, and keys
+        2**j apart (j < 16), which share a block but never a slot."""
+        stream = []
+        for unit in (64, 4096):
+            for edge in (-BLOCK, 0, BLOCK):
+                stream += [
+                    seg((edge - 5) * unit, unit, 10),
+                    seg((edge + 4) * unit, -unit, 10, write=True, ref=1),
+                    seg((edge - 1) * unit, 0, 1, ref=2),
+                    seg(edge * unit, 0, 1, write=True, ref=3),
+                ]
+            stream += [seg(3 * unit, (1 << j) * unit, 2, ref=j % 4) for j in range(1, 16)]
+        _assert_stream_identical(stream * 3, SMALL_LEVELS, FA_TLBS[0])
+
+    def test_lru_victims_outside_the_memo_block(self):
+        """Fill the L1 shadow (64 lines) and the 4-entry dTLB-L1 from
+        block 0, sweep block 3 (lines) and block -1 (pages), so each
+        install evicts a key of another block than the memo's, then sweep
+        block 0 again: every L1 miss is a capacity miss."""
+        def phase(line_block, page_block):
+            return [seg(line_block * BLOCK * 64, 64, 64),
+                    seg(page_block * BLOCK * 4096, 4096, 4, ref=1)]
+
+        seen = {}
+
+        def check(exact, k, before):
+            l1 = exact.pmu.levels[0]
+            if k == 2:
+                assert l1.capacity - seen["capacity"] >= 64
+                assert exact.tlb.l1.stats.misses - seen["tlb_misses"] >= 4
+            seen["capacity"], seen["tlb_misses"] = l1.capacity, exact.tlb.l1.stats.misses
+
+        _phase_runs(SMALL_LEVELS, [phase(0, 0), phase(3, -1), phase(0, 0)], check)
+
+    def test_reset_then_reuse_over_many_blocks(self):
+        """``reset`` (caches, dTLB and PMU) after a stream over many
+        blocks, then a replay of another: the same as a fresh hierarchy."""
+        first = _block_stream(seed=31, n=300, blocks=40, unit=64)
+        second = _block_stream(seed=32, n=300, blocks=40, unit=4096)
+        used = build_engines(SMALL_LEVELS, C906_PREFETCH, FA_TLBS[1])["native"]
+        used.attach_pmu()
+        used.run(first)
+        used.reset()
+        fresh = build_engines(SMALL_LEVELS, C906_PREFETCH, FA_TLBS[1])["native"]
+        assert _replay_observables(used, second, (), "batch") == _replay_observables(
+            fresh, second, (), "batch"
+        )
+
+
 def _phase_runs(levels, phases, check):
     """Run ``phases`` (one drain each) through both engines under a PMU;
     ``check(exact, k, before)`` asserts on the exact engine after phase
@@ -458,6 +560,7 @@ def _phase_runs(levels, phases, check):
                 check(hier, k, before)
         results[name] = {
             "snapshot": snapshot(hier),
+            "tlb": _tlb_stats(hier),
             "dirty": [sorted(c.dirty_lines()) for c in hier.caches],
             "pmu": pmu_state(p),
         }
@@ -591,6 +694,41 @@ class TestOneCallPerDrain:
         assert calls == ["hier_drain"]
 
 
+#: Run in a child whose address space is then capped a little above what
+#: it uses: 256 one-key segments, each in a new block of slots of the PMU
+#: shadow or of the fully-associative dTLB (argv[1]), once before the cap
+#: and once after it.
+_UNMAPPABLE_BLOCKS = """
+import resource, sys
+from repro.errors import SimulationError
+from repro.exec.trace import Segment
+from repro.memsim import TlbSpec
+from repro.memsim.native import NativeHierarchy, native_available, native_cache
+
+assert native_available()
+unit = 64 if sys.argv[1] == "shadow" else 4096
+tlb = TlbSpec(l1_entries=20, l1_ways=0) if sys.argv[1] == "dtlb" else None
+hier = NativeHierarchy([native_cache("L1", 4096, 4, 64, "lru")], tlb=tlb)
+if tlb is None:
+    hier.attach_pmu()
+
+
+def blocks(first):
+    return [Segment(0, (first + b) * (1 << 16) * unit, 8, 1, False, 8) for b in range(256)]
+
+
+hier.run(blocks(0))
+used = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (used + (4 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    hier.run(blocks(1000))
+except SimulationError as exc:
+    print("raised:", exc)
+else:
+    print("replayed")
+"""
+
+
 class TestDrainOutOfMemory:
     @pytest.mark.parametrize("pmu", [False, True])
     def test_unallocatable_segment_fails_the_drain_not_the_process(self, pmu):
@@ -607,6 +745,26 @@ class TestDrainOutOfMemory:
             hier.process_segment(seg(4096, 64, 2**50))
             hier.drain()
         assert snapshot(hier) == before
+
+    @pytest.mark.parametrize("where", ["shadow", "dtlb"])
+    def test_unmappable_block_fails_the_drain_not_the_process(self, where):
+        """A block of slots that cannot be mapped (the child's address
+        space is capped) makes the drain raise ``SimulationError``."""
+        import os
+        import subprocess
+        import sys
+
+        require_native()
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("needs /proc/self/statm to cap the address space")
+        src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(native.__file__))))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _UNMAPPABLE_BLOCKS, where],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("raised: the compiled replay ran out of memory")
 
 
 class TestConstructionOutOfMemory:
