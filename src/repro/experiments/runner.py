@@ -46,7 +46,7 @@ from repro.transforms import for_device
 def pmu_enabled() -> bool:
     """``REPRO_PMU`` gate for figure-cell simulations (default: on).
 
-    With the PMU on, a figure cell's replay takes 1.0–1.8× its PMU-off
+    With the PMU on, a figure cell's replay takes 1.2–1.8× its PMU-off
     replay (fig2 cells at 512², fig6 cells at 40×192, best of 3, 2-core
     x86 host), so ``REPRO_PMU=off`` (or ``0``/``no``) turns it off for
     quick local figure runs; the per-figure ``perf.json`` is then empty.

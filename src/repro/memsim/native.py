@@ -17,12 +17,20 @@ and scratch op buffers the state owns and grows).  In order, it runs:
   the two-level TLB, with per-segment walk counts;
 * one pass per cache level (``level_pass``), which handles each op of
   the level's stream once, in stream order: the set lookup and update
-  (LRU order as a position array shifted with ``memmove``, or the
-  xorshift64 PRNG sequence of the random policy in chronological global
-  order), the PMU's 3C classification when one is attached, and the op's
-  output — its dirty eviction (an install) and then its demand miss,
-  appended to the next level's stream in the other buffer, or counted as
-  DRAM lines written and read past the last level.
+  (a rotating LRU set, or the xorshift64 PRNG sequence of the random
+  policy in chronological global order), the PMU's 3C classification
+  when one is attached, and the op's output — its dirty eviction (an
+  install) and then its demand miss, appended to the next level's stream
+  in the other buffer, or counted as DRAM lines written and read past
+  the last level.
+
+Set-associative LRU structures — LRU cache levels and the dTLB's
+multi-set levels — share one rotating layout (``ring_access``): a set's
+ways hold its lines in LRU order around a ring whose LRU way is the
+set's rotation offset.  A miss in a full set overwrites that way and
+advances the offset, so it shifts nothing; a hit shifts only the ways
+between its line and the MRU way.  Until a set fills its offset is 0,
+so its occupied ways are always ``[0, occ)``.
 
 ``NativeCache.process_batch`` (LRU or random policy) runs the same pass
 (``level_batch``) with per-op results instead of an output stream, so
@@ -117,14 +125,14 @@ _P, _I64, _INT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
 #: is a ``void *`` passed as an address (``None`` is NULL) and returned
 #: as an int (``None`` for NULL); the C source documents the types.
 _SIGNATURES = {
-    "level_batch": (None, [_I64, _I64, _I64, _P, _P, _P, _P, _P, _P, _P,
+    "level_batch": (None, [_I64, _I64, _I64, _P, _P, _P, _P, _P, _P, _P, _P,
                            _INT, _I64, _P, _P, _P, _P]),
     "tlb_new": (_P, [_I64, _I64, _I64, _I64]),
     "tlb_free": (None, [_P]),
     "tlb_reset": (None, [_P]),
     "tlb_walk": (_INT, [_P, _P, _I64, _P]),
     "hier_new": (_P, [_I64, _I64, _I64, _P, _I64, _I64, _I64, _INT, _P]),
-    "hier_level": (None, [_P, _I64, _I64, _I64, _I64, _P, _P, _P, _P]),
+    "hier_level": (None, [_P, _I64, _I64, _I64, _I64, _P, _P, _P, _P, _P]),
     "hier_pmu": (_INT, [_P, _INT]),
     "hier_reset": (_INT, [_P]),
     "hier_release": (None, [_P]),
@@ -362,15 +370,61 @@ static int fa_touch(falru_t *fa, int64_t key, uint32_t **slot)
     return 0;
 }
 
+/* ---- set-associative LRU: rotating sets ------------------------------- */
+/* A set of `ways` ways keeps its keys in LRU order around a ring: the LRU
+ * key at way rot, the MRU key at way rot + used - 1 (mod ways).  rot stays
+ * 0 until the set fills, so the occupied ways are always [0, used).  A
+ * miss in a full set overwrites the LRU way and advances rot, so nothing
+ * shifts; a hit moves its key to the MRU way, shifting only the ways
+ * between the two, around the ring (plain loops: a few ways at most, and
+ * none for a hit on the MRU way).  D (NULL: none) holds a dirty byte per
+ * way that moves with its key: a miss sets it to f, a hit ORs f into it,
+ * and a dirty victim goes to *ev.  Returns 1 for a hit.  Always inlined,
+ * so the NULL D of the TLB folds away. */
+static inline __attribute__((always_inline)) int ring_access(
+    int64_t *S, uint8_t *D, int32_t *occ, int32_t *rot, int64_t ways,
+    int64_t key, uint8_t f, int64_t *ev)
+{
+    int32_t used = *occ, r = *rot, mru = r + used - 1, j;
+    if (mru >= ways) mru -= (int32_t)ways;
+    /* MRU to LRU: ways mru..0, then (full sets only) ways-1..mru+1 */
+    for (j = mru; j >= 0; j--)
+        if (S[j] == key) goto hit;
+    for (j = used - 1; j > mru; j--)
+        if (S[j] == key) goto hit;
+    if (used < ways) {
+        j = used; *occ = used + 1;
+    } else {
+        j = r; *rot = r + 1 == ways ? 0 : r + 1;
+        if (D && D[j]) *ev = S[j];
+    }
+    S[j] = key;
+    if (D) D[j] = f;
+    return 0;
+hit:
+    if (D) f |= D[j];
+    if (j > mru) {
+        /* around the ring: ways j+1..ways-1 move down one, way 0 to the
+         * last way, then on from way 0 */
+        for (; j < ways - 1; j++) { S[j] = S[j + 1]; if (D) D[j] = D[j + 1]; }
+        S[j] = S[0];
+        if (D) D[j] = D[0];
+        j = 0;
+    }
+    for (; j < mru; j++) { S[j] = S[j + 1]; if (D) D[j] = D[j + 1]; }
+    S[mru] = key;
+    if (D) D[mru] = f;
+    return 1;
+}
+
 /* ---- two-level TLB ---------------------------------------------------- */
-/* Single-set levels use the FA LRU; set-associative levels keep pages in
- * LRU order per set (slot 0 = victim), indexed by mask when the set
- * count is a power of two. */
+/* Single-set levels use the FA LRU; set-associative levels are rotating
+ * sets, indexed by mask when the set count is a power of two. */
 
 typedef struct {
     int64_t num_sets, ways, mask;
     int64_t *ln;
-    int32_t *occ;
+    int32_t *occ, *rot;
     falru_t fa;
 } tlblvl_t;
 
@@ -385,20 +439,21 @@ static int tlblvl_init(tlblvl_t *lv, int64_t num_sets, int64_t ways)
 {
     lv->num_sets = num_sets; lv->ways = ways;
     lv->mask = (num_sets & (num_sets - 1)) ? -1 : num_sets - 1;
-    lv->ln = 0; lv->occ = 0;
+    lv->ln = 0; lv->occ = 0; lv->rot = 0;
     if (num_sets == 1) return fa_init(&lv->fa, ways);
     lv->ln = (int64_t *)try_alloc(num_sets * ways, sizeof(int64_t));
     lv->occ = (int32_t *)calloc((size_t)num_sets, sizeof(int32_t));
-    if (lv->ln && lv->occ) return 0;
-    free(lv->ln); free(lv->occ);
-    lv->ln = 0; lv->occ = 0;
+    lv->rot = (int32_t *)calloc((size_t)num_sets, sizeof(int32_t));
+    if (lv->ln && lv->occ && lv->rot) return 0;
+    free(lv->ln); free(lv->occ); free(lv->rot);
+    lv->ln = 0; lv->occ = 0; lv->rot = 0;
     return -1;
 }
 
 static void tlblvl_free(tlblvl_t *lv)
 {
     if (lv->num_sets == 1) fa_free(&lv->fa);
-    else { free(lv->ln); free(lv->occ); }
+    else { free(lv->ln); free(lv->occ); free(lv->rot); }
 }
 
 void tlb_free(tlb_t *t)
@@ -429,40 +484,32 @@ void tlb_reset(tlb_t *t)
     for (k = 0; k < t->nlev; k++) {
         tlblvl_t *lv = &t->lv[k];
         if (lv->num_sets == 1) fa_clear(&lv->fa);
-        else memset(lv->occ, 0, (size_t)lv->num_sets * sizeof(int32_t));
+        else {
+            memset(lv->occ, 0, (size_t)lv->num_sets * sizeof(int32_t));
+            memset(lv->rot, 0, (size_t)lv->num_sets * sizeof(int32_t));
+        }
     }
 }
 
-static int tlblvl_access(tlblvl_t *lv, int64_t page)
+/* One page through one level; 1 for a hit.  Always inlined, like
+ * tlb_page and seg_pages: the drain's page loops then hold the whole
+ * set-associative path and their counters in registers. */
+static inline __attribute__((always_inline)) int tlblvl_access(tlblvl_t *lv, int64_t page)
 {
-    int64_t s, *L;
-    int32_t o, j, k;
+    int64_t s;
     if (lv->num_sets == 1) {
         uint32_t *slot;
         return fa_touch(&lv->fa, page, &slot);
     }
     s = lv->mask >= 0 ? (page & lv->mask) : pmod(page, lv->num_sets);
-    L = lv->ln + s * lv->ways;
-    o = lv->occ[s];
-    for (j = o - 1; j >= 0; j--) {
-        if (L[j] == page) {
-            for (k = j; k < o - 1; k++) L[k] = L[k + 1];
-            L[o - 1] = page;
-            return 1;
-        }
-    }
-    if (o >= lv->ways) {
-        for (k = 0; k < o - 1; k++) L[k] = L[k + 1];
-        L[o - 1] = page;
-    } else {
-        L[o] = page; lv->occ[s] = o + 1;
-    }
-    return 0;
+    return ring_access(lv->ln + s * lv->ways, 0, lv->occ + s, lv->rot + s,
+                       lv->ways, page, 0, 0);
 }
 
 /* One page through both levels; stats += {l1 hit, l1 miss, l2 hit, l2
  * miss}.  Returns 1 for a page walk (a miss at the last level). */
-static int tlb_page(tlb_t *t, int64_t page, int64_t *stats)
+static inline __attribute__((always_inline)) int tlb_page(
+    tlb_t *t, int64_t page, int64_t *stats)
 {
     if (tlblvl_access(&t->lv[0], page)) { stats[0]++; return 0; }
     stats[1]++;
@@ -485,8 +532,9 @@ static int tlb_nomem(const tlb_t *t)
 /* 0, or -1 if memory ran out (the counts are then void). */
 int tlb_walk(tlb_t *t, const int64_t *pages, int64_t n, int64_t *stats)
 {
-    int64_t i;
-    for (i = 0; i < n; i++) tlb_page(t, pages[i], stats);
+    int64_t i, st[4] = {0, 0, 0, 0};
+    for (i = 0; i < n; i++) tlb_page(t, pages[i], st);
+    stats[0] += st[0]; stats[1] += st[1]; stats[2] += st[2]; stats[3] += st[3];
     return tlb_nomem(t) ? -1 : 0;
 }
 
@@ -549,9 +597,9 @@ static int64_t seg_lines(int64_t base, int64_t stride, int64_t count,
 
 /* Walk the segment's pages (in access order) through the TLB; returns
  * its page walks. */
-static int64_t seg_pages(tlb_t *t, int64_t base, int64_t stride,
-                         int64_t count, int64_t elem, int64_t page,
-                         int64_t *stats)
+static inline __attribute__((always_inline)) int64_t seg_pages(
+    tlb_t *t, int64_t base, int64_t stride, int64_t count, int64_t elem,
+    int64_t page, int64_t *stats)
 {
     int64_t w = 0, p, k;
     if (stride == 0 || count == 1) {
@@ -589,7 +637,7 @@ typedef struct {
     int64_t num_sets, ways, mask;   /* mask -1: index by modulo */
     int64_t *ln;
     uint8_t *dy;
-    int32_t *occ;
+    int32_t *occ, *rot;             /* rot: LRU rotation offsets */
     uint64_t *rng;                  /* random policy state; NULL = LRU */
 } level_t;
 
@@ -657,11 +705,11 @@ hier_t *hier_new(int64_t nlev, int64_t line, int64_t page, tlb_t *tlb,
 
 void hier_level(hier_t *h, int64_t k, int64_t num_sets, int64_t ways,
                 int64_t mask, int64_t *ln, uint8_t *dy, int32_t *occ,
-                uint64_t *rng)
+                int32_t *rot, uint64_t *rng)
 {
     level_t *L = &h->lv[k];
     L->num_sets = num_sets; L->ways = ways; L->mask = mask;
-    L->ln = ln; L->dy = dy; L->occ = occ; L->rng = rng;
+    L->ln = ln; L->dy = dy; L->occ = occ; L->rot = rot; L->rng = rng;
 }
 
 static void pmu_drop(hier_t *h)
@@ -861,11 +909,11 @@ static int64_t pf_cover(hier_t *h, int64_t ref, int64_t base,
 /* level_pass replays n ops of stream b through level k, each op once and
  * in stream order:
  * - the set lookup and update, as the exact Cache does it.  LRU keeps
- *   each set's lines in LRU order (slot 0 = victim, slot occ-1 = MRU)
- *   with a parallel dirty byte, shifted with memmove.  The random policy
- *   keeps way positions stable (free ways are the prefix [occ, ways)) and
- *   draws once per eviction from the xorshift64 sequence, in
- *   chronological order across sets (the exact RandomPolicy's sequence);
+ *   each set's lines in LRU order around a ring, with a parallel dirty
+ *   byte (ring_access).  The random policy keeps way positions stable
+ *   (free ways are the prefix [occ, ways)) and draws once per eviction
+ *   from the xorshift64 sequence, in chronological order across sets
+ *   (the exact RandomPolicy's sequence);
  * - with pmu, the PMU's observe()/observe_install(): 3C classes into the
  *   level counters, the per-ref tallies and the per-set conflict counts,
  *   and prefetch accuracy from the covered flags pfcov (level 0);
@@ -892,7 +940,7 @@ static inline __attribute__((always_inline)) int64_t level_pass(
     const int64_t num_sets = L->num_sets, ways = L->ways, mask = L->mask;
     int64_t *const ln = L->ln;
     uint8_t *const dy = L->dy;
-    int32_t *const occ = L->occ;
+    int32_t *const occ = L->occ, *const rot = L->rot;
     const int64_t *const lines = b->lines, *const refs = b->refs;
     const uint8_t *const cov = b->cov;
     uint64_t x = rnd ? *L->rng : 0;
@@ -912,11 +960,11 @@ static inline __attribute__((always_inline)) int64_t level_pass(
         int64_t s = mask >= 0 ? (line & mask) : pmod(line, num_sets);
         int64_t *S = ln + s * ways;
         uint8_t *D = dy + s * ways;
-        int32_t used = occ[s], j;
         int is_probe = probe ? probe[i] : 1, hit;
         /* the dirty bit the op gives the line: an install's is always set */
         uint8_t f = !is_probe ? 1 : fill ? fill[i] : (uint8_t)fill_u;
         if (rnd) {
+            int32_t used = occ[s], j;
             for (j = 0; j < used; j++)
                 if (S[j] == line) break;
             hit = j < used;
@@ -931,19 +979,7 @@ static inline __attribute__((always_inline)) int64_t level_pass(
                 S[j] = line; D[j] = f;
             }
         } else {
-            for (j = used - 1; j >= 0; j--)
-                if (S[j] == line) break;
-            hit = j >= 0;
-            if (hit || used >= ways) {
-                if (hit) f |= D[j];
-                else { j = 0; if (D[0]) ev = S[0]; }
-                memmove(S + j, S + j + 1, (size_t)(used - 1 - j) * sizeof(int64_t));
-                memmove(D + j, D + j + 1, (size_t)(used - 1 - j));
-                j = used - 1;
-            } else {
-                j = used; occ[s] = used + 1;
-            }
-            S[j] = line; D[j] = f;
+            hit = ring_access(S, D, occ + s, rot + s, ways, line, f, &ev);
         }
         if (is_probe) { if (hit) nhit++; else nmiss++; }
         if (ev != EVICT_NONE) wb++;
@@ -1035,13 +1071,13 @@ static int64_t level_run(hier_t *h, int64_t k, const opbuf_t *b, int64_t n, opbu
  * per-op hit, allocated and dirty-eviction results; stats += hits,
  * misses, fills, writebacks.  rng NULL: LRU. */
 void level_batch(int64_t num_sets, int64_t ways, int64_t mask,
-                 int64_t *ln, uint8_t *dy, int32_t *occ, uint64_t *rng,
-                 const int64_t *lines, const uint8_t *probe,
+                 int64_t *ln, uint8_t *dy, int32_t *occ, int32_t *rot,
+                 uint64_t *rng, const int64_t *lines, const uint8_t *probe,
                  const uint8_t *fill, int fill_u, int64_t n,
                  uint8_t *hits, uint8_t *missed, int64_t *evict,
                  int64_t *stats)
 {
-    level_t L = {num_sets, ways, mask, ln, dy, occ, rng};
+    level_t L = {num_sets, ways, mask, ln, dy, occ, rot, rng};
     opbuf_t b;
     int64_t o[6] = {0, 0, 0, 0, 0, 0};
     memset(&b, 0, sizeof(b));
@@ -1103,7 +1139,7 @@ const int64_t *hier_drain(hier_t *h, const int64_t *refs,
                           const int64_t *count, const uint8_t *write,
                           const int64_t *elem, int64_t nseg)
 {
-    int64_t *out = h->out, n = 0, at = 0, top = -1, g, k;
+    int64_t *out = h->out, n = 0, at = 0, top = -1, g, k, tst[4] = {0, 0, 0, 0};
     int pmu = h->pmu != 0;
     opbuf_t *cur = &h->buf[0], *nxt = &h->buf[1], *tmp;
     memset(out, 0, (size_t)h->nout * sizeof(int64_t));
@@ -1128,8 +1164,7 @@ const int64_t *hier_drain(hier_t *h, const int64_t *refs,
         int64_t cv = pf_cover(h, refs[g], base[g], stride[g], d);
         int64_t w = 0, j;
         if (h->tlb)
-            w = seg_pages(h->tlb, base[g], stride[g], count[g], elem[g],
-                          h->page, out + OUT_TLB);
+            w = seg_pages(h->tlb, base[g], stride[g], count[g], elem[g], h->page, tst);
         seg_lines(base[g], stride[g], count[g], elem[g], h->line, cur->lines + at);
         memset(cur->fill + at, write[g] ? 1 : 0, (size_t)d);
         memset(cur->cov + at, 0, (size_t)(d - cv));
@@ -1143,6 +1178,7 @@ const int64_t *hier_drain(hier_t *h, const int64_t *refs,
         }
         at += d;
     }
+    for (k = 0; k < 4; k++) out[OUT_TLB + k] += tst[k];
 
     /* Level by level, one pass each; dirty evictions and demand misses
      * flow down, and past the last level to DRAM. */
@@ -1229,23 +1265,43 @@ def _compile(base: str, tag: str, sofile: str) -> None:
 
 
 #: The self-test drain's counter block and fold records, as the exact
-#: engine counts them (see :func:`_selftest`).
+#: engine counts them.  Regenerate them from ``MemoryHierarchy([Cache("L1",
+#: 192, 3, 64, "lru"), Cache("L2", 256, 2, 64, "random")],
+#: prefetch=PrefetcherSpec("t", 16, 1, 2), tlb=TlbSpec(2, 0, 6, 3))`` under
+#: ``attach_pmu()``, fed :data:`_SELFTEST_SEGMENTS`: its counters in the
+#: layout of ``out`` (``_OUT_*``; a level's replayed ops are its probes
+#: plus the writebacks of the level above), then one tally row per
+#: reference in first-touch order and the (level, set, conflicts) rows.
 _SELFTEST_OUT = [
-    2, 10, 0, 0, 17, 4, 5, 12, 3, 5, 0, 3, 1,
-    0, 17, 17, 6, 5, 17, 0, 17, 17, 4, 5, 23, 14, 3, 0, 14, 2, 1,
+    7, 14, 3, 11, 24, 8, 7, 21, 4, 7, 0, 3, 1,
+    3, 25, 25, 10, 7, 28, 1, 24, 24, 8, 7, 35, 18, 7, 0, 18, 5, 1,
 ]
 _SELFTEST_FOLD = [
-    0, 32, 4, 1, 4, 0, 4, 0, 0, 4, 0, 0,
-    1, 56, 7, 4, 7, 2, 4, 3, 0, 4, 2, 1,
-    2, 48, 6, 5, 6, 2, 6, 0, 0, 6, 0, 0,
+    0, 64, 8, 1, 8, 1, 8, 0, 0, 8, 0, 0,
+    1, 96, 12, 5, 9, 3, 4, 6, 0, 4, 4, 1,
+    2, 64, 8, 5, 7, 4, 6, 1, 0, 6, 1, 0,
     1, 0, 1]
+
+#: The self-test segments: (ref, base, stride, count, write), elements of
+#: 8 bytes.  In the 3-way L1 the stream fills the set, rotates it, hits
+#: the way at its offset (the shift wraps around the ring), hits the MRU
+#: way with a write, rotates again, hits the way before the offset (its
+#: dirty bit moving along) and evicts that line dirty; the 2-set dTLB-L2
+#: rotates its set 0 and hits in it around the ring.
+_SELFTEST_SEGMENTS = [
+    (0, 0, 64, 3, 1), (1, 4096, 4096, 3, 0), (2, -8192, 64, 2, 1), (0, -8000, 64, 1, 1),
+    (2, 64 * 4096, 4096, 4, 0), (1, 0, 128, 3, 0), (1, 0, 0, 1, 0), (2, 0, 0, 1, 1),
+    (0, 512, 0, 1, 0), (1, 8, 0, 1, 0), (0, 9 * 64, 64, 3, 1), (1, 2 * 4096, 64 * 4096, 2, 0),
+    (2, 8, 0, 1, 0), (1, 11 * 64, 117 * 64, 2, 0),
+]
 
 
 def _selftest(lib) -> None:
-    """Drain a few segments through a tiny two-level hierarchy (one-set
-    LRU L1, two-set random L2) with a fully-associative two-entry dTLB,
-    a prefetcher and a PMU, and compare every counter with the exact
-    engine's: catches a miscompiled or stale library in microseconds."""
+    """Drain :data:`_SELFTEST_SEGMENTS` through a tiny two-level hierarchy
+    (one-set 3-way LRU L1, two-set 2-way random L2) with a two-entry
+    fully-associative dTLB-L1, a 2-set 3-way dTLB-L2, a prefetcher and a
+    PMU, and compare every counter with the exact engine's: catches a
+    miscompiled or stale library in microseconds."""
     def ptr(values, dtype):
         arr = np.array(values, dtype=dtype)
         keep.append(arr)
@@ -1253,28 +1309,24 @@ def _selftest(lib) -> None:
 
     keep: List[np.ndarray] = []
     out = np.zeros(_OUT_LEVELS + 9 * 2, dtype=np.int64)
-    tlb = lib.tlb_new(1, 2, 0, 0)
+    tlb = lib.tlb_new(1, 2, 2, 3)
     h = lib.hier_new(2, 64, PAGE_SIZE, tlb, 16, 1, 2, 1, out.ctypes.data) if tlb else None
     try:
         if h is None:
             raise RuntimeError("native self-test could not allocate its hierarchy")
-        random_state = ptr([RANDOM_SEED], np.uint64)
-        for k, (sets, policy_state) in enumerate([(1, None), (2, random_state)]):
+        levels = [(1, 3, ptr([0], np.int32), None), (2, 2, None, ptr([RANDOM_SEED], np.uint64))]
+        for k, (sets, ways, rot, rng) in enumerate(levels):
             lib.hier_level(
-                h, k, sets, 2, sets - 1, ptr([0] * 2 * sets, np.int64),
-                ptr([0] * 2 * sets, np.uint8), ptr([0] * sets, np.int32), policy_state,
+                h, k, sets, ways, sets - 1, ptr([0] * ways * sets, np.int64),
+                ptr([0] * ways * sets, np.uint8), ptr([0] * sets, np.int32), rot, rng,
             )
         if lib.hier_pmu(h, 1):
             raise RuntimeError("native self-test could not allocate its PMU")
+        ref, base, stride, count, write = zip(*_SELFTEST_SEGMENTS)
         rec = lib.hier_drain(
-            h,
-            ptr([0, 1, 2, 0, 2, 1, 1], np.int64),                     # ref
-            ptr([0, 4096, -8192, -8000, 64 * 4096, 0, 0], np.int64),  # base
-            ptr([64, 4096, 64, 64, 4096, 128, 0], np.int64),          # stride
-            ptr([3, 3, 2, 1, 4, 3, 1], np.int64),                     # count
-            ptr([1, 0, 1, 1, 0, 0, 0], np.uint8),                     # write
-            ptr([8] * 7, np.int64),                                   # elem
-            7,
+            h, ptr(ref, np.int64), ptr(base, np.int64), ptr(stride, np.int64),
+            ptr(count, np.int64), ptr(write, np.uint8), ptr([8] * len(ref), np.int64),
+            len(ref),
         )
         got = out.tolist()
         nfold = got[_OUT_NREF] * (_ROW_FIXED + 6) + 3 * got[_OUT_NSET]
@@ -1324,7 +1376,13 @@ def _unpack(ptr: int, n: int) -> List[int]:
 class NativeCache:
     """One cache level whose replay runs in the compiled level pass: an
     LRU level, or a random-replacement level with the exact xorshift64
-    draw sequence."""
+    draw sequence.
+
+    Each set holds ``_occ[s]`` lines in ways ``[0, _occ[s])`` of ``_ln``
+    with a dirty byte each in ``_dy``.  An LRU set keeps them in LRU
+    order around a ring starting at its rotation offset ``_rot[s]`` (0
+    until the set fills); a random set keeps each line in its way.
+    """
 
     def __init__(self, name: str, size_bytes: int, ways: int, line_size: int, policy: str):
         if size_bytes % (ways * line_size):
@@ -1344,9 +1402,12 @@ class NativeCache:
         self._dy = np.zeros(self.num_sets * ways, dtype=np.uint8)
         self._occ = np.zeros(self.num_sets, dtype=np.int32)
         self.policy_name = policy
-        # The random policy's state, a one-element array the compiled
-        # level advances in place (None: LRU).
-        self._rng = np.array([RANDOM_SEED], dtype=np.uint64) if policy == "random" else None
+        # The policy's state, which the compiled level updates in place:
+        # each LRU set's rotation offset (its LRU way once the set is
+        # full), or the random policy's one-element xorshift64 state.
+        lru = policy == "lru"
+        self._rot = np.zeros(self.num_sets, dtype=np.int32) if lru else None
+        self._rng = None if lru else np.array([RANDOM_SEED], dtype=np.uint64)
         self.skips: Dict[str, int] = {"resident": 0, "streaming": 0, "replayed": 0}
 
     def set_index(self, line: int) -> int:
@@ -1376,6 +1437,8 @@ class NativeCache:
         self._ln.fill(-1)
         self._dy.fill(0)
         self._occ.fill(0)
+        if self._rot is not None:
+            self._rot.fill(0)
         if self._rng is not None:
             self._rng[0] = RANDOM_SEED
         self.skips = {"resident": 0, "streaming": 0, "replayed": 0}
@@ -1400,30 +1463,25 @@ class NativeCache:
         and the dirty line evicted by each op (:data:`EVICT_NONE` if
         none).
         """
-        arr = lines if isinstance(lines, np.ndarray) else np.asarray(lines, dtype=np.int64)
+        # The core reads each column as contiguous int64 / uint8 values:
+        # a strided view (``lines[::-1]``) or another dtype is copied.
+        arr = np.ascontiguousarray(lines, dtype=np.int64)
         n = len(arr)
         hits = np.empty(n, dtype=np.uint8)
         missed = np.empty(n, dtype=np.uint8)
         evict = np.empty(n, dtype=np.int64)
         if n == 0:
             return hits, missed, evict
-        if probe is None:
-            probe_arr = None
-        elif isinstance(probe, np.ndarray):
-            probe_arr = probe
-        else:
-            probe_arr = np.asarray(probe, dtype=np.uint8)
-        if isinstance(fill, np.ndarray):
-            fill_arr, fill_u = fill, 0
-        elif type(fill) is list:
-            fill_arr, fill_u = np.asarray(fill, dtype=np.uint8), 0
+        probe_arr = None if probe is None else np.ascontiguousarray(probe, dtype=np.uint8)
+        if isinstance(fill, (np.ndarray, list)):
+            fill_arr, fill_u = np.ascontiguousarray(fill, dtype=np.uint8), 0
         else:
             fill_arr, fill_u = None, 1 if fill else 0
         st = np.zeros(4, dtype=np.int64)
         _lib.level_batch(
             self.num_sets, self.ways, self._cmask,
-            _addr(self._ln), _addr(self._dy), _addr(self._occ), _addr(self._rng),
-            _addr(arr), _addr(probe_arr), _addr(fill_arr), fill_u, n,
+            _addr(self._ln), _addr(self._dy), _addr(self._occ), _addr(self._rot),
+            _addr(self._rng), _addr(arr), _addr(probe_arr), _addr(fill_arr), fill_u, n,
             _addr(hits), _addr(missed), _addr(evict), _addr(st),
         )
         stats = self.stats
@@ -1566,7 +1624,8 @@ class NativeHierarchy(MemoryHierarchy):
         for k, cache in enumerate(self.caches):
             _lib.hier_level(
                 state, k, cache.num_sets, cache.ways, cache._cmask,
-                _addr(cache._ln), _addr(cache._dy), _addr(cache._occ), _addr(cache._rng),
+                _addr(cache._ln), _addr(cache._dy), _addr(cache._occ), _addr(cache._rot),
+                _addr(cache._rng),
             )
 
     # -- buffer management ---------------------------------------------------

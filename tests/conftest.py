@@ -25,11 +25,18 @@ def device(device_key):
 
 
 def require_native():
-    """Skip the calling test when the native replay core is unavailable."""
+    """Skip the calling test when no C compiler is on ``PATH``; fail it,
+    naming :func:`native_status`, when a compiler is there but the native
+    replay core does not load (a compile error or a failed self-test)."""
+    import shutil
+
     from repro.memsim.native import native_available, native_status
 
-    if not native_available():
-        pytest.skip(f"native engine {native_status()}")
+    if native_available():
+        return
+    if shutil.which("cc") or shutil.which("gcc"):
+        pytest.fail(f"native engine {native_status()} although a C compiler is on PATH")
+    pytest.skip(f"native engine {native_status()}")
 
 
 def fresh_modules(code: str, prefixes) -> list:

@@ -7,8 +7,10 @@ the native :class:`~repro.memsim.native.NativeHierarchy`, and assert that
 every observable — hits, misses, prefetch hits, writebacks, DRAM line
 traffic, TLB walks, and the full per-reference PMU attribution state —
 is exactly equal.  A comparison needs both engines, so every test that
-builds the native one skips (naming :func:`native_status`) when the C
-core cannot load instead of comparing the exact engine with itself.
+builds the native one goes through ``require_native``: it skips where no
+C compiler is on ``PATH`` and fails, naming :func:`native_status`, where
+one is but the core does not load (a compile error or a failed
+self-test), instead of comparing the exact engine with itself.
 """
 
 import functools
@@ -399,6 +401,7 @@ def _assert_stream_identical(stream, levels, tlb, warm=(), warm_pmu=False):
             build_engines(levels, C906_PREFETCH, tlb)["native"], stream, warm, mode, warm_pmu
         )
         assert got == exact, mode
+    return exact
 
 
 #: 1280 sets, as in the Xeon L3 at the figures' 1/16 cache scale (not a power of two).
@@ -642,6 +645,214 @@ class TestLevelPassEdges:
         _assert_stream_identical(stream, levels, TLB)
 
 
+#: The set-associative dTLBs of the device catalog: (L1 entries, ways,
+#: L2 entries, ways).  Their set levels are 16x4, 256x8, 64x2, 512x1 and
+#: 256x4 (sets x ways); the one-set L1s are fully associative.
+SET_TLBS = [
+    TlbSpec(l1_entries=64, l1_ways=4, l2_entries=2048, l2_ways=8),
+    TlbSpec(l1_entries=20, l1_ways=0, l2_entries=128, l2_ways=2),
+    TlbSpec(l1_entries=40, l1_ways=0, l2_entries=512, l2_ways=1),
+    TlbSpec(l1_entries=48, l1_ways=0, l2_entries=1024, l2_ways=4),
+]
+
+#: A 4-set 12-way L1, a 64-set 20-way L2 and a modulo-indexed 1280-set
+#: 12-way L3 (the Xeon's at the figures' 1/16 cache scale).
+RING_LEVELS = [
+    ("L1", 4 * 12 * 64, 12, "lru"),
+    ("L2", 64 * 20 * 64, 20, "lru"),
+    ("L3", 1280 * 12 * 64, 12, "lru"),
+]
+
+
+def _window_stream(seed, n, unit, windows, max_count=48):
+    """``n`` random segments of ``unit``-byte keys (64: lines, 4096:
+    pages), each inside one of ``windows`` key ranges that slide forward
+    over the stream by an eighth of their width per ``n / 64`` segments:
+    keys come back after a varying number of others (hits at every depth
+    of the LRU order) while new ones keep arriving (misses in full
+    sets)."""
+    rng = np.random.default_rng(seed)
+    stream = []
+    for i in range(n):
+        width = int(rng.choice(windows))
+        start = (i * 64 // n) * (width // 8)
+        stream.append(seg(
+            (start + int(rng.integers(0, width))) * unit + int(rng.integers(0, 8)) * 8,
+            int(rng.choice([unit, -unit, 2 * unit, 64])),
+            int(rng.integers(1, max_count)),
+            write=bool(rng.integers(0, 2)),
+            ref=int(rng.integers(-1, 4)),
+        ))
+    return stream
+
+
+def _hit_kind(cache, line):
+    """Where ``line`` sits in its rotating set of the native ``cache``,
+    and its dirty bit (``None``: absent).  The way is the MRU way, a way
+    before the rotation offset, a way at or after it (the shift wraps
+    around the ring), or a way of a set whose offset is 0 (a plain
+    shift)."""
+    s = cache.set_index(line)
+    ways = cache.ways
+    used, rot = int(cache._occ[s]), int(cache._rot[s])
+    held = cache._ln[s * ways : s * ways + used].tolist()
+    if line not in held:
+        return None
+    j = held.index(line)
+    dirty = bool(cache._dy[s * ways + j])
+    if j == (rot + used - 1) % ways:
+        return "mru", dirty
+    if rot == 0:
+        return "plain", dirty
+    return "before" if j < rot else "wrap", dirty
+
+
+class TestRotatingSets:
+    """The compiled LRU keeps each full set's ways as a ring with a
+    rotation offset at its LRU way: a miss overwrites that way and moves
+    the offset, a hit shifts only the ways between its line and the MRU
+    way, around the ring.  The LRU order, and so every counter, must stay
+    the exact engine's."""
+
+    @pytest.mark.parametrize("geometry", [(1, 4), (4, 12)], ids=["1x4", "4x12"])
+    def test_hits_at_every_ring_position_carry_the_dirty_bit(self, geometry):
+        """Op by op through ``process_batch`` (demand probes, reads and
+        writes, and writeback installs), against the exact cache under a
+        one-level hierarchy: the same hit, allocation and dirty victim per
+        op, and the same resident dirty lines after each op.  Hits and
+        installs that hit land on the MRU way, before the offset and at
+        or after it, each with the dirty bit set and clear; misses and
+        installs allocate into full sets, whose offsets then move."""
+        require_native()
+        sets, ways = geometry
+        exact = MemoryHierarchy([Cache("L1", sets * ways * 64, ways, 64, "lru")])
+        ref = exact.caches[0]
+        fast = native_cache("L1", sets * ways * 64, ways, 64, "lru")
+        rng = np.random.default_rng(sets)
+        seen = set()
+        for i in range(3000):
+            start = i // 40
+            line = start + int(rng.integers(0, sets * ways * 3 // 2))
+            probe, write = int(rng.integers(0, 5) > 0), bool(rng.integers(0, 2))
+            mode = write if probe else "install"
+            where = _hit_kind(fast, line)
+            if where is None:
+                full = bool(fast._occ[fast.set_index(line)] == ways)
+                where = ("allocate", full)
+            seen.add((*where, mode))
+            hits, missed, evict = fast.process_batch([line], [probe], write)
+            ev = None if evict[0] == native.EVICT_NONE else int(evict[0])
+            if probe:
+                assert (bool(hits[0]), ev) == ref.access(line, write), i
+            else:
+                # The exact install reports no victim: it writes it to DRAM.
+                assert bool(hits[0]) == ref.contains(line), i
+                written = exact.dram.written_lines
+                exact._install_writeback(line, 0)
+                assert (ev is not None) == (exact.dram.written_lines > written), i
+            assert bool(missed[0]) != bool(hits[0])
+            assert sorted(fast.dirty_lines()) == sorted(ref.dirty_lines()), i
+        assert fast.stats == ref.stats
+        kinds = ("mru", "before", "wrap") + (("plain",) if sets > 1 else ())
+        for mode in (True, False, "install"):
+            assert ("allocate", True, mode) in seen, mode
+            for kind in kinds:
+                for dirty in (True, False):
+                    assert (kind, dirty, mode) in seen, (kind, dirty, mode)
+
+    def test_batches_across_calls(self):
+        """The same ops in one ``process_batch`` call, in uneven chunks, and
+        op by op: identical per-op results, counters and dirty lines."""
+        require_native()
+        rng = np.random.default_rng(4)
+        n = 4000
+        lines = (np.arange(n) // 50 + rng.integers(0, 72, n)).astype(np.int64)
+        probe = (rng.integers(0, 5, n) > 0).astype(np.uint8)
+        fill = rng.integers(0, 2, n).astype(np.uint8)
+        results = []
+        for cuts in ([0, n], [0, 1, 7, 500, 2999, n], list(range(n + 1))):
+            cache = native_cache("L1", 4 * 12 * 64, 12, 64, "lru")
+            parts = [cache.process_batch(lines[a:b], probe[a:b], fill[a:b])
+                     for a, b in zip(cuts, cuts[1:])]
+            results.append((
+                [np.concatenate(col).tolist() for col in zip(*parts)],
+                cache.stats, sorted(cache.dirty_lines()),
+            ))
+            assert (cache._rot > 0).any()
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_streams_wrap_every_set_many_times(self):
+        """Every set of every level fills and wraps its ring many times
+        over, with hits at every depth: each observable is the exact
+        engine's, through both intakes."""
+        stream = _window_stream(
+            seed=3, n=6000, unit=64, windows=[72, 1920, 23040], max_count=64
+        )
+        _assert_stream_identical(stream, RING_LEVELS, TLB)
+        hier = build_engines(RING_LEVELS)["native"]
+        hier.run(stream)
+        hier.drain()
+        for cache in hier.caches:
+            assert (cache._occ == cache.ways).all(), cache.name
+            assert cache.stats.misses > 4 * cache.num_sets * cache.ways, cache.name
+
+    def test_reset_in_the_middle_of_a_rotation(self):
+        """``NativeCache.reset`` and ``NativeHierarchy.reset`` while sets
+        sit at non-zero offsets, then a replay: the same as a fresh
+        cache's and a fresh hierarchy's."""
+        first = _window_stream(seed=8, n=600, unit=64, windows=[72, 1920])
+        second = _window_stream(seed=9, n=600, unit=64, windows=[72, 1920])
+        fresh = build_engines(RING_LEVELS[:2])["native"]
+        used = build_engines(RING_LEVELS[:2])["native"]
+        used.attach_pmu()
+        used.run(first)
+        used.drain()
+        assert all((c._rot > 0).any() for c in used.caches)
+        used.reset()
+        assert _replay_observables(used, second, (), "batch") == _replay_observables(
+            fresh, second, (), "batch"
+        )
+        lines = np.array([s.base // 64 for s in first], dtype=np.int64)
+        cache, new = (native_cache("L1", 4 * 12 * 64, 12, 64, "lru") for _ in range(2))
+        cache.process_batch(lines, None, True)
+        assert (cache._rot > 0).any()
+        cache.reset()
+        for fill in (False, True):
+            got, want = (c.process_batch(lines[::-1], None, fill) for c in (cache, new))
+            assert [x.tolist() for x in got] == [x.tolist() for x in want]
+        assert cache.stats == new.stats
+        assert sorted(cache.dirty_lines()) == sorted(new.dirty_lines())
+
+    @pytest.mark.parametrize("tlb", SET_TLBS, ids=lambda t: f"dtlb{t.l1_entries}-{t.l2_entries}")
+    def test_set_associative_dtlbs(self, tlb):
+        """Page streams that wrap every set of the dTLB's set levels
+        many times, through both drains, then through ``tlb_walk``; after
+        ``tlb_reset`` a walk matches a fresh TLB's."""
+        width = 3 * tlb.l2_entries // 2
+        stream = _window_stream(seed=tlb.l2_entries, n=3000, unit=4096,
+                                windows=[tlb.l1_entries * 3 // 2, width])
+        (l1_hits, l1_misses), (_hits, l2_misses) = _assert_stream_identical(
+            stream, SMALL_LEVELS, tlb
+        )["tlb"]
+        assert l2_misses > 4 * tlb.l2_entries
+        assert l1_hits > 0 and l1_misses > 4 * tlb.l1_entries
+        rng = np.random.default_rng(tlb.l1_entries)
+        pages = (np.arange(40000) // 400 * (width // 8) + rng.integers(0, width, 40000)).tolist()
+        exact, fast, fresh = tlb.build(), native.NativeTlb(tlb), native.NativeTlb(tlb)
+        for page in pages:
+            exact.access_page(page)
+        fast.access_pages(pages[:20000])
+        fast.access_pages(pages[20000:])
+        for level in ("l1", "l2"):
+            assert getattr(fast, level).stats == getattr(exact, level).stats, level
+        assert exact.l2.stats.misses > 4 * tlb.l2_entries
+        fast.reset()
+        for t in (fast, fresh):
+            t.access_pages(pages[::-1])
+        for level in ("l1", "l2"):
+            assert getattr(fast, level).stats == getattr(fresh, level).stats, level
+
+
 class TestScalarShims:
     def test_access_reports_negative_evicted_lines(self):
         """``access`` returns the evicted dirty line even when its id is
@@ -661,6 +872,22 @@ class TestScalarShims:
         cache = native_cache("L1", 128, 1, 64, "lru")
         _hits, _missed, evict = cache.process_batch([-4, -2], None, True)
         assert evict.tolist() == [native.EVICT_NONE, -4]
+
+    def test_process_batch_reads_views_and_other_dtypes(self):
+        """Columns given as a reversed view, int32 lines, a probe list and
+        a bool fill array replay like contiguous int64/uint8 copies."""
+        require_native()
+        rng = np.random.default_rng(6)
+        lines = rng.integers(-100, 100, 600)
+        probe = (rng.integers(0, 4, 600) > 0).tolist()
+        fill = rng.integers(0, 2, 600).astype(np.bool_)
+        runs = []
+        for args in ((lines[::-1], probe, fill[::-1]),
+                     (lines[::-1].astype(np.int32), probe, fill[::-1].tolist()),
+                     (lines[::-1].copy(), np.array(probe, np.uint8), fill[::-1].astype(np.uint8))):
+            cache = native_cache("L1", 4 * 12 * 64, 12, 64, "lru")
+            runs.append([col.tolist() for col in cache.process_batch(*args)])
+        assert runs[0] == runs[2] and runs[1] == runs[2]
 
     def test_tlb_pages_match_exact(self):
         require_native()
