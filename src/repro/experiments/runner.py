@@ -46,10 +46,13 @@ from repro.transforms import for_device
 def pmu_enabled() -> bool:
     """``REPRO_PMU`` gate for figure-cell simulations (default: on).
 
-    With the PMU on, a figure cell's replay takes 1.2–1.8× its PMU-off
-    replay (fig2 cells at 512², fig6 cells at 40×192, best of 3, 2-core
-    x86 host), so ``REPRO_PMU=off`` (or ``0``/``no``) turns it off for
-    quick local figure runs; the per-figure ``perf.json`` is then empty.
+    Figure cells attach the PMU in counters mode (``pmu="counters"``),
+    whose replay takes 1.3× the PMU-off replay over the fig2 cells at
+    512² (1.31–1.36×) and 1.25–1.31× over the fig6 cells at 40×192
+    (sums of the best of 3 per cell, three runs, 2-core x86 host; the
+    attributing PMU takes 1.4–1.5×).  ``REPRO_PMU=off`` (or ``0``/``no``)
+    turns it off for quick local figure runs; the per-figure
+    ``perf.json`` is then empty.
     """
     return os.environ.get("REPRO_PMU", "").strip().lower() not in ("off", "0", "no")
 
@@ -176,7 +179,8 @@ class Runner:
                 program = for_device(build(), device)
             with_pmu = pmu_enabled()
             result: SimulationResult = simulate(
-                program, device, pmu=with_pmu, **simulate_kwargs
+                program, device, pmu="counters" if with_pmu else False,
+                **simulate_kwargs
             )
             return RunRecord(
                 program_name=program.name,

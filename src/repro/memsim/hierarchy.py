@@ -56,14 +56,22 @@ class MemoryHierarchy:
         self.line_size = line_size
         self.pmu = None  # attach_pmu() installs a passive observer
 
-    def attach_pmu(self):
+    def attach_pmu(self, mode: str = "attribution"):
         """Attach (and return) a simulated PMU observing this hierarchy.
 
         Purely observational: hit/miss behaviour, replacement state and
         DRAM traffic are identical with or without a PMU attached.
+        ``mode`` (:data:`~repro.memsim.pmu.PMU_MODES`) says what the
+        caller reads: ``"attribution"`` every counter and table of the
+        :class:`~repro.memsim.pmu.Pmu`, ``"counters"`` only its 3C and
+        prefetch totals (:meth:`~repro.memsim.pmu.Pmu.counters`).  This
+        engine, the oracle, attributes in both modes; the fast engine's
+        counters mode leaves the per-reference and per-set tables empty.
         """
-        from repro.memsim.pmu import Pmu
+        from repro.memsim.pmu import PMU_MODES, Pmu
 
+        if mode not in PMU_MODES:
+            raise SimulationError(f"unknown PMU mode {mode!r} (expected one of {PMU_MODES})")
         self.pmu = Pmu(self)
         return self.pmu
 

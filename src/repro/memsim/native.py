@@ -42,10 +42,18 @@ paged direct slots).  Every key owns one 32-bit slot holding its list
 node and, for the PMU, the *seen* bit, so the 3C observer needs no
 second set and no touch hashes its key.  Slots live in zeroed blocks of
 2**16 consecutive keys, mapped on first touch and found through a
-one-block memo in front of a small directory.  Per-reference PMU tallies
-accumulate in dense C arrays and are folded into the
-:class:`~repro.memsim.pmu.Pmu` dictionaries after each drain; Python
-otherwise reads back counters only.
+one-block memo in front of a small directory.
+
+The PMU has two products, chosen when it is attached (``hier_pmu``).
+Its counters — each level's 3C totals and the prefetch accuracy — come
+from the shadow touch, the seen bit and the class of each miss, and are
+read back with the other counters of the drain.  Its attribution — a
+tally row per reference, conflict counts per set, and the reference id
+that every op carries down the levels for them — is built only in
+attribution mode and folded into the :class:`~repro.memsim.pmu.Pmu`
+dictionaries after each drain.  Figure cells take the counters mode;
+``repro profile``, ``repro perf`` and the cache-model validator take
+attribution.
 
 Every counter is bit-identical to the exact engine, which stays the
 oracle and the fallback: the toolchain is probed once per process, and
@@ -115,6 +123,8 @@ _OUT_LEVELS = 13    # per level: hits, misses, fills, writebacks,
 # A tally row: ref, bytes, accesses, TLB walks, DRAM lines read,
 # written, then per level compulsory, capacity, conflict misses.
 _ROW_FIXED = 6
+# ``hier_pmu``'s modes, mirrored in the C source.
+_PMU_MODES = {"attribution": 1, "counters": 2}
 
 #: C types of the ``SegmentBatch`` columns a drain passes by pointer.
 _COLUMN_DTYPES = (np.int64, np.int64, np.int64, np.int64, np.uint8, np.int64)
@@ -673,6 +683,9 @@ struct hier {
     opbuf_t buf[2];
     int64_t *fold, fcap;
     int64_t *out;
+    /* with a PMU: attribute its misses to references (PMU_ATTRIB) or
+     * only count them (PMU_COUNTERS) */
+    int attrib;
 };
 typedef struct hier hier_t;
 
@@ -725,33 +738,43 @@ static void pmu_drop(hier_t *h)
     h->tally = 0; h->tlist = 0; h->tcap = 0; h->ntl = 0;
 }
 
-/* Drop any PMU state; with on, start a fresh one (empty shadows, nothing
- * seen) — attach_pmu on a warm hierarchy.  -1 (no PMU left attached) if
- * the memory is not there. */
-int hier_pmu(hier_t *h, int on)
+/* hier_pmu's modes: no PMU, the full attribution (3C totals, tally rows
+ * per reference and per-set conflict counts) or its counters only (3C
+ * totals and prefetch accuracy). */
+#define PMU_OFF 0
+#define PMU_ATTRIB 1
+#define PMU_COUNTERS 2
+
+/* Drop any PMU state; with a mode other than PMU_OFF, start a fresh one
+ * (empty shadows, nothing seen) — attach_pmu on a warm hierarchy.  -1 (no
+ * PMU left attached) if the memory is not there. */
+int hier_pmu(hier_t *h, int mode)
 {
     int64_t k;
     pmu_drop(h);
-    if (!on) return 0;
+    if (mode == PMU_OFF) return 0;
+    h->attrib = mode == PMU_ATTRIB;
     if (!(h->pmu = (pmulvl_t *)calloc((size_t)h->nlev, sizeof(pmulvl_t)))) return -1;
     for (k = 0; k < h->nlev; k++) {
         pmulvl_t *p = &h->pmu[k];
         int64_t sets = h->lv[k].num_sets;
+        if (fa_init(&p->sh, sets * h->lv[k].ways)) goto fail;
+        if (!h->attrib) continue;
         p->sconf = (int64_t *)calloc((size_t)sets, sizeof(int64_t));
         p->stouch = (int32_t *)try_alloc(sets, sizeof(int32_t));
-        if (fa_init(&p->sh, sets * h->lv[k].ways) || !p->sconf || !p->stouch) {
-            pmu_drop(h);
-            return -1;
-        }
+        if (!p->sconf || !p->stouch) goto fail;
     }
     return 0;
+fail:
+    pmu_drop(h);
+    return -1;
 }
 
-/* 0, or -1 as hier_pmu. */
+/* 0, or -1 as hier_pmu; an attached PMU restarts in its mode. */
 int hier_reset(hier_t *h)
 {
     h->st_n = 0;
-    return h->pmu ? hier_pmu(h, 1) : 0;
+    return h->pmu ? hier_pmu(h, h->attrib ? PMU_ATTRIB : PMU_COUNTERS) : 0;
 }
 
 static void opbuf_free(opbuf_t *b)
@@ -914,14 +937,19 @@ static int64_t pf_cover(hier_t *h, int64_t ref, int64_t base,
  *   (free ways are the prefix [occ, ways)) and draws once per eviction
  *   from the xorshift64 sequence, in chronological order across sets
  *   (the exact RandomPolicy's sequence);
- * - with pmu, the PMU's observe()/observe_install(): 3C classes into the
- *   level counters, the per-ref tallies and the per-set conflict counts,
- *   and prefetch accuracy from the covered flags pfcov (level 0);
+ * - with pmu, the PMU's observe()/observe_install(): the shadow touch,
+ *   the seen bit and the 3C class into the level counters, and prefetch
+ *   accuracy from the covered flags pfcov (level 0).  Those are the
+ *   counters-mode PMU's whole product; in attribution mode (h->attrib, a
+ *   runtime flag, so the PMU copies of the pass serve both modes) the
+ *   class also goes to the op's per-ref tally row and a conflict to its
+ *   set's count;
  * - the op's output: its dirty eviction (an install, probe 0), then its
- *   demand miss, both with the op's reference id, appended to the next
- *   level's stream nb; past the last level (nb NULL) they count as DRAM
- *   lines written and read.  With per-op results (hits, missed, evict:
- *   process_batch) there is no output stream.
+ *   demand miss, appended to the next level's stream nb, each with the
+ *   op's reference id in attribution mode; past the last level (nb NULL)
+ *   they count as DRAM lines written and read (and go to the op's tally
+ *   row).  With per-op results (hits, missed, evict: process_batch)
+ *   there is no output stream.
  * probe NULL: every op is a demand probe; fill NULL: a probe fill's dirty
  * bit is fill_u.  The level counters o are hits, misses, fills,
  * writebacks, prefetch hits (covered demand misses passed on) and
@@ -948,7 +976,8 @@ static inline __attribute__((always_inline)) int64_t level_pass(
     /* the next level's stream */
     int64_t cap = nb ? nb->cap : 0, *nl = nb ? nb->lines : 0, *nr = nb ? nb->refs : 0;
     uint8_t *np = nb ? nb->probe : 0, *nc = nb ? nb->cov : 0;
-    /* PMU state */
+    /* PMU state; attr: attribute to references too */
+    const int attr = pmu && h->attrib;
     pmulvl_t *p = pmu ? &h->pmu[k] : 0;
     falru_t *sh = pmu ? &p->sh : 0;
     int64_t *const tally = pmu ? h->tally : 0, width = pmu ? h->width : 0;
@@ -995,11 +1024,11 @@ static inline __attribute__((always_inline)) int64_t level_pass(
                     int c = 1;                      /* capacity */
                     if (!(*slot & 1u)) { *slot |= 1u; c = 0; }
                     else if (in_shadow) {           /* conflict */
-                        if (sconf[s]++ == 0) stouch[nstouch++] = (int32_t)s;
+                        if (attr && sconf[s]++ == 0) stouch[nstouch++] = (int32_t)s;
                         c = 2;
                     }
                     c3[c]++;
-                    tally[(refs[i] + 1) * width + ROW_FIXED + 3 * k + c]++;
+                    if (attr) tally[(refs[i] + 1) * width + ROW_FIXED + 3 * k + c]++;
                 }
             }
         }
@@ -1008,15 +1037,15 @@ static inline __attribute__((always_inline)) int64_t level_pass(
             continue;
         }
         if (nb && m + 2 > cap) {
-            if (opbuf_more(nb, m, n - i, pmu)) return -1;
+            if (opbuf_more(nb, m, n - i, attr)) return -1;
             cap = nb->cap; nl = nb->lines; nr = nb->refs; np = nb->probe; nc = nb->cov;
         }
         if (ev != EVICT_NONE) {
             if (nb) {
                 nl[m] = ev; np[m] = 0; nc[m] = 0;
-                if (pmu) nr[m] = refs[i];
+                if (attr) nr[m] = refs[i];
                 m++;
-            } else if (pmu) {
+            } else if (attr) {
                 tally[(refs[i] + 1) * width + 5]++;
             }
         }
@@ -1025,9 +1054,9 @@ static inline __attribute__((always_inline)) int64_t level_pass(
             pf += cv;
             if (nb) {
                 nl[m] = line; np[m] = 1; nc[m] = cv;
-                if (pmu) nr[m] = refs[i];
+                if (attr) nr[m] = refs[i];
                 m++;
-            } else if (pmu) {
+            } else if (attr) {
                 tally[(refs[i] + 1) * width + 4]++;
             }
         }
@@ -1128,19 +1157,19 @@ static const int64_t *fold(hier_t *h)
 
 /* One drain: replay nseg queued segments (parallel columns) through the
  * whole hierarchy.  Counters go to out (zeroed first); returns the fold
- * records (PMU attached) or out, or NULL — before touching any state —
- * if a reference id is below -1 while a PMU is attached.  If memory runs
- * out it returns DRAIN_NOMEM: before any state changes when the line
- * buffers or the tally rows are too large (a huge segment), otherwise
- * with the hierarchy left unusable (a next level's stream, or a block of
- * slots a TLB level or a PMU shadow could not map). */
+ * records (a PMU attributing) or out, or NULL — before touching any
+ * state — if a reference id is below -1 while a PMU attributes.  If
+ * memory runs out it returns DRAIN_NOMEM: before any state changes when
+ * the line buffers or the tally rows are too large (a huge segment),
+ * otherwise with the hierarchy left unusable (a next level's stream, or a
+ * block of slots a TLB level or a PMU shadow could not map). */
 const int64_t *hier_drain(hier_t *h, const int64_t *refs,
                           const int64_t *base, const int64_t *stride,
                           const int64_t *count, const uint8_t *write,
                           const int64_t *elem, int64_t nseg)
 {
     int64_t *out = h->out, n = 0, at = 0, top = -1, g, k, tst[4] = {0, 0, 0, 0};
-    int pmu = h->pmu != 0;
+    int attr = h->pmu && h->attrib;
     opbuf_t *cur = &h->buf[0], *nxt = &h->buf[1], *tmp;
     memset(out, 0, (size_t)h->nout * sizeof(int64_t));
     if (nseg > h->dcap) {
@@ -1150,12 +1179,12 @@ const int64_t *hier_drain(hier_t *h, const int64_t *refs,
         h->dcap = nseg;
     }
     for (g = 0; g < nseg; g++) {
-        if (pmu && refs[g] < -1) return 0;
+        if (attr && refs[g] < -1) return 0;
         if (refs[g] > top) top = refs[g];
         h->dist[g] = seg_lines(base[g], stride[g], count[g], elem[g], h->line, 0);
         n += h->dist[g];
     }
-    if (opbuf_reserve(cur, n, 1, pmu) || (pmu && tally_reserve(h, top)))
+    if (opbuf_reserve(cur, n, 1, attr) || (attr && tally_reserve(h, top)))
         return DRAIN_NOMEM;
 
     /* Expansion, prefetch coverage and the TLB walk, in segment order. */
@@ -1169,7 +1198,7 @@ const int64_t *hier_drain(hier_t *h, const int64_t *refs,
         memset(cur->fill + at, write[g] ? 1 : 0, (size_t)d);
         memset(cur->cov + at, 0, (size_t)(d - cv));
         memset(cur->cov + at + d - cv, 1, (size_t)cv);
-        if (pmu) {
+        if (attr) {
             int64_t *row = tally_row(h, refs[g]);
             row[1] += count[g] * elem[g];
             row[2] += d;
@@ -1184,14 +1213,14 @@ const int64_t *hier_drain(hier_t *h, const int64_t *refs,
      * flow down, and past the last level to DRAM. */
     for (k = 0; k < h->nlev && n; k++) {
         opbuf_t *nb = k + 1 < h->nlev ? nxt : 0;
-        if (nb && opbuf_reserve(nb, 0, 0, pmu)) return DRAIN_NOMEM;
+        if (nb && opbuf_reserve(nb, 0, 0, attr)) return DRAIN_NOMEM;
         if ((n = level_run(h, k, cur, n, nb)) < 0) return DRAIN_NOMEM;
         tmp = cur; cur = nxt; nxt = tmp;
     }
     if (h->tlb && tlb_nomem(h->tlb)) return DRAIN_NOMEM;
-    for (k = 0; pmu && k < h->nlev; k++)
+    for (k = 0; h->pmu && k < h->nlev; k++)
         if (h->pmu[k].sh.nomem) return DRAIN_NOMEM;
-    return pmu ? fold(h) : out;
+    return attr ? fold(h) : out;
 }
 """
 
@@ -1301,7 +1330,22 @@ def _selftest(lib) -> None:
     (one-set 3-way LRU L1, two-set 2-way random L2) with a two-entry
     fully-associative dTLB-L1, a 2-set 3-way dTLB-L2, a prefetcher and a
     PMU, and compare every counter with the exact engine's: catches a
-    miscompiled or stale library in microseconds."""
+    miscompiled or stale library in microseconds.  The stream drains
+    twice, on fresh hierarchies: under an attributing PMU, which must
+    return the fold records too, and under a counters-mode PMU, which must
+    count the same and return no record."""
+    counters_out = list(_SELFTEST_OUT)
+    counters_out[_OUT_NREF] = counters_out[_OUT_NSET] = 0
+    if _selftest_drain(lib, "attribution") != (_SELFTEST_OUT, _SELFTEST_FOLD):
+        raise RuntimeError("native self-test mismatch")
+    if _selftest_drain(lib, "counters") != (counters_out, None):
+        raise RuntimeError("native self-test mismatch in the PMU's counters mode")
+
+
+def _selftest_drain(lib, mode: str):
+    """The self-test hierarchy's counter block after one drain of
+    :data:`_SELFTEST_SEGMENTS` under a PMU in ``mode``, and the drain's
+    fold records (``None`` if it returned the counter block instead)."""
     def ptr(values, dtype):
         arr = np.array(values, dtype=dtype)
         keep.append(arr)
@@ -1320,7 +1364,7 @@ def _selftest(lib) -> None:
                 h, k, sets, ways, sets - 1, ptr([0] * ways * sets, np.int64),
                 ptr([0] * ways * sets, np.uint8), ptr([0] * sets, np.int32), rot, rng,
             )
-        if lib.hier_pmu(h, 1):
+        if lib.hier_pmu(h, _PMU_MODES[mode]):
             raise RuntimeError("native self-test could not allocate its PMU")
         ref, base, stride, count, write = zip(*_SELFTEST_SEGMENTS)
         rec = lib.hier_drain(
@@ -1329,9 +1373,9 @@ def _selftest(lib) -> None:
             len(ref),
         )
         got = out.tolist()
-        nfold = got[_OUT_NREF] * (_ROW_FIXED + 6) + 3 * got[_OUT_NSET]
-        if got != _SELFTEST_OUT or _unpack(rec, nfold) != _SELFTEST_FOLD:
-            raise RuntimeError("native self-test mismatch")
+        if rec == out.ctypes.data:
+            return got, None
+        return got, _unpack(rec, got[_OUT_NREF] * (_ROW_FIXED + 6) + 3 * got[_OUT_NSET])
     finally:
         if h:
             lib.hier_free(h)
@@ -1606,6 +1650,8 @@ class NativeHierarchy(MemoryHierarchy):
         self._buf_cols: List[SegmentBatch] = []
         self._buf_segs: List[Segment] = []
         self._buf_ops = 0
+        # Whether the attached PMU (if any) attributes to references.
+        self._attribute = False
         # The C state: it points at the caches' arrays and the TLB, owns
         # the prefetch stream table, the PMU state and the scratch, and
         # writes each drain's counters into ``_out``.
@@ -1640,11 +1686,13 @@ class NativeHierarchy(MemoryHierarchy):
         self._drain_buffer()
         _lib.hier_release(self._state)
 
-    def attach_pmu(self):
+    def attach_pmu(self, mode: str = "attribution"):
         self._drain_buffer()
-        if _lib.hier_pmu(self._state, 1):
+        pmu = super().attach_pmu(mode)
+        self._attribute = mode == "attribution"
+        if _lib.hier_pmu(self._state, _PMU_MODES[mode]):
             self._pmu_lost()
-        return super().attach_pmu()
+        return pmu
 
     def reset(self) -> None:
         self._buf_cols = []
@@ -1734,7 +1782,8 @@ class NativeHierarchy(MemoryHierarchy):
     # -- deferred replay -----------------------------------------------------
 
     def _drain_buffer(self) -> None:
-        """Replay the queue in one compiled call, then fold its counters."""
+        """Replay the queue in one compiled call, then add up its counters
+        (and, with an attributing PMU, fold its records)."""
         self._stage_segments()
         queued = self._buf_cols
         if not queued:
@@ -1781,21 +1830,24 @@ class NativeHierarchy(MemoryHierarchy):
             stats.prefetch_hits += o[at + 4]
             cache.skips["replayed"] += o[at + 5]
             at += 6
-        if self.pmu is not None:
-            self._fold_pmu(o, at, rec, int(refs[-1]))
-
-    def _fold_pmu(self, o, at, rec, last_ref) -> None:
-        """Fold one drain's PMU counters and fold records (see the C
-        ``fold``) into the :class:`~repro.memsim.pmu.Pmu` dictionaries."""
         pmu = self.pmu
-        levels = pmu.levels
-        for lvl in levels:
+        if pmu is None:
+            return
+        for lvl in pmu.levels:
             lvl.compulsory += o[at]
             lvl.capacity += o[at + 1]
             lvl.conflict += o[at + 2]
             at += 3
         pmu.prefetch_useful += o[_OUT_PMU_PF]
         pmu.prefetch_polluting += o[_OUT_PMU_PF + 1]
+        if self._attribute:
+            self._fold_pmu(o, rec, int(refs[-1]))
+
+    def _fold_pmu(self, o, rec, last_ref) -> None:
+        """Fold one drain's fold records (see the C ``fold``) into the
+        :class:`~repro.memsim.pmu.Pmu` dictionaries."""
+        pmu = self.pmu
+        levels = pmu.levels
         pmu.current_ref = last_ref
         width = _ROW_FIXED + 3 * len(levels)
         nrows = o[_OUT_NREF] * width

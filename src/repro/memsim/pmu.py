@@ -23,6 +23,11 @@ MemoryHierarchy` observes every line probe at every level and maintains:
   reference id (the "PC") each :class:`~repro.exec.trace.Segment`
   carries, which ``repro perf annotate`` joins back to IR statements.
 
+A PMU attached in counters mode (:data:`PMU_MODES`) is read for its
+totals only (:meth:`Pmu.counters`); the fast engine then keeps the
+per-set and per-reference tables empty, and the exact engine, the
+oracle, fills them anyway.
+
 Observation is strictly passive: attaching a PMU never changes hit/miss
 behaviour, replacement state or DRAM traffic (a property the test suite
 asserts).  The flat counter view (:meth:`Pmu.counters`) uses stable
@@ -47,6 +52,10 @@ MISS_CLASSES = ("compulsory", "capacity", "conflict")
 
 #: Flat prefetch-accuracy counter suffixes, in registry order.
 PREFETCH_COUNTERS = ("issued", "useful", "late", "polluting")
+
+#: What an attached PMU computes (``MemoryHierarchy.attach_pmu``): every
+#: table below, or only the totals :meth:`Pmu.counters` reads.
+PMU_MODES = ("attribution", "counters")
 
 
 class LevelPmu:

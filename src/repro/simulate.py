@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.analysis.opcount import OpCounts
 from repro.devices.spec import DeviceSpec
@@ -54,7 +54,8 @@ class SimulationResult:
     timing: TimingResult
     works: List[CoreWork] = field(default_factory=list)
     snapshots: List[HierarchySnapshot] = field(default_factory=list)
-    # PMU attribution state (populated only when ``simulate(..., pmu=True)``):
+    # PMU attribution state (populated only when ``simulate(..., pmu=True)``,
+    # not with ``pmu="counters"``):
     # one live Pmu per core plus the reference-id -> RefInfo join table used
     # by ``repro perf annotate`` to map counters back onto IR statements.
     pmus: List[Pmu] = field(default_factory=list)
@@ -124,7 +125,7 @@ def simulate(
     steady_state: bool = False,
     flush_writebacks: bool = False,
     check_capacity: bool = True,
-    pmu: bool = False,
+    pmu: Union[bool, str] = False,
     engine: Optional[str] = None,
 ) -> SimulationResult:
     """Simulate one run of ``program`` on ``device``.
@@ -156,6 +157,13 @@ def simulate(
         repetitions (snapshot deltas subtract them like any other
         counter), and the classification is purely observational — cache
         contents and timing are byte-for-byte identical with it off.
+        ``pmu="counters"`` computes only what the snapshots carry: the
+        ``pmu.<level>.{compulsory,capacity,conflict}`` and
+        ``pmu.prefetch.*`` counters, the same values as ``pmu=True``.
+        :attr:`SimulationResult.pmus` and ``ref_table`` then stay empty,
+        and the fast engine skips the per-reference and per-set tables
+        (figure cells take this mode; ``repro profile``, ``repro perf``
+        and the cache-model validator take ``pmu=True``).
     engine:
         Replay engine: ``"exact"`` (the per-reference oracle loop) or
         ``"fast"`` (the runtime-compiled C core, bit-identical on every
@@ -165,6 +173,9 @@ def simulate(
         replacement policies are outside what it models;
         :attr:`SimulationResult.engine` names the engine that replayed.
     """
+    if pmu not in (False, True, "counters"):
+        raise SimulationError(f"pmu must be False, True or 'counters', not {pmu!r}")
+    attribute = bool(pmu) and pmu != "counters"
     if repetitions < 1:
         raise SimulationError("repetitions must be >= 1")
     if steady_state and repetitions < 2:
@@ -200,7 +211,8 @@ def simulate(
         engine = hierarchies[0].engine
         pmus: List[Pmu] = []
         if pmu:
-            pmus = [h.attach_pmu() for h in hierarchies]
+            mode = "attribution" if attribute else "counters"
+            pmus = [h.attach_pmu(mode) for h in hierarchies]
         lap("build")
         with tracer.span("tracegen.plan", cat="tracegen"):
             generator = TraceGenerator(program, num_cores=active_cores)
@@ -288,8 +300,8 @@ def simulate(
         timing=timing,
         works=works,
         snapshots=deltas,
-        pmus=pmus,
-        ref_table=generator.references() if pmu else {},
+        pmus=pmus if attribute else [],
+        ref_table=generator.references() if attribute else {},
         engine=engine,
         engine_skips=engine_skips,
         stage_s={stage: ns / 1e9 for stage, ns in stage_ns.items()},

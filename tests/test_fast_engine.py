@@ -361,15 +361,16 @@ def _random_stream(seed, n, span_lines, max_count=48):
     ]
 
 
-def _replay_observables(hier, stream, warm, mode, warm_pmu=False):
-    """Feed ``warm`` (under a PMU of its own if ``warm_pmu``), attach a
-    fresh PMU, feed ``stream`` (one batch or segment by segment); return
-    every observable."""
+def _replay_observables(hier, stream, warm, mode, warm_pmu=False, pmu_mode="attribution"):
+    """Feed ``warm`` (under a PMU of its own if ``warm_pmu``: an
+    attributing one, or one in the mode it names), attach a fresh PMU in
+    ``pmu_mode``, feed ``stream`` (one batch or segment by segment);
+    return every observable."""
     if warm_pmu:
-        hier.attach_pmu()
+        hier.attach_pmu("attribution" if warm_pmu is True else warm_pmu)
     for s in warm:
         hier.process_segment(s)
-    p = hier.attach_pmu()
+    p = hier.attach_pmu(pmu_mode)
     if mode == "batch":
         hier.process_segments(_as_batch(stream))
     else:
@@ -401,7 +402,35 @@ def _assert_stream_identical(stream, levels, tlb, warm=(), warm_pmu=False):
             build_engines(levels, C906_PREFETCH, tlb)["native"], stream, warm, mode, warm_pmu
         )
         assert got == exact, mode
+    _assert_counters_mode_identical(exact, stream, levels, tlb, warm, warm_pmu)
     return exact
+
+
+def _attribution_tables(pmu):
+    """The per-reference and per-set tables of ``pmu``, as plain data."""
+    tables = [pmu.ref_accesses, pmu.ref_bytes, pmu.ref_dram_read_lines,
+              pmu.ref_dram_written_lines, pmu.ref_tlb_walks]
+    for level in pmu.levels:
+        tables += [level.per_ref, level.set_conflicts]
+    return [dict(t) for t in tables]
+
+
+def _assert_counters_mode_identical(want, stream, levels, tlb, warm=(), warm_pmu=False):
+    """Under a counters-mode PMU, both engines through both intakes count
+    what ``want`` (the exact engine under an attributing PMU) counts:
+    every snapshot counter (``pmu.*`` included), every TLB level and every
+    dirty line.  The fast engine fills no per-reference or per-set table;
+    the exact engine, the oracle, attributes anyway."""
+    assert want["snapshot"].pmu
+    for name in ("exact", "native"):
+        for mode in ("batch", "segments"):
+            hier = build_engines(levels, C906_PREFETCH, tlb)[name]
+            got = _replay_observables(hier, stream, warm, mode, warm_pmu, "counters")
+            assert got["pmu"]["counters"] == want["pmu"]["counters"], (name, mode)
+            for key in ("snapshot", "tlb", "dirty"):
+                assert got[key] == want[key], (name, mode, key)
+            if name == "native":
+                assert not any(_attribution_tables(hier.pmu)), mode
 
 
 #: 1280 sets, as in the Xeon L3 at the figures' 1/16 cache scale (not a power of two).
@@ -431,12 +460,13 @@ class TestCompiledStructureEdges:
         stream = _random_stream(seed=7, n=400, span_lines=6000, max_count=120)
         _assert_stream_identical(stream, levels, TLB)
 
-    @pytest.mark.parametrize("warm_pmu", [False, True])
+    @pytest.mark.parametrize("warm_pmu", [False, True, "counters"])
     def test_pmu_attached_to_warm_hierarchy(self, warm_pmu):
         """Hits on lines the new PMU never saw stay unclassified and do
         not mark them seen; a later miss on such a line is compulsory.
-        With ``warm_pmu`` the warm-up ran under another PMU, whose seen
-        lines and shadow the new one must not inherit."""
+        With ``warm_pmu`` the warm-up ran under another PMU (an
+        attributing or a counters-mode one), whose seen lines and shadow
+        the new one must not inherit."""
         warm = _random_stream(seed=11, n=150, span_lines=300)
         stream = warm[::2] + _random_stream(seed=12, n=150, span_lines=600) + warm
         _assert_stream_identical(stream, RANDOM_MODULO_LEVELS, TLB, warm=warm, warm_pmu=warm_pmu)
@@ -453,6 +483,45 @@ class TestCompiledStructureEdges:
         assert _replay_observables(used, stream, (), "batch") == _replay_observables(
             fresh, stream, (), "batch"
         )
+
+
+class TestCountersMode:
+    """A counters-mode PMU (``attach_pmu("counters")``) counts what an
+    attributing one counts; every stream of the other differentials also
+    runs under it (``_assert_stream_identical``, ``_phase_runs``)."""
+
+    def test_reset_keeps_the_mode(self):
+        """``reset`` restarts an attached PMU in its own mode.  Only an
+        attributing PMU needs reference ids of -1 or more, so after a reset
+        a counters-mode hierarchy still takes id -5 and counts it like the
+        exact engine, and an attributing one still refuses it."""
+        first = _window_stream(seed=8, n=300, unit=64, windows=[72, 1920])
+        second = _random_stream(seed=9, n=200, span_lines=2000)
+        second += [seg(64 * 7, 64, 30, write=True, ref=-5)] + second[:20]
+        want = _replay_observables(
+            build_engines(RING_LEVELS)["exact"], second, (), "segments"
+        )
+        used = build_engines(RING_LEVELS)["native"]
+        used.attach_pmu("counters")
+        used.run(first)
+        used.reset()
+        for s in second:
+            used.process_segment(s)
+        used.drain()
+        assert snapshot(used) == want["snapshot"]
+        assert dict(used.pmu.counters()) == want["pmu"]["counters"]
+        assert not any(_attribution_tables(used.pmu))
+        used.attach_pmu()
+        used.run(first)
+        used.reset()
+        with pytest.raises(SimulationError, match="cannot be attributed"):
+            used.run(second)
+
+    def test_unknown_mode_is_refused(self):
+        for hier in build_engines().values():
+            with pytest.raises(SimulationError, match="unknown PMU mode"):
+                hier.attach_pmu("totals")
+            assert hier.pmu is None
 
 
 #: Keys (lines or pages) per block of the compiled fully-associative
@@ -552,22 +621,29 @@ def _phase_runs(levels, phases, check):
     """Run ``phases`` (one drain each) through both engines under a PMU;
     ``check(exact, k, before)`` asserts on the exact engine after phase
     ``k`` (``before``: its snapshot before that phase) that the phase
-    reached the case it is there for.  Every observable must agree."""
+    reached the case it is there for.  Every observable must agree, and
+    under a counters-mode PMU both engines must count the same."""
     results = {}
-    for name, hier in build_engines(levels).items():
-        p = hier.attach_pmu()
-        for k, phase in enumerate(phases):
-            before = snapshot(hier)
-            hier.run(phase)
-            if name == "exact":
-                check(hier, k, before)
-        results[name] = {
-            "snapshot": snapshot(hier),
-            "tlb": _tlb_stats(hier),
-            "dirty": [sorted(c.dirty_lines()) for c in hier.caches],
-            "pmu": pmu_state(p),
-        }
-    assert results["native"] == results["exact"]
+    for pmu_mode in ("attribution", "counters"):
+        for name, hier in build_engines(levels).items():
+            p = hier.attach_pmu(pmu_mode)
+            for k, phase in enumerate(phases):
+                before = snapshot(hier)
+                hier.run(phase)
+                if name == "exact" and pmu_mode == "attribution":
+                    check(hier, k, before)
+            results[name, pmu_mode] = {
+                "snapshot": snapshot(hier),
+                "tlb": _tlb_stats(hier),
+                "dirty": [sorted(c.dirty_lines()) for c in hier.caches],
+                "pmu": pmu_state(p) if pmu_mode == "attribution" else dict(p.counters()),
+            }
+            if name == "native" and pmu_mode == "counters":
+                assert not any(_attribution_tables(p))
+    assert results["native", "attribution"] == results["exact", "attribution"]
+    want = dict(results["exact", "attribution"], pmu=results["exact", "attribution"]["pmu"]["counters"])
+    assert results["exact", "counters"] == want
+    assert results["native", "counters"] == want
 
 
 def _level_delta(hier, before, k):
@@ -1033,6 +1109,25 @@ def _assert_simulations_identical(program, device):
     assert len(exact.pmus) == len(fast.pmus)
     for a, b in zip(exact.pmus, fast.pmus):
         assert pmu_state(a) == pmu_state(b)
+    _assert_counters_mode_simulations(program, device, exact)
+
+
+def _assert_counters_mode_simulations(program, device, full):
+    """``simulate(..., pmu="counters")`` on both engines: the same time,
+    snapshots and counter set as ``full`` (an exact ``pmu=True`` run),
+    ``pmu.*`` counters included, with no PMU or reference table."""
+    from repro.profiling.counters import counter_set
+    from repro.simulate import simulate
+
+    want = counter_set(full)
+    assert any(name.startswith("pmu.") for name in want)
+    for engine in ("exact", "fast"):
+        got = simulate(program, device, pmu="counters", engine=engine)
+        assert got.engine == engine
+        assert got.seconds == full.seconds, engine
+        assert got.snapshots == full.snapshots, engine
+        assert counter_set(got) == want, engine
+        assert (got.pmus, got.ref_table) == ([], {}), engine
 
 
 @functools.lru_cache(maxsize=None)
@@ -1047,6 +1142,25 @@ class TestFigureSliceDifferential:
     @pytest.mark.parametrize("variant", ["Naive", "Blocking"])
     def test_fig2_cell_engines_identical(self, variant):
         _assert_simulations_identical(*_fig2_cell(variant))
+
+    @pytest.mark.parametrize(
+        "device_key", ["xeon_4310t", "raspberry_pi_4", "mango_pi_d1", "visionfive_jh7100"]
+    )
+    def test_fig2_panel_counters_mode(self, device_key):
+        """Every Fig. 2 variant on every device at n = 64, vectorized
+        where the figure vectorizes it: counters mode against ``pmu=True``
+        on both engines."""
+        from repro.experiments.config import CACHE_SCALE, TRANSPOSE_BLOCK, scaled_device
+        from repro.kernels import transpose
+        from repro.simulate import simulate
+        from repro.transforms import for_device
+
+        require_native()
+        device = scaled_device(device_key, CACHE_SCALE)
+        for variant in transpose.VARIANT_ORDER:
+            program = for_device(transpose.build(variant, 64, block=TRANSPOSE_BLOCK), device)
+            full = simulate(program, device, pmu=True, engine="exact")
+            _assert_counters_mode_simulations(program, device, full)
 
     @pytest.mark.parametrize("device_key", ["visionfive_jh7100", "raspberry_pi_4"])
     @pytest.mark.parametrize(

@@ -211,3 +211,51 @@ def test_simulate_reports_engine_skips_and_process_totals():
         transpose.build("Naive", 64), get_device("mango_pi_d1").scaled(16), engine="exact"
     )
     assert exact.engine == "exact" and exact.engine_skips == {}
+
+
+# -- the PMU's counters mode -----------------------------------------------------
+
+
+class TestCountersMode:
+    """``simulate(..., pmu="counters")``: the ``pmu.*`` counters of a
+    ``pmu=True`` run without its per-reference attribution."""
+
+    @pytest.mark.parametrize("engine", ["exact", "fast"])
+    def test_same_counters_and_no_attribution(self, engine):
+        from repro.profiling.counters import counter_set
+
+        if engine == "fast":
+            require_native()
+        device = visionfive_jh7100().scaled(16)
+        program = transpose.blocking(128, block=16)
+        full = simulate(program, device, pmu=True, engine=engine)
+        counters = simulate(program, device, pmu="counters", engine=engine)
+        assert full.pmus and full.ref_table
+        assert counters.pmus == [] and counters.ref_table == {}
+        assert counters.snapshots == full.snapshots
+        assert counters.seconds == full.seconds
+        assert counter_set(counters) == counter_set(full)
+        assert any(name.startswith("pmu.") for name in counter_set(counters))
+
+    def test_unknown_value_is_refused(self):
+        with pytest.raises(SimulationError, match="pmu must be"):
+            simulate(triad_program(64), mango_pi_d1(), pmu="attribution")
+
+    def test_runner_record_counters_match_a_full_pmu_simulation(self, tmp_path, monkeypatch):
+        """A figure cell's record carries the counter set of a ``pmu=True``
+        simulation of the same program."""
+        from repro.experiments.config import CACHE_SCALE, TRANSPOSE_BLOCK, scaled_device
+        from repro.experiments.runner import Runner
+        from repro.profiling.counters import counter_set
+        from repro.transforms import for_device
+
+        monkeypatch.delenv("REPRO_PMU", raising=False)
+        device = scaled_device("visionfive_jh7100", CACHE_SCALE)
+
+        def build():
+            return transpose.build("Blocking", 64, block=TRANSPOSE_BLOCK)
+
+        record = Runner(str(tmp_path / "cache.json")).run(("cell",), build, device)
+        full = simulate(for_device(build(), device), device, pmu=True)
+        assert record.counters == dict(counter_set(full))
+        assert any(name.startswith("pmu.") for name in record.counters)
