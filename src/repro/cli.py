@@ -759,8 +759,9 @@ def figures_main(argv: List[str]) -> int:
 
     from repro.experiments import export
 
-    # (failure label, writer(name, result) -> path, log prefix); each
-    # writer looks its export function up at call time.
+    # (failure label, writer(name, result) -> path or None if it wrote
+    # nothing, log prefix); each writer looks its export function up at
+    # call time.
     exports = []
     if args.csv_dir:
         exports.append(("csv", lambda name, result: export.export_figure_csv(
@@ -798,7 +799,9 @@ def figures_main(argv: List[str]) -> int:
             print(output)
             for label, write, written in exports if name != "ablations" else ():
                 try:
-                    LOG.info("[%s %s]", written, write(name, result))
+                    path = write(name, result)
+                    if path:
+                        LOG.info("[%s %s]", written, path)
                 except Exception as exc:  # one failed export must not stop the run
                     detail = f"{type(exc).__name__}: {exc}"
                     failures.append((f"{name} ({label} export)", detail))

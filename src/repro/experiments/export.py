@@ -17,6 +17,7 @@ import csv
 import json
 import os
 from dataclasses import asdict, is_dataclass
+from typing import Optional
 
 from repro.experiments import FIGURES
 from repro.experiments.runner import default_runner
@@ -70,12 +71,15 @@ def export_figure_json(name: str, directory: str, result) -> str:
     return _write_json(os.path.join(directory, f"{name}.json"), _jsonable(result))
 
 
-def export_figure_perf_json(name: str, directory: str) -> str:
-    """Write one figure's PMU counter sets as canonical JSON.
+def export_figure_perf_json(name: str, directory: str) -> Optional[str]:
+    """Write one figure's PMU counter sets as canonical JSON; returns the
+    path, or ``None`` when the figure has no counter cell to write.
 
     The runner records the flat perf-counter set of every cell it
     simulates with the PMU on; this collects the ones belonging to
-    ``name`` (by journal figure key) into ``<name>.perf.json``.  The same
+    ``name`` (by journal figure key) into ``<name>.perf.json``.  Figures
+    the runner does not simulate (Fig. 1, and Figs. 3 and 7, which reuse
+    Figs. 2 and 6) and PMU-off runs have none, and get no file.  The same
     canonical-JSON rules as :func:`export_figure_json` apply, and counter
     merging is associative, so serial and ``--jobs N`` runs write
     byte-identical files (CI diffs them).
@@ -85,4 +89,6 @@ def export_figure_perf_json(name: str, directory: str) -> str:
         for disk_key, counters in default_runner().perf_counters().items()
         if figure_of_key(disk_key) == name
     }
+    if not cells:
+        return None
     return _write_json(os.path.join(directory, f"{name}.perf.json"), cells)

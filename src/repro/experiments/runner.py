@@ -51,8 +51,8 @@ def pmu_enabled() -> bool:
     512² (1.31–1.36×) and 1.25–1.31× over the fig6 cells at 40×192
     (sums of the best of 3 per cell, three runs, 2-core x86 host; the
     attributing PMU takes 1.4–1.5×).  ``REPRO_PMU=off`` (or ``0``/``no``)
-    turns it off for quick local figure runs; the per-figure
-    ``perf.json`` is then empty.
+    turns it off for quick local figure runs; cells simulated that way
+    carry no counters and are left out of the per-figure ``perf.json``.
     """
     return os.environ.get("REPRO_PMU", "").strip().lower() not in ("off", "0", "no")
 
@@ -159,25 +159,30 @@ class Runner:
         ``policy`` overrides the runner-level retry/deadline policy for
         this one call — the serve tier maps per-job deadlines onto
         supervision budgets this way.
+
+        With the PMU on, a cached record without counters (simulated
+        with the PMU off) is a miss: the cell is simulated again and its
+        record overwritten, so no counter set goes missing.
         """
         disk_key = canonical_key(key)
-        if key in self._memory:
+        with_pmu = pmu_enabled()
+        memo = self._memory.get(key)
+        if memo is not None and (memo.counters or not with_pmu):
             return Outcome(
                 OutcomeStatus.COMPLETED,
-                value=self._memory[key],
+                value=memo,
                 attempts=0,
                 reason="memory-cache hit",
                 label=disk_key,
             )
         cached = self.cache.get(disk_key)
-        if cached is not None:
+        if cached is not None and (cached.get("counters") or not with_pmu):
             return self._disk_hit(key, disk_key, cached)
 
         def execute() -> RunRecord:
             faults.before_simulate(disk_key)
             with tracer.span("build_program", cat="runner", key=disk_key):
                 program = for_device(build(), device)
-            with_pmu = pmu_enabled()
             result: SimulationResult = simulate(
                 program, device, pmu="counters" if with_pmu else False,
                 **simulate_kwargs
@@ -203,7 +208,7 @@ class Runner:
         try:
             if locked:
                 fresh = self.cache.reload(disk_key)
-                if fresh is not None:
+                if fresh is not None and (fresh.get("counters") or not with_pmu):
                     return self._disk_hit(key, disk_key, fresh)
             with tracer.span("runner.supervise", cat="runner", key=disk_key):
                 outcome = supervise(

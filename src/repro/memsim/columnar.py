@@ -1,4 +1,4 @@
-"""Replay-engine selection and skip-path telemetry.
+"""Replay-engine selection, and the drained line-op count perfbench reads.
 
 Two engines replay trace segments through a device's cache hierarchy,
 bit-identical on every counter:
@@ -16,6 +16,12 @@ device uses a replacement policy outside :data:`FAST_POLICIES`
 (tree-PLRU ablations); ``SimulationResult.engine`` names the engine
 that actually replayed.  ``tests/test_fast_engine.py`` asserts
 bit-identity between the two on every counter both engines expose.
+
+:func:`process_skip_totals` is the one counter left here: the line ops
+the fast engine has drained in this process.  No result, report or
+exposition carries it; perfbench imports it (and :func:`resolve_engine`)
+from this module, so both stay until the benchmark changes (ROADMAP
+item 7).
 """
 
 from __future__ import annotations
@@ -37,34 +43,26 @@ ENGINES = (ENGINE_EXACT, ENGINE_FAST)
 #: ``REPRO_ENGINE=fast``.
 FAST_POLICIES = frozenset(("lru", "random"))
 
-#: Skip-path names reported by ``skip_counts()`` implementations:
-#: ``resident``/``streaming`` name the certified closed-form skip
-#: classes, ``replayed`` the ops replayed one by one.  The native core
-#: replays every op, so it reports only ``replayed``; the other two stay
-#: in the vocabulary ``repro perf``, ``/metrics`` and the benchmark read.
-SKIP_PATHS = ("resident", "streaming", "replayed")
-
-#: Process-wide skip-path accumulator (telemetry only — never part of
-#: cache records or counter sets, which must stay engine-free and
-#: bit-identical across engines).  ``simulate()`` folds each run's
-#: per-hierarchy counts in; long-lived processes (serve workers) read
-#: deltas around a job to attribute skips per run.
-_PROCESS_SKIPS: Dict[str, int] = {path: 0 for path in SKIP_PATHS}
-_PROCESS_SKIPS_LOCK = threading.Lock()
+#: Line ops every :class:`~repro.memsim.native.NativeHierarchy` in this
+#: process has drained (a probe or writeback install at each level).
+#: Kept only for perfbench until ROADMAP item 7's benchmark change.
+_replayed_ops = 0
+_replayed_lock = threading.Lock()
 
 
-def account_skips(counts: Dict[str, int]) -> None:
-    """Fold one run's skip counts into the process-wide accumulator."""
-    with _PROCESS_SKIPS_LOCK:
-        for path, value in counts.items():
-            if path in _PROCESS_SKIPS and value:
-                _PROCESS_SKIPS[path] += int(value)
+def add_replayed_ops(count: int) -> None:
+    """Add one drain's line ops to the process total."""
+    global _replayed_ops
+    with _replayed_lock:
+        _replayed_ops += count
 
 
 def process_skip_totals() -> Dict[str, int]:
-    """Cumulative skip counts for this process (copy)."""
-    with _PROCESS_SKIPS_LOCK:
-        return dict(_PROCESS_SKIPS)
+    """The process's drained line ops, in the ``resident``/``streaming``/
+    ``replayed`` shape perfbench reads.  The native core replays every
+    op, so the first two are always 0."""
+    with _replayed_lock:
+        return {"resident": 0, "streaming": 0, "replayed": _replayed_ops}
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:

@@ -83,13 +83,14 @@ import logging
 import os
 import tempfile
 import weakref
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.exec.trace import Segment, SegmentBatch
 from repro.memsim.cache import CacheStats, set_mask
+from repro.memsim.columnar import add_replayed_ops
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.prefetch import NO_PREFETCH, PrefetcherSpec
 from repro.memsim.replacement import RANDOM_SEED
@@ -1452,7 +1453,6 @@ class NativeCache:
         lru = policy == "lru"
         self._rot = np.zeros(self.num_sets, dtype=np.int32) if lru else None
         self._rng = None if lru else np.array([RANDOM_SEED], dtype=np.uint64)
-        self.skips: Dict[str, int] = {"resident": 0, "streaming": 0, "replayed": 0}
 
     def set_index(self, line: int) -> int:
         mask = self._set_mask
@@ -1485,7 +1485,6 @@ class NativeCache:
             self._rot.fill(0)
         if self._rng is not None:
             self._rng[0] = RANDOM_SEED
-        self.skips = {"resident": 0, "streaming": 0, "replayed": 0}
 
     def access(self, line: int, is_write: bool):
         """Scalar compatibility shim over :meth:`process_batch`."""
@@ -1533,7 +1532,6 @@ class NativeCache:
         stats.misses += int(st[1])
         stats.fills += int(st[2])
         stats.writebacks += int(st[3])
-        self.skips["replayed"] += n
         return hits, missed, evict
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -1712,16 +1710,6 @@ class NativeHierarchy(MemoryHierarchy):
         self._drain_buffer()
         super().flush()
 
-    def skip_counts(self) -> Dict[str, int]:
-        """Ops replayed per disposition (the native core replays every
-        op, so everything lands under ``replayed``)."""
-        self._drain_buffer()
-        total = {"resident": 0, "streaming": 0, "replayed": 0}
-        for cache in self.caches:
-            for key, value in cache.skips.items():
-                total[key] += value
-        return total
-
     # -- segment intake ------------------------------------------------------
 
     def process_segment(self, seg: Segment) -> None:
@@ -1821,6 +1809,7 @@ class NativeHierarchy(MemoryHierarchy):
         prefetcher.uncovered_lines += o[_OUT_PF + 1]
         prefetcher.late_lines += o[_OUT_PF + 2]
         at = _OUT_LEVELS
+        replayed = 0
         for cache in self.caches:
             stats = cache.stats
             stats.hits += o[at]
@@ -1828,8 +1817,9 @@ class NativeHierarchy(MemoryHierarchy):
             stats.fills += o[at + 2]
             stats.writebacks += o[at + 3]
             stats.prefetch_hits += o[at + 4]
-            cache.skips["replayed"] += o[at + 5]
+            replayed += o[at + 5]
             at += 6
+        add_replayed_ops(replayed)
         pmu = self.pmu
         if pmu is None:
             return

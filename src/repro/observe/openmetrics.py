@@ -160,10 +160,6 @@ def render_openmetrics(cells) -> str:
         "repro_prefetch_lines_total": ("counter", "Prefetcher line outcomes."),
         "repro_tlb_walks_total": ("counter", "TLB walks."),
         "repro_dram_bytes_total": ("counter", "DRAM traffic in bytes."),
-        "repro_engine_skip_ops_total": (
-            "counter",
-            "Line ops absorbed by each fast-engine skip path.",
-        ),
         "repro_sim_seconds": ("gauge", "Simulated wall-clock seconds."),
     }
     samples: Dict[str, List[str]] = {name: [] for name in families}
@@ -203,13 +199,6 @@ def render_openmetrics(cells) -> str:
                 f"repro_dram_bytes_total"
                 f"{_labels(base + [('direction', direction)])} {cell.counters.get(key, 0)}"
             )
-        if cell.engine_skips:
-            for path in ("resident", "streaming", "replayed"):
-                samples["repro_engine_skip_ops_total"].append(
-                    f"repro_engine_skip_ops_total"
-                    f"{_labels(base + [('engine', cell.engine), ('path', path)])} "
-                    f"{cell.engine_skips.get(path, 0)}"
-                )
         samples["repro_sim_seconds"].append(
             f"repro_sim_seconds{_labels(base)} {cell.seconds!r}"
         )

@@ -55,10 +55,8 @@ class PerfCell:
     refs: List[Dict[str, Any]] = field(default_factory=list)
     ir_lines: List[Any] = field(default_factory=list)
     # Observability only (not part of the baseline counter contract):
-    # which replay engine ran and how many line operations each fast-path
-    # skip class absorbed (``resident``/``streaming``/``replayed``).
+    # which replay engine ran.
     engine: str = ""
-    engine_skips: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -110,7 +108,6 @@ def run_perf(
         refs=_merge_refs(result),
         ir_lines=[list(pair) for pair in program_lines(cell.program)],
         engine=result.engine,
-        engine_skips=dict(result.engine_skips),
     )
 
 
@@ -264,18 +261,6 @@ def _stat_rows(cell: PerfCell) -> List[Any]:
             f"{_fmt(counters.get('pmu.prefetch.late', 0))} late"
         )
     rows.append((issued, "prefetch.lines", comment))
-    if cell.engine_skips:
-        skip_total = sum(cell.engine_skips.values()) or 1
-        for path in ("resident", "streaming", "replayed"):
-            count = cell.engine_skips.get(path, 0)
-            share = 100.0 * count / skip_total
-            rows.append(
-                (
-                    count,
-                    f"engine.{path}",
-                    f"{share:.1f}% of line ops ({cell.engine} engine)",
-                )
-            )
     return rows
 
 
@@ -293,7 +278,8 @@ def render_stat(cell: PerfCell) -> str:
         out.append(line.rstrip())
     out.append("")
     out.append(
-        f"{cell.seconds:>16.6g}  seconds (simulated)    # bottleneck: {cell.bottleneck}"
+        f"{cell.seconds:>16.6g}  seconds (simulated)    # bottleneck: {cell.bottleneck}, "
+        f"{cell.engine} engine"
     )
     return "\n".join(out)
 

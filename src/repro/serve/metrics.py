@@ -113,8 +113,6 @@ class ServeMetrics:
         self.draining = 0
         self.breaker_state = "closed"
         self.breaker_transitions = 0
-        # Fast-engine skip-path line ops, accumulated over settled jobs.
-        self.engine_skips: Dict[str, int] = {}
         # (endpoint, method) -> request-latency histogram
         self.request_latency: Dict[Tuple[str, str], Histogram] = {}
         # (phase, outcome) -> job-phase-latency histogram
@@ -130,11 +128,6 @@ class ServeMetrics:
         if duration_s > 0:
             self.job_seconds += duration_s
             self.jobs_timed += 1
-
-    def record_engine_skips(self, skips: Optional[Dict[str, int]]) -> None:
-        for path, count in (skips or {}).items():
-            if count:
-                self.engine_skips[path] = self.engine_skips.get(path, 0) + int(count)
 
     def record_request(self, endpoint: str, method: str, seconds: float,
                        trace_id: str = "") -> None:
@@ -169,9 +162,6 @@ class ServeMetrics:
                 "counter", "Executor wall-clock seconds.", "seconds",
             ),
             "repro_serve_jobs_timed_total": ("counter", "Jobs contributing to job seconds."),
-            "repro_serve_engine_skip_ops_total": (
-                "counter", "Line ops absorbed by each fast-engine skip path.",
-            ),
             "repro_serve_request_seconds": (
                 "histogram",
                 "HTTP request latency per endpoint (exemplars carry trace ids).",
@@ -215,12 +205,6 @@ class ServeMetrics:
             ],
             "repro_serve_jobs_timed_total": [
                 format_sample("repro_serve_jobs_timed_total", [], self.jobs_timed)
-            ],
-            "repro_serve_engine_skip_ops_total": [
-                format_sample(
-                    "repro_serve_engine_skip_ops_total", [("path", path)], count
-                )
-                for path, count in sorted(self.engine_skips.items())
             ],
             "repro_serve_request_seconds": [
                 line

@@ -399,7 +399,6 @@ class ReproServer:
         self.breaker.record(job.outcome)
         self._sync_breaker_metrics()
         self.metrics.record_outcome(job.outcome, job.duration_s)
-        self.metrics.record_engine_skips(result.get("engine_skips"))
         self._record_job_trace(job)
         if job.outcome != "completed":
             LOG.info("job %s %s: %s", job.id, job.outcome, job.reason)

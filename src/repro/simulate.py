@@ -26,7 +26,7 @@ from repro.exec.trace import CoreWork, RefInfo
 from repro.exec.tracegen import TraceGenerator
 from repro.ir.program import Program
 from repro.ir.stmt import For, walk_stmts
-from repro.memsim.columnar import SKIP_PATHS, account_skips, resolve_engine
+from repro.memsim.columnar import resolve_engine
 from repro.memsim.pmu import Pmu
 from repro.memsim.stats import HierarchySnapshot, snapshot
 from repro.profiling import tracer
@@ -61,11 +61,9 @@ class SimulationResult:
     pmus: List[Pmu] = field(default_factory=list)
     ref_table: Dict[int, RefInfo] = field(default_factory=dict)
     # Observability only: which replay engine actually ran (``"exact"``
-    # when ``"fast"`` fell back) and how many line operations each skip
-    # class absorbed.  Never part of the counter contract —
+    # when ``"fast"`` fell back).  Never part of the counter contract —
     # snapshots/records stay engine-independent.
     engine: str = ""
-    engine_skips: Dict[str, int] = field(default_factory=dict)
     # Observability only, like ``engine``: host seconds per pipeline
     # stage (:data:`STAGES`) of this call.  ``build`` is hierarchy
     # construction plus PMU attach, ``plan`` the trace generator's
@@ -279,17 +277,6 @@ def simulate(
             for now, then in zip(_tlb_prefetch_work(hierarchies), first_tlb_prefetch)
         )
 
-        engine_skips: Dict[str, int] = {}
-        for hierarchy in hierarchies:
-            counts_fn = getattr(hierarchy, "skip_counts", None)
-            if counts_fn is None:
-                continue
-            for path, value in counts_fn().items():
-                if path in SKIP_PATHS and value:
-                    engine_skips[path] = engine_skips.get(path, 0) + int(value)
-        if engine_skips:
-            account_skips(engine_skips)
-
         timing = time_run(device, works, deltas, active_cores)
         lap("timing")
     return SimulationResult(
@@ -303,7 +290,6 @@ def simulate(
         pmus=pmus if attribute else [],
         ref_table=generator.references() if attribute else {},
         engine=engine,
-        engine_skips=engine_skips,
         stage_s={stage: ns / 1e9 for stage, ns in stage_ns.items()},
         trace_segments=trace_segments,
         trace_rows=trace_rows,

@@ -81,3 +81,20 @@ def test_cli_csv_flag(tmp_path, capsys, monkeypatch):
     assert "TABLE" in captured.out
     assert "csv written" in captured.err  # diagnostics are logged, not printed
     assert (tmp_path / "fig1_stream.csv").exists()
+
+
+def test_cli_json_dir_writes_no_empty_perf_json(tmp_path, capsys, monkeypatch):
+    """A figure without counter cells gets its JSON but no ``.perf.json``."""
+    from repro import cli
+    from repro.experiments.runner import reset_default_runner
+
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache.json"))
+    monkeypatch.setattr(fig1, "run", lambda pool=None: [])
+    monkeypatch.setattr(fig1, "render", lambda rows: "TABLE")
+    reset_default_runner()
+    try:
+        assert cli.main(["fig1", "--json-dir", str(tmp_path / "json")]) == 0
+    finally:
+        reset_default_runner()
+    assert "perf counters written" not in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "json").iterdir()) == ["fig1.json"]

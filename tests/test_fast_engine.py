@@ -254,13 +254,6 @@ class TestSkipReplayBoundary:
     def test_boundary_crossing_bit_identical(self):
         assert_engines_agree(run_all(self.phased_segments()))
 
-    def test_native_counts_everything_as_replayed(self):
-        hier = build_engines()["native"]
-        hier.run(self.phased_segments())
-        counts = hier.skip_counts()
-        assert counts["resident"] == 0 and counts["streaming"] == 0
-        assert counts["replayed"] > 0
-
 
 # ---------------------------------------------------------------------------
 # Writeback accounting unification (satellite: dirty-line accounting)

@@ -249,21 +249,76 @@ def test_measured_roofline_in_profile(capsys):
     assert data["counters"]["pmu.L1.conflict"] >= 0
 
 
-def test_perf_stat_surfaces_skip_counters(monkeypatch):
-    from repro.observe.perf import _stat_rows, render_stat, run_perf
+def test_no_skip_counter_in_any_export(monkeypatch, tmp_path):
+    """No fast-engine skip counter is carried by a result, report or
+    exposition; ``repro perf stat`` still names the engine that replayed."""
+    import dataclasses
+
+    from repro.observe.openmetrics import render_openmetrics
+    from repro.observe.perf import render_stat, run_perf
+    from repro.serve.executor import execute_job, reset_runners
+    from repro.serve.metrics import ServeMetrics
+    from repro.simulate import SimulationResult
 
     require_native()
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     cell = run_perf("transpose", "Naive", "mango_pi_d1", n=64)
     assert cell.engine == "fast"
-    assert sum(cell.engine_skips.values()) > 0
-    names = [name for _value, name, _comment in _stat_rows(cell)]
-    assert {"engine.resident", "engine.streaming", "engine.replayed"} <= set(names)
     rendered = render_stat(cell)
-    assert "engine.replayed" in rendered and "% of line ops" in rendered
+    assert "fast engine" in rendered
 
-    from repro.observe.openmetrics import render_openmetrics
+    reset_runners()
+    job = execute_job({
+        "kernel": "transpose", "variant": "Naive", "device": "mango_pi_d1",
+        "n": 64, "engine": "fast", "cache_path": str(tmp_path / "cache.json"),
+    })
+    assert job["outcome"] == "completed"
 
-    exposition = render_openmetrics([cell])
-    assert 'repro_engine_skip_ops_total' in exposition
-    assert 'path="replayed"' in exposition
+    exports = {
+        "PerfCell.as_dict": json.dumps(cell.as_dict()),
+        "render_stat": rendered,
+        "render_openmetrics": render_openmetrics([cell]),
+        "ServeMetrics.render": ServeMetrics().render(),
+        "execute_job": json.dumps(job),
+        "SimulationResult": " ".join(f.name for f in dataclasses.fields(SimulationResult)),
+    }
+    for where, text in exports.items():
+        for word in ("skip", "resident", "streaming", "replayed"):
+            assert word not in text, f"{word!r} in {where}"
+
+
+def test_runner_pmu_on_resimulates_a_record_cached_with_the_pmu_off(tmp_path, monkeypatch):
+    """A record cached without counters is a miss once the PMU is on, from
+    the memory cache, the disk cache and the post-lock reload alike."""
+    from repro.devices import get_device
+    from repro.experiments.runner import Runner
+    from repro.kernels import transpose
+    from repro.runtime import canonical_key
+
+    cache = str(tmp_path / "cache.json")
+    key = ("fig2", "Naive", 64)
+    device = get_device("mango_pi_d1")
+
+    def run(runner):
+        return runner.run_supervised(key, lambda: transpose.naive(64), device)
+
+    monkeypatch.setenv("REPRO_PMU", "off")
+    off = Runner(cache)
+    assert run(off).value.counters == {}
+
+    monkeypatch.setenv("REPRO_PMU", "on")
+    on = Runner(cache)
+    fresh = run(on)
+    assert fresh.ok and fresh.attempts == 1
+    assert fresh.value.counters["pmu.L1.compulsory"] > 0
+    assert list(on.perf_counters()) == [canonical_key(key)]
+    # The first runner still holds the counter-less record in memory.
+    again = run(off)
+    assert again.attempts == 1 and again.value.counters == fresh.value.counters
+
+    served = run(Runner(cache))
+    assert served.reason == "disk-cache hit"
+    assert served.value.counters == fresh.value.counters
+    # With the PMU off, a record that has counters is served as it is.
+    monkeypatch.setenv("REPRO_PMU", "off")
+    assert run(Runner(cache)).value.counters == fresh.value.counters

@@ -27,7 +27,6 @@ from repro.serve.client import ServeClient, ServeError, ServeTimeout
 from repro.serve.executor import execute_job, reset_runners
 from repro.serve.jobs import TERMINAL_OUTCOMES, JobValidationError, resolve_spec
 
-from tests.conftest import require_native
 
 SPEC = {"kernel": "transpose", "variant": "Naive", "device": "mango_pi_d1", "n": 64}
 
@@ -197,39 +196,6 @@ class TestExecuteJob:
         spec = resolve_spec(dict(SPEC, deadline_s=0.05))
         result = execute_job(spec.task(str(tmp_path / "cache.json")))
         assert result["outcome"] == "timed_out"
-
-
-# -- engine skip telemetry -----------------------------------------------------
-
-
-def test_serve_metrics_accumulate_engine_skips():
-    from repro.serve.metrics import ServeMetrics
-
-    metrics = ServeMetrics()
-    metrics.record_engine_skips({"replayed": 10, "resident": 2})
-    metrics.record_engine_skips({"replayed": 5})
-    metrics.record_engine_skips(None)
-    assert metrics.engine_skips == {"replayed": 15, "resident": 2}
-    exposition = metrics.render()
-    assert 'repro_serve_engine_skip_ops_total{path="replayed"} 15' in exposition
-
-
-def test_executor_reports_engine_skip_deltas(tmp_path):
-    require_native()
-    reset_runners()
-    task = {
-        "kernel": "transpose", "variant": "Naive", "device": "mango_pi_d1",
-        "n": 64, "engine": "fast",
-        "cache_path": str(tmp_path / "cache.json"),
-    }
-    result = execute_job(task)
-    assert result["outcome"] == "completed"
-    assert sum(result["engine_skips"].values()) > 0
-    # A cache hit re-executes nothing, so the delta is empty.
-    reset_runners()
-    cached = execute_job(task)
-    assert cached["outcome"] == "completed"
-    assert cached["engine_skips"] == {}
 
 
 # -- server integration --------------------------------------------------------

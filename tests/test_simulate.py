@@ -6,7 +6,7 @@ import pytest
 
 from repro.devices import get_device, mango_pi_d1, visionfive_jh7100, xeon_4310t
 from repro.errors import OutOfMemoryError, SimulationError
-from repro.kernels import stream, transpose
+from repro.kernels import blur, stream, transpose
 from repro.runtime.faults import clear_faults, install_faults
 from repro.simulate import STAGES, has_parallel_loop, simulate
 from repro.transforms import AutoVectorize, Parallelize, apply_passes
@@ -187,30 +187,60 @@ class TestStageTimes:
         assert max(stages, key=stages.get) == "tracegen"
 
 
-# -- engine skip telemetry -----------------------------------------------------
+# -- the drained line-op count perfbench reads ------------------------------------
+
+_REPLAY_DEVICES = ("xeon_4310t", "raspberry_pi_4", "mango_pi_d1", "visionfive_jh7100")
+_REPLAY_PROGRAMS = {
+    "transpose-naive-256": lambda: transpose.build("Naive", 256),
+    "transpose-blocking-256": lambda: transpose.build("Blocking", 256),
+    "blur-naive-40x96": lambda: blur.build("Naive", 40, 96),
+}
 
 
-def test_simulate_reports_engine_skips_and_process_totals():
+def _replayed_growth(program, device, **kwargs):
+    """One ``simulate()`` and the growth of ``process_skip_totals()``."""
     from repro.memsim.columnar import process_skip_totals
 
-    require_native()
     before = process_skip_totals()
-    result = simulate(
-        transpose.build("Naive", 64), get_device("mango_pi_d1").scaled(16), engine="fast"
-    )
+    result = simulate(program, device, **kwargs)
     after = process_skip_totals()
-    assert result.engine == "fast"
-    assert sum(result.engine_skips.values()) > 0
-    grown = {
-        path: after[path] - before.get(path, 0) for path in after
-    }
-    for path, count in result.engine_skips.items():
-        assert grown.get(path, 0) >= count
+    return result, {path: after[path] - before[path] for path in after}
 
-    exact = simulate(
-        transpose.build("Naive", 64), get_device("mango_pi_d1").scaled(16), engine="exact"
+
+def _line_op_count(result):
+    """Every op a level replays: its probes, plus the writeback installs
+    from the level above (the last level writes back to DRAM)."""
+    levels = list(result.line_ops.values())
+    return sum(ops[0] for ops in levels) + sum(ops[2] for ops in levels[:-1])
+
+
+@pytest.mark.parametrize(
+    "pmu", [False, "counters", True], ids=["pmu-off", "pmu-counters", "pmu-attribution"]
+)
+@pytest.mark.parametrize("program", list(_REPLAY_PROGRAMS))
+@pytest.mark.parametrize("device", _REPLAY_DEVICES)
+def test_process_replayed_total_counts_every_line_op(device, program, pmu):
+    require_native()
+    result, grown = _replayed_growth(
+        _REPLAY_PROGRAMS[program](), get_device(device).scaled(16), engine="fast", pmu=pmu
     )
-    assert exact.engine == "exact" and exact.engine_skips == {}
+    assert result.engine == "fast"
+    assert grown == {"resident": 0, "streaming": 0, "replayed": _line_op_count(result)}
+    assert grown["replayed"] > 0
+
+
+def test_process_replayed_total_with_flush_and_on_the_exact_engine():
+    require_native()
+    device = get_device("visionfive_jh7100").scaled(16)
+    result, grown = _replayed_growth(
+        transpose.build("Naive", 256), device, engine="fast", flush_writebacks=True
+    )
+    assert result.engine == "fast"
+    assert grown["replayed"] == _line_op_count(result) > 0
+
+    exact, grown = _replayed_growth(transpose.build("Naive", 64), device, engine="exact")
+    assert exact.engine == "exact"
+    assert grown == {"resident": 0, "streaming": 0, "replayed": 0}
 
 
 # -- the PMU's counters mode -----------------------------------------------------
