@@ -139,7 +139,7 @@ class DeviceSpec:
             from repro.memsim import native
 
             if native.native_available():
-                make_cache, hierarchy_cls = native.native_cache, native.NativeHierarchy
+                make_cache, hierarchy_cls = native.NativeCache, native.NativeHierarchy
             else:
                 native.warn_exact_fallback()
         return [

@@ -14,7 +14,7 @@ touches, not 512 events), while op counts are tracked exactly on the side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -75,14 +75,40 @@ class Segment(NamedTuple):
             return 0
         return abs(self.stride) * (self.count - 1) + self.elem_size
 
-    def lines(self, line_size: int = 64):
-        """Distinct cache-line addresses touched, in access order."""
+    def lines(self, line_size: int = 64) -> Sequence[int]:
+        """The cache lines the hierarchy probes for this segment, in access
+        order: a ``range`` when they are contiguous, else a list.
+
+        A point access (``stride == 0`` or ``count == 1``) probes its
+        element's lines, and a sub-line stride the contiguous interval of
+        lines it spans, walked in the direction of the accesses.  Any
+        other stride probes each access's first line and, if the element
+        straddles a line boundary, its last line, dropping a line equal
+        to the one probed just before it.
+        """
+        base, stride, count, elem = self.base, self.stride, self.count, self.elem_size
+        if count <= 0:
+            return range(0)
+        if stride == 0 or count == 1:
+            return range(base // line_size, (base + elem - 1) // line_size + 1)
+        if abs(stride) < line_size:
+            lo = base if stride > 0 else base + stride * (count - 1)
+            hi = (base + stride * (count - 1) if stride > 0 else base) + elem - 1
+            first, last = lo // line_size, hi // line_size
+            return range(first, last + 1) if stride > 0 else range(last, first - 1, -1)
+        out: List[int] = []
         previous = None
-        for k in range(self.count):
-            line = (self.base + k * self.stride) // line_size
-            if line != previous:
-                previous = line
-                yield line
+        for k in range(count):
+            addr = base + k * stride
+            first = addr // line_size
+            if first != previous:
+                out.append(first)
+                previous = first
+            last = (addr + elem - 1) // line_size
+            if last != first:
+                out.append(last)
+                previous = last
+        return out
 
     def line_run(self, line_size: int = 64) -> Optional[LineRun]:
         """The distinct-line walk as an arithmetic progression, or ``None``.

@@ -19,7 +19,7 @@ The hierarchy consumes compressed trace segments.  Per segment it:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.exec.trace import Segment, SegmentBatch
@@ -140,28 +140,8 @@ class MemoryHierarchy:
             return
         base = seg.base
         stride = seg.stride
-        line_size = self.line_size
         is_write = seg.is_write
-
-        # Distinct lines, in access order.
-        if stride == 0 or count == 1:
-            first_line = base // line_size
-            last_line = (base + seg.elem_size - 1) // line_size
-            line_list = range(first_line, last_line + 1)
-        elif 0 < stride < line_size or -line_size < stride < 0:
-            # Sub-line stride: a contiguous range of lines, walked in the
-            # direction of the accesses.
-            lo_byte = base if stride > 0 else base + stride * (count - 1)
-            hi_byte = (base + stride * (count - 1) if stride > 0 else base) + seg.elem_size - 1
-            first = lo_byte // line_size
-            last = hi_byte // line_size
-            if stride > 0:
-                line_list = range(first, last + 1)
-            else:
-                line_list = range(last, first - 1, -1)
-        else:
-            # Line-or-larger stride: one (or a few) lines per access.
-            line_list = self._strided_lines(base, stride, count, seg.elem_size)
+        line_list = seg.lines(self.line_size)
 
         pmu = self.pmu
         if self.tlb is not None:
@@ -188,22 +168,6 @@ class MemoryHierarchy:
         process = self.process_segment
         for seg in batch.segments():
             process(seg)
-
-    def _strided_lines(self, base: int, stride: int, count: int, elem_size: int) -> List[int]:
-        line_size = self.line_size
-        out: List[int] = []
-        prev = None
-        for k in range(count):
-            addr = base + k * stride
-            first = addr // line_size
-            if first != prev:
-                out.append(first)
-                prev = first
-            last = (addr + elem_size - 1) // line_size
-            if last != first:  # element straddles a line boundary
-                out.append(last)
-                prev = last
-        return out
 
     def _touch_pages(self, base: int, stride: int, count: int, elem_size: int) -> None:
         tlb = self.tlb

@@ -32,9 +32,8 @@ advances the offset, so it shifts nothing; a hit shifts only the ways
 between its line and the MRU way.  Until a set fills its offset is 0,
 so its occupied ways are always ``[0, occ)``.
 
-``NativeCache.process_batch`` (LRU or random policy) runs the same pass
-(``level_batch``) with per-op results instead of an output stream, so
-the core has one implementation of a cache level.
+``hier_drain`` is the core's only replay entry point: the other exports
+build, reset and free its state.  The self-test drains through it too.
 
 Fully-associative structures — single-set dTLB levels and the PMU's
 shadow cache — share one O(1) LRU (``falru``: a doubly linked list over
@@ -90,26 +89,22 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.exec.trace import Segment, SegmentBatch
 from repro.memsim.cache import CacheStats, set_mask
-from repro.memsim.columnar import add_replayed_ops
+from repro.memsim.columnar import FAST_POLICIES, add_replayed_ops
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.prefetch import NO_PREFETCH, PrefetcherSpec
 from repro.memsim.replacement import RANDOM_SEED
-from repro.memsim.tlb import PAGE_SIZE, TlbSpec
+from repro.memsim.tlb import PAGE_SIZE, Tlb, TlbLevel, TlbSpec
 
 LOG = logging.getLogger("repro.memsim.native")
 
 # Each drain has a fixed cost (one C call, a fold of its counters).
 # Buffer aggressively: segments of any size accumulate, and the buffer
 # drains right after the segment that brings it to ``_BUF_OPS`` queued
-# ops, whether segments arrive one at a time or as column batches.
+# ops.
 _BUF_OPS = 32768
 
 #: Environment variable overriding the build cache directory.
 NATIVE_CACHE_ENV = "REPRO_NATIVE_CACHE"
-
-#: ``process_batch``'s "no dirty eviction" marker (line ids can be
-#: negative, so ``-1`` cannot be one).
-EVICT_NONE = int(np.iinfo(np.int64).min)
 
 # Layout of a drain's counter block (``out``), mirrored in the C source.
 _OUT_TLB = 0        # dTLB-L1 hits, misses, dTLB-L2 hits, misses
@@ -136,12 +131,9 @@ _P, _I64, _INT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
 #: is a ``void *`` passed as an address (``None`` is NULL) and returned
 #: as an int (``None`` for NULL); the C source documents the types.
 _SIGNATURES = {
-    "level_batch": (None, [_I64, _I64, _I64, _P, _P, _P, _P, _P, _P, _P, _P,
-                           _INT, _I64, _P, _P, _P, _P]),
     "tlb_new": (_P, [_I64, _I64, _I64, _I64]),
     "tlb_free": (None, [_P]),
     "tlb_reset": (None, [_P]),
-    "tlb_walk": (_INT, [_P, _P, _I64, _P]),
     "hier_new": (_P, [_I64, _I64, _I64, _P, _I64, _I64, _I64, _INT, _P]),
     "hier_level": (None, [_P, _I64, _I64, _I64, _I64, _P, _P, _P, _P, _P]),
     "hier_pmu": (_INT, [_P, _INT]),
@@ -178,7 +170,7 @@ static int64_t pmod(int64_t a, int64_t b)
 /* Line ids can be negative too, so -1 cannot mark "no eviction".
  * INT64_MIN is unreachable as a line id (it is not fdiv(addr, line) of
  * any int64 address). */
-#define EVICT_NONE INT64_MIN
+#define NO_VICTIM INT64_MIN
 
 /* n elements (at least one), or NULL if malloc fails or the size does
  * not fit a size_t. */
@@ -538,15 +530,6 @@ static int tlb_nomem(const tlb_t *t)
     for (k = 0; k < t->nlev; k++)
         if (t->lv[k].num_sets == 1 && t->lv[k].fa.nomem) return 1;
     return 0;
-}
-
-/* 0, or -1 if memory ran out (the counts are then void). */
-int tlb_walk(tlb_t *t, const int64_t *pages, int64_t n, int64_t *stats)
-{
-    int64_t i, st[4] = {0, 0, 0, 0};
-    for (i = 0; i < n; i++) tlb_page(t, pages[i], st);
-    stats[0] += st[0]; stats[1] += st[1]; stats[2] += st[2]; stats[3] += st[3];
-    return tlb_nomem(t) ? -1 : 0;
 }
 
 /* ---- segment expansion ---------------------------------------------- */
@@ -949,19 +932,16 @@ static int64_t pf_cover(hier_t *h, int64_t ref, int64_t base,
  *   demand miss, appended to the next level's stream nb, each with the
  *   op's reference id in attribution mode; past the last level (nb NULL)
  *   they count as DRAM lines written and read (and go to the op's tally
- *   row).  With per-op results (hits, missed, evict: process_batch)
- *   there is no output stream.
- * probe NULL: every op is a demand probe; fill NULL: a probe fill's dirty
- * bit is fill_u.  The level counters o are hits, misses, fills,
- * writebacks, prefetch hits (covered demand misses passed on) and
- * replayed ops.  Returns the next stream's length, -1 if it could not
- * grow.  Always inlined: level_run's and level_batch's constant policy,
- * PMU and result arguments fold away in each copy. */
+ *   row).
+ * probe NULL: every op is a demand probe; fill NULL: a probe fills clean.
+ * The level counters o are hits, misses, fills, writebacks, prefetch hits
+ * (covered demand misses passed on) and replayed ops.  Returns the next
+ * stream's length, -1 if it could not grow.  Always inlined: level_run's
+ * constant policy and PMU arguments fold away in each copy. */
 static inline __attribute__((always_inline)) int64_t level_pass(
     hier_t *h, int64_t k, const level_t *L, int rnd, int pmu,
-    const opbuf_t *b, const uint8_t *probe, const uint8_t *fill, int fill_u,
-    const uint8_t *pfcov, int64_t n, int64_t *o, opbuf_t *nb,
-    uint8_t *hits, uint8_t *missed, int64_t *evict)
+    const opbuf_t *b, const uint8_t *probe, const uint8_t *fill,
+    const uint8_t *pfcov, int64_t n, int64_t *o, opbuf_t *nb)
 {
     /* Everything the loop reads or writes through a pointer is copied to
      * a local first: a byte store may alias any struct field, and would
@@ -986,13 +966,13 @@ static inline __attribute__((always_inline)) int64_t level_pass(
     int32_t *const stouch = pmu ? p->stouch : 0;
     int64_t nstouch = pmu ? p->nstouch : 0, c3[3] = {0, 0, 0}, useful = 0, poll = 0;
     for (i = 0; i < n; i++) {
-        int64_t line = lines[i], ev = EVICT_NONE;
+        int64_t line = lines[i], ev = NO_VICTIM;
         int64_t s = mask >= 0 ? (line & mask) : pmod(line, num_sets);
         int64_t *S = ln + s * ways;
         uint8_t *D = dy + s * ways;
         int is_probe = probe ? probe[i] : 1, hit;
         /* the dirty bit the op gives the line: an install's is always set */
-        uint8_t f = !is_probe ? 1 : fill ? fill[i] : (uint8_t)fill_u;
+        uint8_t f = !is_probe ? 1 : fill ? fill[i] : 0;
         if (rnd) {
             int32_t used = occ[s], j;
             for (j = 0; j < used; j++)
@@ -1012,7 +992,7 @@ static inline __attribute__((always_inline)) int64_t level_pass(
             hit = ring_access(S, D, occ + s, rot + s, ways, line, f, &ev);
         }
         if (is_probe) { if (hit) nhit++; else nmiss++; }
-        if (ev != EVICT_NONE) wb++;
+        if (ev != NO_VICTIM) wb++;
         if (pmu) {
             uint32_t *slot;
             if (!is_probe) {
@@ -1033,15 +1013,11 @@ static inline __attribute__((always_inline)) int64_t level_pass(
                 }
             }
         }
-        if (hits) {
-            hits[i] = (uint8_t)hit; missed[i] = (uint8_t)!hit; evict[i] = ev;
-            continue;
-        }
         if (nb && m + 2 > cap) {
             if (opbuf_more(nb, m, n - i, attr)) return -1;
             cap = nb->cap; nl = nb->lines; nr = nb->refs; np = nb->probe; nc = nb->cov;
         }
-        if (ev != EVICT_NONE) {
+        if (ev != NO_VICTIM) {
             if (nb) {
                 nl[m] = ev; np[m] = 0; nc[m] = 0;
                 if (attr) nr[m] = refs[i];
@@ -1064,7 +1040,7 @@ static inline __attribute__((always_inline)) int64_t level_pass(
     }
     if (rnd) *L->rng = x;
     o[0] += nhit; o[1] += nmiss; o[2] += nmiss; o[3] += wb; o[4] += pf; o[5] += n;
-    if (!nb && !hits) {
+    if (!nb) {
         /* past the last level, demand misses read DRAM lines and dirty
          * evictions write them */
         h->out[OUT_DRAM] += nmiss; h->out[OUT_DRAM + 1] += wb;
@@ -1080,13 +1056,16 @@ static inline __attribute__((always_inline)) int64_t level_pass(
 
 /* Level k of a drain: stream b (n ops) in, nb (NULL past the last level)
  * out.  Level 0 sees demand probes only, each with its own fill bit;
- * below it a probe fills clean. */
-static int64_t level_run(hier_t *h, int64_t k, const opbuf_t *b, int64_t n, opbuf_t *nb)
+ * below it a probe fills clean.  Not inlined into hier_drain: there the
+ * pass copies would share registers with the expansion loops, and
+ * counters-mode replay measured ~4 % slower. */
+static __attribute__((noinline)) int64_t level_run(
+    hier_t *h, int64_t k, const opbuf_t *b, int64_t n, opbuf_t *nb)
 {
     const level_t *L = &h->lv[k];
     int64_t *o = h->out + OUT_LEVELS + 6 * k;
 #define PASS(rnd, pmu, probe, fill, pfcov) \
-    level_pass(h, k, L, rnd, pmu, b, probe, fill, 0, pfcov, n, o, nb, 0, 0, 0)
+    level_pass(h, k, L, rnd, pmu, b, probe, fill, pfcov, n, o, nb)
     if (k == 0 && h->pmu)
         return L->rng ? PASS(1, 1, 0, b->fill, b->cov) : PASS(0, 1, 0, b->fill, b->cov);
     if (k == 0)
@@ -1095,28 +1074,6 @@ static int64_t level_run(hier_t *h, int64_t k, const opbuf_t *b, int64_t n, opbu
         return L->rng ? PASS(1, 1, b->probe, 0, 0) : PASS(0, 1, b->probe, 0, 0);
     return L->rng ? PASS(1, 0, b->probe, 0, 0) : PASS(0, 0, b->probe, 0, 0);
 #undef PASS
-}
-
-/* One op batch through one level, outside a hierarchy (process_batch):
- * per-op hit, allocated and dirty-eviction results; stats += hits,
- * misses, fills, writebacks.  rng NULL: LRU. */
-void level_batch(int64_t num_sets, int64_t ways, int64_t mask,
-                 int64_t *ln, uint8_t *dy, int32_t *occ, int32_t *rot,
-                 uint64_t *rng, const int64_t *lines, const uint8_t *probe,
-                 const uint8_t *fill, int fill_u, int64_t n,
-                 uint8_t *hits, uint8_t *missed, int64_t *evict,
-                 int64_t *stats)
-{
-    level_t L = {num_sets, ways, mask, ln, dy, occ, rot, rng};
-    opbuf_t b;
-    int64_t o[6] = {0, 0, 0, 0, 0, 0};
-    memset(&b, 0, sizeof(b));
-    b.lines = (int64_t *)lines;
-    if (rng)
-        level_pass(0, 0, &L, 1, 0, &b, probe, fill, fill_u, 0, n, o, 0, hits, missed, evict);
-    else
-        level_pass(0, 0, &L, 0, 0, &b, probe, fill, fill_u, 0, n, o, 0, hits, missed, evict);
-    stats[0] += o[0]; stats[1] += o[1]; stats[2] += o[2]; stats[3] += o[3];
 }
 
 /* Move every touched tally row and per-set conflict count into the fold
@@ -1430,6 +1387,11 @@ class NativeCache:
     """
 
     def __init__(self, name: str, size_bytes: int, ways: int, line_size: int, policy: str):
+        if policy not in FAST_POLICIES:
+            raise SimulationError(
+                f"{name}: the fast engine replays {' or '.join(sorted(FAST_POLICIES))} "
+                f"replacement, not {policy!r}"
+            )
         if size_bytes % (ways * line_size):
             raise SimulationError(
                 f"{name}: size {size_bytes} not divisible by ways*line "
@@ -1441,8 +1403,8 @@ class NativeCache:
         self.line_size = line_size
         self.num_sets = size_bytes // (ways * line_size)
         self.stats = CacheStats()
-        self._set_mask = set_mask(self.num_sets)
-        self._cmask = -1 if self._set_mask is None else self._set_mask
+        mask = set_mask(self.num_sets)
+        self._cmask = -1 if mask is None else mask
         self._ln = np.full(self.num_sets * ways, -1, dtype=np.int64)
         self._dy = np.zeros(self.num_sets * ways, dtype=np.uint8)
         self._occ = np.zeros(self.num_sets, dtype=np.int32)
@@ -1453,10 +1415,6 @@ class NativeCache:
         lru = policy == "lru"
         self._rot = np.zeros(self.num_sets, dtype=np.int32) if lru else None
         self._rng = None if lru else np.array([RANDOM_SEED], dtype=np.uint64)
-
-    def set_index(self, line: int) -> int:
-        mask = self._set_mask
-        return line & mask if mask is not None else line % self.num_sets
 
     def _occupied_mask(self) -> np.ndarray:
         occ = np.repeat(self._occ.astype(np.int64), self.ways)
@@ -1470,12 +1428,6 @@ class NativeCache:
     def flush_dirty_count(self) -> int:
         return int((self._occupied_mask() & (self._dy > 0)).sum())
 
-    def contains(self, line: int) -> bool:
-        s = self.set_index(line)
-        base = s * self.ways
-        occ = int(self._occ[s])
-        return bool((self._ln[base : base + occ] == line).any())
-
     def reset(self) -> None:
         self.stats.reset()
         self._ln.fill(-1)
@@ -1486,98 +1438,23 @@ class NativeCache:
         if self._rng is not None:
             self._rng[0] = RANDOM_SEED
 
-    def access(self, line: int, is_write: bool):
-        """Scalar compatibility shim over :meth:`process_batch`."""
-        hits, _missed, evict = self.process_batch([line], None, is_write)
-        ev = int(evict[0])
-        return bool(hits[0]), None if ev == EVICT_NONE else ev
-
-    def process_batch(self, lines, probe, fill):
-        """Replay one op batch at this level.
-
-        ``lines`` is the op line addresses in stream order; ``probe`` is
-        ``None`` (every op is a demand probe) or a parallel flag array
-        where ``0`` marks a writeback install from the level above;
-        ``fill`` is the dirty bit a probe fill acquires — a bool, or a
-        parallel per-op flag array.
-
-        Returns ``(hits, missed, evict)`` arrays parallel to ``lines``:
-        probe hit / install-found-present flags, fill-allocated flags,
-        and the dirty line evicted by each op (:data:`EVICT_NONE` if
-        none).
-        """
-        # The core reads each column as contiguous int64 / uint8 values:
-        # a strided view (``lines[::-1]``) or another dtype is copied.
-        arr = np.ascontiguousarray(lines, dtype=np.int64)
-        n = len(arr)
-        hits = np.empty(n, dtype=np.uint8)
-        missed = np.empty(n, dtype=np.uint8)
-        evict = np.empty(n, dtype=np.int64)
-        if n == 0:
-            return hits, missed, evict
-        probe_arr = None if probe is None else np.ascontiguousarray(probe, dtype=np.uint8)
-        if isinstance(fill, (np.ndarray, list)):
-            fill_arr, fill_u = np.ascontiguousarray(fill, dtype=np.uint8), 0
-        else:
-            fill_arr, fill_u = None, 1 if fill else 0
-        st = np.zeros(4, dtype=np.int64)
-        _lib.level_batch(
-            self.num_sets, self.ways, self._cmask,
-            _addr(self._ln), _addr(self._dy), _addr(self._occ), _addr(self._rot),
-            _addr(self._rng), _addr(arr), _addr(probe_arr), _addr(fill_arr), fill_u, n,
-            _addr(hits), _addr(missed), _addr(evict), _addr(st),
-        )
-        stats = self.stats
-        stats.hits += int(st[0])
-        stats.misses += int(st[1])
-        stats.fills += int(st[2])
-        stats.writebacks += int(st[3])
-        return hits, missed, evict
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kib = self.size_bytes / 1024
         return f"{type(self).__name__}({self.name}: {kib:g} KiB, {self.ways}-way)"
 
 
-def native_cache(name: str, size_bytes: int, ways: int, line_size: int, policy: str):
-    """Native cache model for ``policy``, or ``None`` if unsupported."""
-    if policy not in ("lru", "random"):
-        return None
-    return NativeCache(name, size_bytes, ways, line_size, policy)
+class NativeTlb(Tlb):
+    """The compiled twin of :class:`repro.memsim.tlb.Tlb` (a single-set
+    level is the O(1) ``falru``): its pages go through the drain, and its
+    levels hold only their geometry and the counts each drain adds."""
 
-
-class _NativeTlbLevel:
-    """Geometry and stats of one TLB level (its state lives in C)."""
-
-    def __init__(self, entries: int, ways: int, name: str):
-        if entries <= 0:
-            raise SimulationError(f"{name}: TLB needs at least one entry")
-        if ways == 0:
-            ways = entries  # fully associative
-        if entries % ways:
-            raise SimulationError(f"{name}: {entries} entries not divisible by {ways} ways")
-        self.name = name
-        self.num_sets = entries // ways
-        self.ways = ways
-        self.stats = CacheStats()
-
-
-class NativeTlb:
-    """Drop-in twin of :class:`repro.memsim.tlb.Tlb` over the compiled
-    TLB (a single-set level is the O(1) ``falru``); hit/miss/walk
-    counts identical page for page."""
+    level_class = TlbLevel
 
     def __init__(self, spec: TlbSpec):
-        self.spec = spec
-        self.l1 = _NativeTlbLevel(spec.l1_entries, spec.l1_ways, "dTLB-L1")
-        self.l2 = (
-            _NativeTlbLevel(spec.l2_entries, spec.l2_ways, "dTLB-L2")
-            if spec.l2_entries
-            else None
-        )
-        l2 = self.l2
+        super().__init__(spec)
+        l1, l2 = self.l1, self.l2
         tlb = _lib.tlb_new(
-            self.l1.num_sets, self.l1.ways,
+            l1.num_sets, l1.ways,
             l2.num_sets if l2 is not None else 0,
             l2.ways if l2 is not None else 0,
         )
@@ -1594,30 +1471,8 @@ class NativeTlb:
             self.l2.stats.hits += st[2]
             self.l2.stats.misses += st[3]
 
-    def access_page(self, page: int) -> None:
-        self.access_pages([page])
-
-    def access_pages(self, pages) -> None:
-        arr = np.fromiter(pages, dtype=np.int64)
-        st = np.zeros(4, dtype=np.int64)
-        if _lib.tlb_walk(self._tlb, _addr(arr), len(arr), _addr(st)):
-            raise SimulationError("the compiled TLB ran out of memory")
-        self._count(st.tolist())
-
-    @property
-    def walks(self) -> int:
-        if self.l2 is not None:
-            return self.l2.stats.misses
-        return self.l1.stats.misses
-
-    @property
-    def walk_cycles_total(self) -> int:
-        return self.walks * self.spec.walk_cycles
-
     def reset(self) -> None:
-        self.l1.stats.reset()
-        if self.l2 is not None:
-            self.l2.stats.reset()
+        super().reset()
         _lib.tlb_reset(self._tlb)
 
 
@@ -1625,9 +1480,10 @@ class NativeHierarchy(MemoryHierarchy):
     """Memory hierarchy driving the compiled replay core.
 
     Same construction contract, counters, flush and snapshot behaviour
-    as the exact hierarchy.  Segments queue as columns and drain in one
-    compiled call once ``_BUF_OPS`` accesses are queued (or when state
-    is read), so the per-segment Python overhead is a few appends.
+    as the exact hierarchy.  Segment batches queue as columns and drain
+    in one compiled call once ``_BUF_OPS`` accesses are queued (or when
+    state is read), so the Python overhead is per batch, not per
+    segment.
     """
 
     engine = "fast"
@@ -1643,10 +1499,8 @@ class NativeHierarchy(MemoryHierarchy):
         super().__init__(caches, prefetch=prefetch, tlb=None, line_size=line_size)
         if tlb is not None:
             self.tlb = NativeTlb(tlb)
-        # Queued work in stream order: column batches, then the segments
-        # queued one at a time since the last batch.
+        # Queued column batches, in stream order.
         self._buf_cols: List[SegmentBatch] = []
-        self._buf_segs: List[Segment] = []
         self._buf_ops = 0
         # Whether the attached PMU (if any) attributes to references.
         self._attribute = False
@@ -1694,7 +1548,6 @@ class NativeHierarchy(MemoryHierarchy):
 
     def reset(self) -> None:
         self._buf_cols = []
-        self._buf_segs = []
         self._buf_ops = 0
         super().reset()
         if _lib.hier_reset(self._state):
@@ -1713,20 +1566,14 @@ class NativeHierarchy(MemoryHierarchy):
     # -- segment intake ------------------------------------------------------
 
     def process_segment(self, seg: Segment) -> None:
-        """Queue one segment; everything per-segment (line/page expansion,
-        prefetcher training, TLB walks, PMU attribution) happens in the
-        compiled drain, in preserved segment order."""
-        count = seg.count
-        if count <= 0:
-            return
-        self._buf_segs.append(seg)
-        self._buf_ops += count
-        if self._buf_ops >= _BUF_OPS:
-            self._drain_buffer()
+        """Queue one segment, as a batch of one row."""
+        self.process_segments(SegmentBatch(*(np.array([value]) for value in seg)))
 
     def process_segments(self, batch: SegmentBatch) -> None:
-        """Queue a batch's columns as they are, draining at exactly the
-        segments where :meth:`process_segment` would drain."""
+        """Queue a batch's columns as they are, draining right after each
+        segment that brings the queue to ``_BUF_OPS`` ops.  Everything
+        per-segment (line/page expansion, prefetcher training, TLB walks,
+        PMU attribution) happens in the compiled drain, in segment order."""
         count = batch.count
         positive = count > 0
         if not positive.all():
@@ -1735,7 +1582,6 @@ class NativeHierarchy(MemoryHierarchy):
         n = len(count)
         if not n:
             return
-        self._stage_segments()
         cum = np.cumsum(count) + self._buf_ops
         start = 0
         while True:
@@ -1751,28 +1597,11 @@ class NativeHierarchy(MemoryHierarchy):
             cum -= cum[stop - 1]
             start = stop
 
-    def _stage_segments(self) -> None:
-        """Move the one-at-a-time queue into the column queue."""
-        segs = self._buf_segs
-        if not segs:
-            return
-        self._buf_segs = []
-        nseg = len(segs)
-        self._buf_cols.append(SegmentBatch(
-            np.fromiter((s.ref for s in segs), np.int64, nseg),
-            np.fromiter((s.base for s in segs), np.int64, nseg),
-            np.fromiter((s.stride for s in segs), np.int64, nseg),
-            np.fromiter((s.count for s in segs), np.int64, nseg),
-            np.fromiter((s.is_write for s in segs), np.bool_, nseg),
-            np.fromiter((s.elem_size for s in segs), np.int64, nseg),
-        ))
-
     # -- deferred replay -----------------------------------------------------
 
     def _drain_buffer(self) -> None:
         """Replay the queue in one compiled call, then add up its counters
         (and, with an attributing PMU, fold its records)."""
-        self._stage_segments()
         queued = self._buf_cols
         if not queued:
             return

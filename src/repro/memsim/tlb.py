@@ -35,8 +35,8 @@ class TlbSpec:
         return Tlb(self)
 
 
-class _TlbLevel:
-    """A tiny set-associative page-number cache (LRU)."""
+class TlbLevel:
+    """Geometry and hit/miss counts of one TLB level."""
 
     def __init__(self, entries: int, ways: int, name: str):
         if entries <= 0:
@@ -45,13 +45,22 @@ class _TlbLevel:
             ways = entries  # fully associative
         if entries % ways:
             raise SimulationError(f"{name}: {entries} entries not divisible by {ways} ways")
-        num_sets = entries // ways
         self.name = name
-        self.num_sets = num_sets
+        self.num_sets = entries // ways
         self.ways = ways
         self.stats = CacheStats()
-        self._sets: List[dict] = [dict() for _ in range(num_sets)]
-        self._order: List[List[int]] = [[] for _ in range(num_sets)]
+
+    def reset(self) -> None:
+        self.stats.reset()
+
+
+class _TlbLevel(TlbLevel):
+    """A tiny set-associative page-number cache (LRU)."""
+
+    def __init__(self, entries: int, ways: int, name: str):
+        super().__init__(entries, ways, name)
+        self._sets: List[dict] = [dict() for _ in range(self.num_sets)]
+        self._order: List[List[int]] = [[] for _ in range(self.num_sets)]
 
     def access(self, page: int) -> bool:
         set_idx = page % self.num_sets
@@ -71,7 +80,7 @@ class _TlbLevel:
         return False
 
     def reset(self) -> None:
-        self.stats.reset()
+        super().reset()
         for set_idx in range(self.num_sets):
             self._sets[set_idx].clear()
             self._order[set_idx].clear()
@@ -80,11 +89,14 @@ class _TlbLevel:
 class Tlb:
     """Two-level TLB; exposes total page-walks for the timing model."""
 
+    #: The class of each level; this exact model keeps its pages per set.
+    level_class = _TlbLevel
+
     def __init__(self, spec: TlbSpec):
         self.spec = spec
-        self.l1 = _TlbLevel(spec.l1_entries, spec.l1_ways, "dTLB-L1")
+        self.l1 = self.level_class(spec.l1_entries, spec.l1_ways, "dTLB-L1")
         self.l2 = (
-            _TlbLevel(spec.l2_entries, spec.l2_ways, "dTLB-L2")
+            self.level_class(spec.l2_entries, spec.l2_ways, "dTLB-L2")
             if spec.l2_entries
             else None
         )

@@ -79,12 +79,6 @@ def _execute(task: Dict[str, Any]) -> Dict[str, Any]:
         filter_size=task.get("filter_size"),
     )
 
-    if task.get("engine"):
-        # Per-job replay-engine override; absent, simulate() resolves
-        # REPRO_ENGINE itself.  The run key stays engine-free because
-        # both engines produce bit-identical records.
-        sim_kwargs = dict(sim_kwargs, engine=task["engine"])
-
     policy = RetryPolicy.from_env()
     deadline = task.get("deadline_s")
     if deadline is not None:

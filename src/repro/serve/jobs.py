@@ -57,15 +57,9 @@ class JobSpec:
     filter_size: Optional[int] = None
     tenant: str = "default"
     deadline_s: Optional[float] = None
-    engine: Optional[str] = None           # exact | fast | None (env default)
 
     def run_key(self) -> Tuple:
-        """The runner key tuple; ``serve`` is the journal family tag.
-
-        ``engine`` is deliberately excluded: the fast engine is
-        bit-identical to the exact one, so both produce the same record
-        and may share cache entries and in-flight dedup.
-        """
+        """The runner key tuple; ``serve`` is the journal family tag."""
         return (
             "serve", self.kernel, self.variant, self.device,
             self.scale, self.n, self.block, self.filter_size,
@@ -104,7 +98,7 @@ def resolve_spec(payload: Any, default_scale: int = 1) -> JobSpec:
         raise JobValidationError("submission body must be a JSON object")
     unknown = set(payload) - {
         "kernel", "variant", "device", "scale", "n", "block",
-        "filter_size", "tenant", "deadline_s", "engine",
+        "filter_size", "tenant", "deadline_s",
     }
     if unknown:
         raise JobValidationError(f"unknown fields: {', '.join(sorted(unknown))}")
@@ -134,12 +128,6 @@ def resolve_spec(payload: Any, default_scale: int = 1) -> JobSpec:
     if len(tenant) > 128:
         raise JobValidationError("'tenant' must be at most 128 characters")
 
-    engine = payload.get("engine")
-    if engine is not None and engine not in ("exact", "fast"):
-        raise JobValidationError(
-            f"'engine' must be 'exact' or 'fast', got {engine!r}"
-        )
-
     return JobSpec(
         kernel=kernel,
         variant=variant,
@@ -150,7 +138,6 @@ def resolve_spec(payload: Any, default_scale: int = 1) -> JobSpec:
         filter_size=_opt_positive_int(payload, "filter_size"),
         tenant=tenant,
         deadline_s=deadline,
-        engine=engine,
     )
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.analysis import count_program
 from repro.errors import SimulationError
@@ -243,6 +244,34 @@ class TestSegment:
     def test_strided_lines(self):
         seg = Segment(0, 0, 128, 4, False, 8)
         assert list(seg.lines(64)) == [0, 2, 4, 6]
+
+    @given(
+        base=st.integers(min_value=-(1 << 14), max_value=1 << 14),
+        stride=st.sampled_from([0, 4, -8, 24, -40, 64, -128, 320, 80, -72, 136, 4104]),
+        count=st.integers(min_value=1, max_value=40),
+        elem=st.integers(min_value=4, max_value=48),
+    )
+    @example(base=48, stride=128, count=4, elem=32)   # every element straddles
+    def test_lines_follow_the_hierarchy_rule(self, base, stride, count, elem):
+        """``lines`` against a per-access enumeration: each access's
+        lines, lowest first, a line equal to the one before it dropped.  A
+        point access or a sub-line stride probes that walk's lines as one
+        contiguous interval, in access direction; every other stride
+        probes the walk itself.  ``line_run``, where it has a closed form,
+        lists the same lines."""
+        seg = Segment(0, base, stride, count, False, elem)
+        walk = []
+        for k in range(count):
+            addr = base + k * stride
+            for line in range(addr // 64, (addr + elem - 1) // 64 + 1):
+                if not walk or walk[-1] != line:
+                    walk.append(line)
+        if stride == 0 or count == 1 or abs(stride) < 64:
+            walk = sorted(set(walk), reverse=count > 1 and stride < 0)
+        assert list(seg.lines(64)) == walk
+        run = seg.line_run(64)
+        if run is not None:
+            assert [run.start + k * run.step for k in range(run.count)] == walk
 
     def test_span(self):
         assert Segment(0, 0, 8, 16, False, 8).span_bytes == 128

@@ -27,17 +27,13 @@ from repro.memsim import (
     Cache,
     MemoryHierarchy,
     NO_PREFETCH,
+    Tlb,
     TlbSpec,
     snapshot,
 )
 from repro.memsim import native
 from repro.memsim.cache import set_mask
-from repro.memsim.native import (
-    _BUF_OPS,
-    NativeHierarchy,
-    native_cache,
-    native_status,
-)
+from repro.memsim.native import _BUF_OPS, NativeCache, NativeHierarchy, native_status
 
 from tests.conftest import fresh_modules, require_native
 
@@ -61,7 +57,7 @@ def build_engines(levels=SMALL_LEVELS, prefetch=C906_PREFETCH, tlb=TLB):
             tlb=tlb,
         ),
         "native": NativeHierarchy(
-            [native_cache(row[0], row[1], row[2], 64, row[3]) for row in levels],
+            [NativeCache(row[0], row[1], row[2], 64, row[3]) for row in levels],
             prefetch=prefetch,
             tlb=tlb,
         ),
@@ -122,7 +118,7 @@ def assert_engines_agree(results):
 segments_strategy = st.lists(
     st.builds(
         seg,
-        base=st.integers(min_value=0, max_value=1 << 16),
+        base=st.integers(min_value=-(1 << 16), max_value=1 << 16),
         stride=st.sampled_from([-512, -64, -8, 0, 4, 8, 24, 64, 80, 512, 4096]),
         count=st.integers(min_value=1, max_value=200),
         write=st.booleans(),
@@ -218,7 +214,6 @@ class TestBatchIntake:
             original = hier._drain_buffer
 
             def spy(original=original, sizes=sizes, hier=hier):
-                hier._stage_segments()
                 sizes.append(sum(len(cols.ref) for cols in hier._buf_cols))
                 original()
 
@@ -755,18 +750,23 @@ def _window_stream(seed, n, unit, windows, max_count=48):
     return stream
 
 
-def _hit_kind(cache, line):
+def _set_of(cache, line):
+    """The set of the native ``cache`` that ``line`` maps to."""
+    return line & cache._cmask if cache._cmask >= 0 else line % cache.num_sets
+
+
+def _ring_kind(cache, line):
     """Where ``line`` sits in its rotating set of the native ``cache``,
-    and its dirty bit (``None``: absent).  The way is the MRU way, a way
-    before the rotation offset, a way at or after it (the shift wraps
-    around the ring), or a way of a set whose offset is 0 (a plain
-    shift)."""
-    s = cache.set_index(line)
+    and its dirty bit: the MRU way, a way before the rotation offset, a
+    way at or after it (the shift wraps around the ring), or a way of a
+    set whose offset is 0 (a plain shift).  An absent line is
+    ``("allocate", whether its set is full)``."""
+    s = _set_of(cache, line)
     ways = cache.ways
     used, rot = int(cache._occ[s]), int(cache._rot[s])
     held = cache._ln[s * ways : s * ways + used].tolist()
     if line not in held:
-        return None
+        return "allocate", used == ways
     j = held.index(line)
     dirty = bool(cache._dy[s * ways + j])
     if j == (rot + used - 1) % ways:
@@ -776,6 +776,53 @@ def _hit_kind(cache, line):
     return "before" if j < rot else "wrap", dirty
 
 
+def _ring_kinds(l1, l2, line, write):
+    """The ring positions an access to ``line`` meets in the native
+    two-level LRU ``l1``/``l2``, as ``(level, kind, dirty, mode)`` tuples:
+    at L1 the access itself (mode ``"read"``/``"write"``); at L2 the
+    writeback install of L1's dirty victim (``"install"``), then the
+    clean-filling probe of an L1 miss (``"probe"``), which is left out
+    when the install went to the same L2 set and may have moved it."""
+    kind = _ring_kind(l1, line)
+    kinds = {(0, *kind, "write" if write else "read")}
+    if kind[0] != "allocate":
+        return kinds
+    s = _set_of(l1, line)
+    victim = None
+    if l1._occ[s] == l1.ways:
+        way = s * l1.ways + int(l1._rot[s])
+        victim = int(l1._ln[way]) if l1._dy[way] else None
+    if victim is not None:
+        kinds.add((1, *_ring_kind(l2, victim), "install"))
+    if victim is None or _set_of(l2, victim) != _set_of(l2, line):
+        kinds.add((1, *_ring_kind(l2, line), "probe"))
+    return kinds
+
+
+def _drain_one_by_one(levels, ops):
+    """Replay ``ops`` ((line, write) pairs, one 8-byte access each) through
+    a two-level exact and native hierarchy, one segment per drain, and
+    after each drain require the same snapshot and dirty lines.  Returns
+    the exact hierarchy and, for LRU levels, the ring positions the ops
+    met (:func:`_ring_kinds`)."""
+    engines = build_engines(levels, NO_PREFETCH, None)
+    exact, fast = engines["exact"], engines["native"]
+    l1, l2 = fast.caches
+    lru = l1._rot is not None and l2._rot is not None
+    seen = set()
+    for i, (line, write) in enumerate(ops):
+        if lru:
+            seen |= _ring_kinds(l1, l2, line, write)
+        s = seg(line * 64 + (i % 8) * 8, 0, 1, write=write, ref=i % 3)
+        for hier in (exact, fast):
+            hier.process_segment(s)
+            hier.drain()
+        assert snapshot(fast) == snapshot(exact), i
+        for got, want in zip(fast.caches, exact.caches):
+            assert sorted(got.dirty_lines()) == sorted(want.dirty_lines()), i
+    return exact, seen
+
+
 class TestRotatingSets:
     """The compiled LRU keeps each full set's ways as a ring with a
     rotation offset at its LRU way: a miss overwrites that way and moves
@@ -783,72 +830,32 @@ class TestRotatingSets:
     way, around the ring.  The LRU order, and so every counter, must stay
     the exact engine's."""
 
-    @pytest.mark.parametrize("geometry", [(1, 4), (4, 12)], ids=["1x4", "4x12"])
+    @pytest.mark.parametrize(
+        "geometry", [((1, 4), (2, 6)), ((4, 12), (32, 4))], ids=["1x4", "4x12"]
+    )
     def test_hits_at_every_ring_position_carry_the_dirty_bit(self, geometry):
-        """Op by op through ``process_batch`` (demand probes, reads and
-        writes, and writeback installs), against the exact cache under a
-        one-level hierarchy: the same hit, allocation and dirty victim per
-        op, and the same resident dirty lines after each op.  Hits and
-        installs that hit land on the MRU way, before the offset and at
-        or after it, each with the dirty bit set and clear; misses and
+        """Op by op, one drain each, through a two-level hierarchy (line
+        ids from negative to positive): reads and writes at L1, and at L2
+        the clean fills of L1's misses and the writeback installs of its
+        dirty victims.  Each lands on the MRU way, before the offset and
+        at or after it, with the dirty bit set and clear; misses and
         installs allocate into full sets, whose offsets then move."""
-        require_native()
-        sets, ways = geometry
-        exact = MemoryHierarchy([Cache("L1", sets * ways * 64, ways, 64, "lru")])
-        ref = exact.caches[0]
-        fast = native_cache("L1", sets * ways * 64, ways, 64, "lru")
-        rng = np.random.default_rng(sets)
-        seen = set()
-        for i in range(3000):
-            start = i // 40
-            line = start + int(rng.integers(0, sets * ways * 3 // 2))
-            probe, write = int(rng.integers(0, 5) > 0), bool(rng.integers(0, 2))
-            mode = write if probe else "install"
-            where = _hit_kind(fast, line)
-            if where is None:
-                full = bool(fast._occ[fast.set_index(line)] == ways)
-                where = ("allocate", full)
-            seen.add((*where, mode))
-            hits, missed, evict = fast.process_batch([line], [probe], write)
-            ev = None if evict[0] == native.EVICT_NONE else int(evict[0])
-            if probe:
-                assert (bool(hits[0]), ev) == ref.access(line, write), i
-            else:
-                # The exact install reports no victim: it writes it to DRAM.
-                assert bool(hits[0]) == ref.contains(line), i
-                written = exact.dram.written_lines
-                exact._install_writeback(line, 0)
-                assert (ev is not None) == (exact.dram.written_lines > written), i
-            assert bool(missed[0]) != bool(hits[0])
-            assert sorted(fast.dirty_lines()) == sorted(ref.dirty_lines()), i
-        assert fast.stats == ref.stats
-        kinds = ("mru", "before", "wrap") + (("plain",) if sets > 1 else ())
-        for mode in (True, False, "install"):
-            assert ("allocate", True, mode) in seen, mode
-            for kind in kinds:
-                for dirty in (True, False):
-                    assert (kind, dirty, mode) in seen, (kind, dirty, mode)
-
-    def test_batches_across_calls(self):
-        """The same ops in one ``process_batch`` call, in uneven chunks, and
-        op by op: identical per-op results, counters and dirty lines."""
-        require_native()
-        rng = np.random.default_rng(4)
-        n = 4000
-        lines = (np.arange(n) // 50 + rng.integers(0, 72, n)).astype(np.int64)
-        probe = (rng.integers(0, 5, n) > 0).astype(np.uint8)
-        fill = rng.integers(0, 2, n).astype(np.uint8)
-        results = []
-        for cuts in ([0, n], [0, 1, 7, 500, 2999, n], list(range(n + 1))):
-            cache = native_cache("L1", 4 * 12 * 64, 12, 64, "lru")
-            parts = [cache.process_batch(lines[a:b], probe[a:b], fill[a:b])
-                     for a, b in zip(cuts, cuts[1:])]
-            results.append((
-                [np.concatenate(col).tolist() for col in zip(*parts)],
-                cache.stats, sorted(cache.dirty_lines()),
-            ))
-            assert (cache._rot > 0).any()
-        assert results[1] == results[0] and results[2] == results[0]
+        (sets1, ways1), (sets2, ways2) = geometry
+        levels = [("L1", sets1 * ways1 * 64, ways1, "lru"), ("L2", sets2 * ways2 * 64, ways2, "lru")]
+        rng = np.random.default_rng(sets1)
+        windows = (sets1 * ways1 * 3 // 2, sets2 * ways2 * 3 // 2)
+        ops = [
+            (i // 40 - 60 + int(rng.integers(0, windows[i % 3 == 0])), bool(rng.integers(0, 2)))
+            for i in range(4000)
+        ]
+        _exact, seen = _drain_one_by_one(levels, ops)
+        for level, sets, modes in ((0, sets1, ("read", "write")), (1, sets2, ("probe", "install"))):
+            kinds = ("mru", "before", "wrap") + (("plain",) if sets > 1 else ())
+            for mode in modes:
+                assert (level, "allocate", True, mode) in seen, (level, mode)
+                for kind in kinds:
+                    for dirty in (True, False):
+                        assert (level, kind, dirty, mode) in seen, (level, kind, dirty, mode)
 
     def test_streams_wrap_every_set_many_times(self):
         """Every set of every level fills and wraps its ring many times
@@ -866,37 +873,30 @@ class TestRotatingSets:
             assert cache.stats.misses > 4 * cache.num_sets * cache.ways, cache.name
 
     def test_reset_in_the_middle_of_a_rotation(self):
-        """``NativeCache.reset`` and ``NativeHierarchy.reset`` while sets
-        sit at non-zero offsets, then a replay: the same as a fresh
-        cache's and a fresh hierarchy's."""
+        """``NativeHierarchy.reset`` while cache sets sit at non-zero
+        offsets and a set-associative dTLB has wrapped its sets, then a
+        replay: the same as a fresh hierarchy's."""
+        tlb = SET_TLBS[0]
         first = _window_stream(seed=8, n=600, unit=64, windows=[72, 1920])
+        first += _window_stream(seed=10, n=600, unit=4096, windows=[96, 3072])
         second = _window_stream(seed=9, n=600, unit=64, windows=[72, 1920])
-        fresh = build_engines(RING_LEVELS[:2])["native"]
-        used = build_engines(RING_LEVELS[:2])["native"]
+        second += _window_stream(seed=11, n=600, unit=4096, windows=[96, 3072])
+        fresh = build_engines(RING_LEVELS[:2], C906_PREFETCH, tlb)["native"]
+        used = build_engines(RING_LEVELS[:2], C906_PREFETCH, tlb)["native"]
         used.attach_pmu()
         used.run(first)
-        used.drain()
         assert all((c._rot > 0).any() for c in used.caches)
+        assert used.tlb.l1.stats.misses > 4 * tlb.l1_entries
+        assert used.tlb.l2.stats.misses > 2 * tlb.l2_entries
         used.reset()
         assert _replay_observables(used, second, (), "batch") == _replay_observables(
             fresh, second, (), "batch"
         )
-        lines = np.array([s.base // 64 for s in first], dtype=np.int64)
-        cache, new = (native_cache("L1", 4 * 12 * 64, 12, 64, "lru") for _ in range(2))
-        cache.process_batch(lines, None, True)
-        assert (cache._rot > 0).any()
-        cache.reset()
-        for fill in (False, True):
-            got, want = (c.process_batch(lines[::-1], None, fill) for c in (cache, new))
-            assert [x.tolist() for x in got] == [x.tolist() for x in want]
-        assert cache.stats == new.stats
-        assert sorted(cache.dirty_lines()) == sorted(new.dirty_lines())
 
     @pytest.mark.parametrize("tlb", SET_TLBS, ids=lambda t: f"dtlb{t.l1_entries}-{t.l2_entries}")
     def test_set_associative_dtlbs(self, tlb):
         """Page streams that wrap every set of the dTLB's set levels
-        many times, through both drains, then through ``tlb_walk``; after
-        ``tlb_reset`` a walk matches a fresh TLB's."""
+        many times, through both intakes."""
         width = 3 * tlb.l2_entries // 2
         stream = _window_stream(seed=tlb.l2_entries, n=3000, unit=4096,
                                 windows=[tlb.l1_entries * 3 // 2, width])
@@ -905,71 +905,19 @@ class TestRotatingSets:
         )["tlb"]
         assert l2_misses > 4 * tlb.l2_entries
         assert l1_hits > 0 and l1_misses > 4 * tlb.l1_entries
-        rng = np.random.default_rng(tlb.l1_entries)
-        pages = (np.arange(40000) // 400 * (width // 8) + rng.integers(0, width, 40000)).tolist()
-        exact, fast, fresh = tlb.build(), native.NativeTlb(tlb), native.NativeTlb(tlb)
-        for page in pages:
-            exact.access_page(page)
-        fast.access_pages(pages[:20000])
-        fast.access_pages(pages[20000:])
-        for level in ("l1", "l2"):
-            assert getattr(fast, level).stats == getattr(exact, level).stats, level
-        assert exact.l2.stats.misses > 4 * tlb.l2_entries
-        fast.reset()
-        for t in (fast, fresh):
-            t.access_pages(pages[::-1])
-        for level in ("l1", "l2"):
-            assert getattr(fast, level).stats == getattr(fresh, level).stats, level
 
 
-class TestScalarShims:
-    def test_access_reports_negative_evicted_lines(self):
-        """``access`` returns the evicted dirty line even when its id is
-        negative (the core marks "none" with INT64_MIN, not -1)."""
-        require_native()
-        for policy in ("lru", "random"):
-            exact = Cache("L1", 128, 1, 64, policy)        # 2 sets, direct mapped
-            fast = native_cache("L1", 128, 1, 64, policy)
-            ops = [(-4, True), (-2, False), (-1, True), (1, False), (-6, True), (-4, False)]
-            got = [fast.access(line, write) for line, write in ops]
-            assert got == [exact.access(line, write) for line, write in ops]
-            assert got[1] == (False, -4)
-            assert fast.stats == exact.stats
-
-    def test_process_batch_marks_no_eviction_with_sentinel(self):
-        require_native()
-        cache = native_cache("L1", 128, 1, 64, "lru")
-        _hits, _missed, evict = cache.process_batch([-4, -2], None, True)
-        assert evict.tolist() == [native.EVICT_NONE, -4]
-
-    def test_process_batch_reads_views_and_other_dtypes(self):
-        """Columns given as a reversed view, int32 lines, a probe list and
-        a bool fill array replay like contiguous int64/uint8 copies."""
-        require_native()
-        rng = np.random.default_rng(6)
-        lines = rng.integers(-100, 100, 600)
-        probe = (rng.integers(0, 4, 600) > 0).tolist()
-        fill = rng.integers(0, 2, 600).astype(np.bool_)
-        runs = []
-        for args in ((lines[::-1], probe, fill[::-1]),
-                     (lines[::-1].astype(np.int32), probe, fill[::-1].tolist()),
-                     (lines[::-1].copy(), np.array(probe, np.uint8), fill[::-1].astype(np.uint8))):
-            cache = native_cache("L1", 4 * 12 * 64, 12, 64, "lru")
-            runs.append([col.tolist() for col in cache.process_batch(*args)])
-        assert runs[0] == runs[2] and runs[1] == runs[2]
-
-    def test_tlb_pages_match_exact(self):
-        require_native()
-        spec = TlbSpec(l1_entries=20, l1_ways=0, l2_entries=96, l2_ways=2)
-        pages = np.random.default_rng(3).integers(-300, 300, size=4000).tolist()
-        exact, fast = spec.build(), native.NativeTlb(spec)
-        for page in pages:
-            exact.access_page(page)
-        fast.access_pages(pages[:-1])
-        fast.access_page(pages[-1])
-        for level in ("l1", "l2"):
-            assert getattr(fast, level).stats == getattr(exact, level).stats
-        assert fast.walks == exact.walks > 0
+class TestNegativeLines:
+    @pytest.mark.parametrize("policy", ["lru", "random"])
+    def test_dirty_evictions_of_negative_lines(self, policy):
+        """Dirty lines with negative ids (-1 among them) are evicted and
+        written back like any other: the core marks "no victim" with
+        INT64_MIN, not -1.  One drain per op, against the exact engine."""
+        levels = [("L1", 128, 1, policy), ("L2", 256, 2, policy)]   # 2 sets each
+        ops = [(-4, True), (-2, False), (-1, True), (1, False), (-6, True), (-4, False),
+               (-3, True), (-5, False), (-1, False), (-8, True), (-2, True), (0, False)]
+        exact, _seen = _drain_one_by_one(levels, ops)
+        assert exact.caches[0].stats.writebacks >= 3
 
 
 class TestOneCallPerDrain:
@@ -999,12 +947,12 @@ import resource, sys
 from repro.errors import SimulationError
 from repro.exec.trace import Segment
 from repro.memsim import TlbSpec
-from repro.memsim.native import NativeHierarchy, native_available, native_cache
+from repro.memsim.native import NativeCache, NativeHierarchy, native_available
 
 assert native_available()
 unit = 64 if sys.argv[1] == "shadow" else 4096
 tlb = TlbSpec(l1_entries=20, l1_ways=0) if sys.argv[1] == "dtlb" else None
-hier = NativeHierarchy([native_cache("L1", 4096, 4, 64, "lru")], tlb=tlb)
+hier = NativeHierarchy([NativeCache("L1", 4096, 4, 64, "lru")], tlb=tlb)
 if tlb is None:
     hier.attach_pmu()
 
@@ -1063,6 +1011,26 @@ class TestDrainOutOfMemory:
         assert done.stdout.startswith("raised: the compiled replay ran out of memory")
 
 
+class TestConstructionChecks:
+    def test_native_cache_refuses_other_policies(self):
+        """Tree-PLRU is refused, not replayed as if it were random."""
+        require_native()
+        with pytest.raises(SimulationError, match="'plru'"):
+            NativeCache("L1", 4096, 4, 64, "plru")
+
+    @pytest.mark.parametrize("spec,match", [
+        (TlbSpec(l1_entries=0, l1_ways=0), "at least one entry"),
+        (TlbSpec(l1_entries=20, l1_ways=0, l2_entries=96, l2_ways=5), "not divisible"),
+    ], ids=["empty", "ways"])
+    def test_both_engines_refuse_a_bad_geometry(self, spec, match):
+        """The exact and the compiled TLB check their geometry in one
+        place, before the compiled one allocates anything."""
+        require_native()
+        for build in (Tlb, native.NativeTlb):
+            with pytest.raises(SimulationError, match=match):
+                build(spec)
+
+
 class TestConstructionOutOfMemory:
     def test_unallocatable_tlb_fails_the_cell_not_the_process(self):
         """A 2**60-entry direct-mapped dTLB-L2 cannot be allocated: its
@@ -1075,7 +1043,7 @@ class TestConstructionOutOfMemory:
         # A hierarchy over that TLB builds only the compiled one, and fails
         # the same way.
         with pytest.raises(SimulationError, match="could not be allocated"):
-            NativeHierarchy([native_cache("L1", 4096, 4, 64, "lru")], tlb=spec)
+            NativeHierarchy([NativeCache("L1", 4096, 4, 64, "lru")], tlb=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,10 @@ class TestResolveSpec:
             resolve_spec({"kernel": "fft", "variant": "Naive", "device": "mango"})
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(JobValidationError, match="unknown fields"):
-            resolve_spec(dict(SPEC, bogus=1))
+        # ``engine`` is no job field: the server replays on REPRO_ENGINE's.
+        for extra in ({"bogus": 1}, {"engine": "exact"}):
+            with pytest.raises(JobValidationError, match="unknown fields"):
+                resolve_spec(dict(SPEC, **extra))
 
     def test_bad_scale_and_sizes_rejected(self):
         with pytest.raises(JobValidationError):
