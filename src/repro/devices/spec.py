@@ -109,14 +109,15 @@ class DeviceSpec:
             )
 
     def build_hierarchies(
-        self, active_cores: int = 1, engine: str = "exact"
+        self, active_cores: int = 1, *, engine: str
     ) -> List[MemoryHierarchy]:
         """One :class:`MemoryHierarchy` per active core.
 
         Shared levels are modelled by capacity partitioning (each core sees
         ``size / active_cores`` of a shared level); see DESIGN.md §5.3.
 
-        ``engine`` selects the replay implementation: ``"exact"`` builds
+        ``engine`` (callers pass :func:`~repro.memsim.resolve_engine`'s
+        answer) selects the replay implementation: ``"exact"`` builds
         the per-reference :class:`~repro.memsim.hierarchy.MemoryHierarchy`;
         ``"fast"`` the bit-identical runtime-compiled C core
         (:class:`~repro.memsim.native.NativeHierarchy`).  ``"fast"``

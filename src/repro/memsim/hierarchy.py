@@ -35,6 +35,11 @@ class MemoryHierarchy:
     #: Replay engine this class implements (``SimulationResult.engine``).
     engine = "exact"
 
+    #: Host nanoseconds replay threads spent inside compiled drains of
+    #: this hierarchy (observability only).  The exact engine replays on
+    #: the caller's thread, so it stays 0.
+    replay_busy_ns = 0
+
     def __init__(
         self,
         caches: Sequence[Cache],
@@ -205,8 +210,15 @@ class MemoryHierarchy:
         """Flush any internally buffered work.  The exact engine applies
         every segment immediately, so this is a no-op; the fast engine
         overrides it (it concatenates small segments into cross-segment
-        batches) and it must be called before reading state after a raw
-        ``process_segment`` stream."""
+        batches and replays them on its replay threads) and it must be
+        called before reading state after a raw ``process_segment``
+        stream."""
+
+    def submit(self) -> None:
+        """Start replaying any buffered work without waiting for it; a
+        no-op here, as for :meth:`drain`.  The fast engine queues its
+        buffer on the hierarchy's replay lane, and only :meth:`drain`
+        makes its state readable."""
 
     def reset(self) -> None:
         for cache in self.caches:

@@ -5,8 +5,8 @@ line of every segment through every cache level one Python call at a
 time.  This module replays the same semantics in C.  Python queues
 segment columns; each drain is **one** call, ``hier_drain``, over a C
 hierarchy state built once per :class:`NativeHierarchy` (pointers to
-each level's arrays, the TLB, the prefetch stream table, the PMU state
-and scratch op buffers the state owns and grows).  In order, it runs:
+each level's arrays, the TLB, the prefetch stream table and the PMU
+state), in a scratch area the call is given.  In order, it runs:
 
 * segment expansion — the closed-form distinct lines of each compressed
   affine segment (``seg_lines``), written into the first op buffer with
@@ -24,6 +24,11 @@ and scratch op buffers the state owns and grows).  In order, it runs:
   in the other buffer, or counted as DRAM lines written and read past
   the last level.
 
+The drain takes its segments in groups of about ``GROUP_LINES`` lines
+(whole segments): expansion, coverage and the TLB walk of a group, then
+its passes.  Each level still sees its ops in the order of one pass over
+the whole drain, so the groups only bound the op buffers.
+
 Set-associative LRU structures — LRU cache levels and the dTLB's
 multi-set levels — share one rotating layout (``ring_access``): a set's
 ways hold its lines in LRU order around a ring whose LRU way is the
@@ -33,7 +38,23 @@ between its line and the MRU way.  Until a set fills its offset is 0,
 so its occupied ways are always ``[0, occ)``.
 
 ``hier_drain`` is the core's only replay entry point: the other exports
-build, reset and free its state.  The self-test drains through it too.
+build, reset and free its state and the scratch.  The self-test drains
+through it too.
+
+Drains run on replay threads, one per CPU the process may use
+(:class:`_ReplayPool`, started by the first drain; with one usable CPU
+no thread starts and drains run on the caller's thread).  ``ctypes``
+releases the GIL for the call, so replay overlaps the caller's trace
+generation.  Each hierarchy queues its drains on an ordered lane: they
+run in the order queued and never two at once, so every counter, random
+draw and PMU table is what a serial replay gives, while different
+hierarchies (``simulate``'s per-core ones) replay side by side.  The
+scratch (``scratch_t``: segment line counts, the two op streams the
+level passes alternate between, and the fold records) belongs to the
+thread running the drain, so replay scratch is bounded by the threads
+and the group size, not by the hierarchies or the drain size.  It is
+mapped with ``mmap``, never malloc'd (no replay thread's allocator arena
+grows to hold op buffers), and kept between drains.
 
 Fully-associative structures — single-set dTLB levels and the PMU's
 shadow cache — share one O(1) LRU (``falru``: a doubly linked list over
@@ -76,13 +97,18 @@ pointers passed as addresses, so loading a cached core costs a
 
 from __future__ import annotations
 
+import collections
 import ctypes
+import functools
 import hashlib
 import logging
 import os
+import queue
 import tempfile
+import threading
+import time
 import weakref
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -138,9 +164,10 @@ _SIGNATURES = {
     "hier_level": (None, [_P, _I64, _I64, _I64, _I64, _P, _P, _P, _P, _P]),
     "hier_pmu": (_INT, [_P, _INT]),
     "hier_reset": (_INT, [_P]),
-    "hier_release": (None, [_P]),
     "hier_free": (None, [_P]),
-    "hier_drain": (_P, [_P, _P, _P, _P, _P, _P, _P, _I64]),
+    "scratch_new": (_P, []),
+    "scratch_free": (None, [_P]),
+    "hier_drain": (_P, [_P, _P, _P, _P, _P, _P, _P, _P, _I64]),
     "hier_nomem": (_P, []),
 }
 
@@ -179,6 +206,23 @@ static void *try_alloc(int64_t n, size_t elem)
     uint64_t k = n > 0 ? (uint64_t)n : 1;
     if (k > SIZE_MAX / elem) return 0;
     return malloc((size_t)k * elem);
+}
+
+/* n elements (at least one) mapped zeroed, or NULL if the mapping fails
+ * or the size does not fit a size_t. */
+static void *map_new(int64_t n, size_t elem)
+{
+    uint64_t k = n > 0 ? (uint64_t)n : 1;
+    void *p;
+    if (k > SIZE_MAX / elem) return 0;
+    p = mmap(0, (size_t)k * elem, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    return p == MAP_FAILED ? 0 : p;
+}
+
+/* Unmap what map_new(n, elem) returned (NULL: nothing). */
+static void map_free(void *p, int64_t n, size_t elem)
+{
+    if (p) munmap(p, (size_t)(n > 0 ? n : 1) * elem);
 }
 
 /* What hier_drain returns when an allocation fails: distinct from the
@@ -643,10 +687,22 @@ typedef struct {
 } pmulvl_t;
 
 typedef struct {                    /* one level's op stream */
-    int64_t cap, rcap;
+    int64_t cap, fcap, rcap;        /* lines, probe, cov; fill; refs */
     int64_t *lines, *refs;
     uint8_t *probe, *fill, *cov;
 } opbuf_t;
+
+/* What a drain needs only while it runs: each segment's distinct line
+ * count, the two op streams the level passes alternate between, and the
+ * fold records.  It belongs to the replay thread that runs the drain, not
+ * to a hierarchy (a thread drains one hierarchy at a time), and every
+ * array is mapped, never malloc'd, so no replay thread's allocator arena
+ * grows to hold op buffers. */
+typedef struct {
+    int64_t *dist, dcap;
+    opbuf_t buf[2];
+    int64_t *fold, fcap;
+} scratch_t;
 
 struct hier {
     int64_t nlev, line, page, width, nout;
@@ -662,10 +718,6 @@ struct hier {
     pmulvl_t *pmu;
     int64_t *tally, tcap;
     int64_t *tlist, ntl;
-    /* scratch, grown on demand and freed by hier_release */
-    int64_t *dist, dcap;
-    opbuf_t buf[2];
-    int64_t *fold, fcap;
     int64_t *out;
     /* with a PMU: attribute its misses to references (PMU_ATTRIB) or
      * only count them (PMU_COUNTERS) */
@@ -763,52 +815,69 @@ int hier_reset(hier_t *h)
 
 static void opbuf_free(opbuf_t *b)
 {
-    free(b->lines); free(b->refs); free(b->probe); free(b->fill); free(b->cov);
+    map_free(b->lines, b->cap, sizeof(int64_t));
+    map_free(b->probe, b->cap, 1);
+    map_free(b->cov, b->cap, 1);
+    map_free(b->fill, b->fcap, 1);
+    map_free(b->refs, b->rcap, sizeof(int64_t));
     memset(b, 0, sizeof(*b));
-}
-
-void hier_release(hier_t *h)
-{
-    opbuf_free(&h->buf[0]); opbuf_free(&h->buf[1]);
-    free(h->dist); free(h->fold);
-    h->dist = 0; h->fold = 0;
-    h->dcap = h->fcap = 0;
 }
 
 void hier_free(hier_t *h)
 {
-    hier_release(h);
     pmu_drop(h);
     free(h->st_ref); free(h->st_base); free(h->st_delta); free(h->st_conf);
     free(h->st_dvalid); free(h->lv);
     free(h);
 }
 
-/* realloc to n elements, or NULL (p freed) if the memory is not there. */
-static void *regrow(void *p, int64_t n, size_t elem)
+/* An empty scratch, or NULL if the memory is not there. */
+scratch_t *scratch_new(void)
 {
-    void *q = (uint64_t)n <= SIZE_MAX / elem ? realloc(p, (size_t)n * elem) : 0;
-    if (!q) free(p);
-    return q;
+    return (scratch_t *)map_new(1, sizeof(scratch_t));
 }
 
-/* Room for n ops, the ops already there kept; refs (with_refs) as many as
+void scratch_free(scratch_t *s)
+{
+    opbuf_free(&s->buf[0]); opbuf_free(&s->buf[1]);
+    map_free(s->dist, s->dcap, sizeof(int64_t));
+    map_free(s->fold, s->fcap, sizeof(int64_t));
+    map_free(s, 1, sizeof(scratch_t));
+}
+
+/* Room for n ops, the first keep ops kept; refs (with_refs) as many as
  * lines.  -1 (the buffer left empty) if the memory is not there. */
-static int opbuf_reserve(opbuf_t *b, int64_t n, int with_fill, int with_refs)
+static int opbuf_reserve(opbuf_t *b, int64_t n, int64_t keep, int with_fill, int with_refs)
 {
     if (n > b->cap) {
-        free(b->fill);
-        b->fill = 0;
-        b->lines = (int64_t *)regrow(b->lines, n, sizeof(int64_t));
-        b->probe = (uint8_t *)regrow(b->probe, n, 1);
-        b->cov = (uint8_t *)regrow(b->cov, n, 1);
+        int64_t *l = (int64_t *)map_new(n, sizeof(int64_t));
+        uint8_t *p = (uint8_t *)map_new(n, 1), *c = (uint8_t *)map_new(n, 1);
+        if (!l || !p || !c) {
+            map_free(l, n, sizeof(int64_t)); map_free(p, n, 1); map_free(c, n, 1);
+            goto fail;
+        }
+        if (keep) {
+            memcpy(l, b->lines, (size_t)keep * sizeof(int64_t));
+            memcpy(p, b->probe, (size_t)keep);
+            memcpy(c, b->cov, (size_t)keep);
+        }
+        map_free(b->lines, b->cap, sizeof(int64_t));
+        map_free(b->probe, b->cap, 1);
+        map_free(b->cov, b->cap, 1);
+        map_free(b->fill, b->fcap, 1);
+        b->lines = l; b->probe = p; b->cov = c; b->fill = 0; b->fcap = 0;
         b->cap = n;
-        if (!b->lines || !b->probe || !b->cov) goto fail;
     }
-    if (with_fill && !b->fill && !(b->fill = (uint8_t *)try_alloc(b->cap, 1))) goto fail;
+    if (with_fill && !b->fill) {
+        if (!(b->fill = (uint8_t *)map_new(b->cap, 1))) goto fail;
+        b->fcap = b->cap;
+    }
     if (with_refs && b->rcap < b->cap) {
-        b->rcap = b->cap;
-        if (!(b->refs = (int64_t *)regrow(b->refs, b->cap, sizeof(int64_t)))) goto fail;
+        int64_t *r = (int64_t *)map_new(b->cap, sizeof(int64_t));
+        if (!r) goto fail;
+        if (keep) memcpy(r, b->refs, (size_t)(keep < b->rcap ? keep : b->rcap) * sizeof(int64_t));
+        map_free(b->refs, b->rcap, sizeof(int64_t));
+        b->refs = r; b->rcap = b->cap;
     }
     return 0;
 fail:
@@ -823,7 +892,7 @@ static int opbuf_more(opbuf_t *b, int64_t m, int64_t left, int with_refs)
 {
     int64_t want = b->cap + b->cap / 2, most = m + 2 * left;
     if (want < 4096) want = 4096;
-    return opbuf_reserve(b, want < most ? want : most, 0, with_refs);
+    return opbuf_reserve(b, want < most ? want : most, m, 0, with_refs);
 }
 
 /* Room for the tally rows of refs up to ref; -1 (rows kept) if the
@@ -1076,20 +1145,21 @@ static __attribute__((noinline)) int64_t level_run(
 #undef PASS
 }
 
-/* Move every touched tally row and per-set conflict count into the fold
- * buffer (rows first, then (level, set, count) triples) and clear them. */
-static const int64_t *fold(hier_t *h)
+/* Move every touched tally row and per-set conflict count into the
+ * scratch's fold buffer (rows first, then (level, set, count) triples)
+ * and clear them. */
+static const int64_t *fold(hier_t *h, scratch_t *sc)
 {
     int64_t nset = 0, need, t, k, j, *f, W = h->width;
     for (k = 0; k < h->nlev; k++) nset += h->pmu[k].nstouch;
     need = h->ntl * W + 3 * nset;
-    if (need > h->fcap) {
-        free(h->fold);
-        h->fcap = 0;
-        if (!(h->fold = (int64_t *)try_alloc(need, sizeof(int64_t)))) return DRAIN_NOMEM;
-        h->fcap = need;
+    if (need > sc->fcap) {
+        map_free(sc->fold, sc->fcap, sizeof(int64_t));
+        sc->fcap = 0;
+        if (!(sc->fold = (int64_t *)map_new(need, sizeof(int64_t)))) return DRAIN_NOMEM;
+        sc->fcap = need;
     }
-    f = h->fold;
+    f = sc->fold;
     for (t = 0; t < h->ntl; t++) {
         int64_t *row = h->tally + h->tlist[t] * W;
         memcpy(f, row, (size_t)W * sizeof(int64_t));
@@ -1110,75 +1180,95 @@ static const int64_t *fold(hier_t *h)
     h->out[OUT_NREF] = h->ntl;
     h->out[OUT_NSET] = nset;
     h->ntl = 0;
-    return h->fold;
+    return sc->fold;
 }
 
+/* Lines a drain expands and replays through the levels at a time (more
+ * when one segment has more): bounds the op streams of the scratch. */
+#define GROUP_LINES 4096
+
 /* One drain: replay nseg queued segments (parallel columns) through the
- * whole hierarchy.  Counters go to out (zeroed first); returns the fold
+ * whole hierarchy, in the scratch sc, which no other drain may use while
+ * this one runs.  Counters go to out (zeroed first); returns the fold
  * records (a PMU attributing) or out, or NULL — before touching any
  * state — if a reference id is below -1 while a PMU attributes.  If
  * memory runs out it returns DRAIN_NOMEM: before any state changes when
  * the line buffers or the tally rows are too large (a huge segment),
  * otherwise with the hierarchy left unusable (a next level's stream, or a
  * block of slots a TLB level or a PMU shadow could not map). */
-const int64_t *hier_drain(hier_t *h, const int64_t *refs,
+const int64_t *hier_drain(hier_t *h, scratch_t *sc, const int64_t *refs,
                           const int64_t *base, const int64_t *stride,
                           const int64_t *count, const uint8_t *write,
                           const int64_t *elem, int64_t nseg)
 {
-    int64_t *out = h->out, n = 0, at = 0, top = -1, g, k, tst[4] = {0, 0, 0, 0};
+    int64_t *out = h->out, total = 0, room = 0, top = -1, g, g0, k;
+    int64_t tst[4] = {0, 0, 0, 0};
     int attr = h->pmu && h->attrib;
-    opbuf_t *cur = &h->buf[0], *nxt = &h->buf[1], *tmp;
     memset(out, 0, (size_t)h->nout * sizeof(int64_t));
-    if (nseg > h->dcap) {
-        free(h->dist);
-        h->dcap = 0;
-        if (!(h->dist = (int64_t *)try_alloc(nseg, sizeof(int64_t)))) return DRAIN_NOMEM;
-        h->dcap = nseg;
+    if (nseg > sc->dcap) {
+        map_free(sc->dist, sc->dcap, sizeof(int64_t));
+        sc->dcap = 0;
+        if (!(sc->dist = (int64_t *)map_new(nseg, sizeof(int64_t)))) return DRAIN_NOMEM;
+        sc->dcap = nseg;
     }
     for (g = 0; g < nseg; g++) {
         if (attr && refs[g] < -1) return 0;
         if (refs[g] > top) top = refs[g];
-        h->dist[g] = seg_lines(base[g], stride[g], count[g], elem[g], h->line, 0);
-        n += h->dist[g];
+        sc->dist[g] = seg_lines(base[g], stride[g], count[g], elem[g], h->line, 0);
+        if (sc->dist[g] > room) room = sc->dist[g];
+        total += sc->dist[g];
     }
-    if (opbuf_reserve(cur, n, 1, attr) || (attr && tally_reserve(h, top)))
+    if (room < GROUP_LINES) room = total < GROUP_LINES ? total : GROUP_LINES;
+    if (opbuf_reserve(&sc->buf[0], room, 0, 1, attr) || (attr && tally_reserve(h, top)))
         return DRAIN_NOMEM;
 
-    /* Expansion, prefetch coverage and the TLB walk, in segment order. */
-    for (g = 0; g < nseg; g++) {
-        int64_t d = h->dist[g];
-        int64_t cv = pf_cover(h, refs[g], base[g], stride[g], d);
-        int64_t w = 0, j;
-        if (h->tlb)
-            w = seg_pages(h->tlb, base[g], stride[g], count[g], elem[g], h->page, tst);
-        seg_lines(base[g], stride[g], count[g], elem[g], h->line, cur->lines + at);
-        memset(cur->fill + at, write[g] ? 1 : 0, (size_t)d);
-        memset(cur->cov + at, 0, (size_t)(d - cv));
-        memset(cur->cov + at + d - cv, 1, (size_t)cv);
-        if (attr) {
-            int64_t *row = tally_row(h, refs[g]);
-            row[1] += count[g] * elem[g];
-            row[2] += d;
-            row[3] += w;
-            for (j = 0; j < d; j++) cur->refs[at + j] = refs[g];
+    /* Whole segments in groups of at most room lines.  Each level takes
+     * the ops of one group after another, so it sees its stream in the
+     * order of one pass over the drain: the groups bound the scratch and
+     * change no counter. */
+    for (g0 = 0; g0 < nseg; g0 = g) {
+        opbuf_t *cur = &sc->buf[0], *nxt = &sc->buf[1], *tmp;
+        int64_t n = 0;
+        /* The last group's passes may have grown this buffer as a next
+         * level's stream, which drops its fill flags. */
+        if (opbuf_reserve(cur, room, 0, 1, attr)) return DRAIN_NOMEM;
+
+        /* Expansion, prefetch coverage and the TLB walk, in segment
+         * order. */
+        for (g = g0; g < nseg && n + sc->dist[g] <= room; g++) {
+            int64_t d = sc->dist[g];
+            int64_t cv = pf_cover(h, refs[g], base[g], stride[g], d);
+            int64_t w = 0, j;
+            if (h->tlb)
+                w = seg_pages(h->tlb, base[g], stride[g], count[g], elem[g], h->page, tst);
+            seg_lines(base[g], stride[g], count[g], elem[g], h->line, cur->lines + n);
+            memset(cur->fill + n, write[g] ? 1 : 0, (size_t)d);
+            memset(cur->cov + n, 0, (size_t)(d - cv));
+            memset(cur->cov + n + d - cv, 1, (size_t)cv);
+            if (attr) {
+                int64_t *row = tally_row(h, refs[g]);
+                row[1] += count[g] * elem[g];
+                row[2] += d;
+                row[3] += w;
+                for (j = 0; j < d; j++) cur->refs[n + j] = refs[g];
+            }
+            n += d;
         }
-        at += d;
+
+        /* Level by level, one pass each; dirty evictions and demand
+         * misses flow down, and past the last level to DRAM. */
+        for (k = 0; k < h->nlev && n; k++) {
+            opbuf_t *nb = k + 1 < h->nlev ? nxt : 0;
+            if (nb && opbuf_reserve(nb, 0, 0, 0, attr)) return DRAIN_NOMEM;
+            if ((n = level_run(h, k, cur, n, nb)) < 0) return DRAIN_NOMEM;
+            tmp = cur; cur = nxt; nxt = tmp;
+        }
     }
     for (k = 0; k < 4; k++) out[OUT_TLB + k] += tst[k];
-
-    /* Level by level, one pass each; dirty evictions and demand misses
-     * flow down, and past the last level to DRAM. */
-    for (k = 0; k < h->nlev && n; k++) {
-        opbuf_t *nb = k + 1 < h->nlev ? nxt : 0;
-        if (nb && opbuf_reserve(nb, 0, 0, attr)) return DRAIN_NOMEM;
-        if ((n = level_run(h, k, cur, n, nb)) < 0) return DRAIN_NOMEM;
-        tmp = cur; cur = nxt; nxt = tmp;
-    }
     if (h->tlb && tlb_nomem(h->tlb)) return DRAIN_NOMEM;
     for (k = 0; h->pmu && k < h->nlev; k++)
         if (h->pmu[k].sh.nomem) return DRAIN_NOMEM;
-    return attr ? fold(h) : out;
+    return attr ? fold(h, sc) : out;
 }
 """
 
@@ -1313,8 +1403,9 @@ def _selftest_drain(lib, mode: str):
     out = np.zeros(_OUT_LEVELS + 9 * 2, dtype=np.int64)
     tlb = lib.tlb_new(1, 2, 2, 3)
     h = lib.hier_new(2, 64, PAGE_SIZE, tlb, 16, 1, 2, 1, out.ctypes.data) if tlb else None
+    scratch = lib.scratch_new()
     try:
-        if h is None:
+        if h is None or scratch is None:
             raise RuntimeError("native self-test could not allocate its hierarchy")
         levels = [(1, 3, ptr([0], np.int32), None), (2, 2, None, ptr([RANDOM_SEED], np.uint64))]
         for k, (sets, ways, rot, rng) in enumerate(levels):
@@ -1326,7 +1417,7 @@ def _selftest_drain(lib, mode: str):
             raise RuntimeError("native self-test could not allocate its PMU")
         ref, base, stride, count, write = zip(*_SELFTEST_SEGMENTS)
         rec = lib.hier_drain(
-            h, ptr(ref, np.int64), ptr(base, np.int64), ptr(stride, np.int64),
+            h, scratch, ptr(ref, np.int64), ptr(base, np.int64), ptr(stride, np.int64),
             ptr(count, np.int64), ptr(write, np.uint8), ptr([8] * len(ref), np.int64),
             len(ref),
         )
@@ -1335,6 +1426,8 @@ def _selftest_drain(lib, mode: str):
             return got, None
         return got, _unpack(rec, got[_OUT_NREF] * (_ROW_FIXED + 6) + 3 * got[_OUT_NSET])
     finally:
+        if scratch:
+            lib.scratch_free(scratch)
         if h:
             lib.hier_free(h)
         if tlb:
@@ -1476,14 +1569,182 @@ class NativeTlb(Tlb):
         _lib.tlb_reset(self._tlb)
 
 
+class _Lane:
+    """One hierarchy's drains, in the order they were queued."""
+
+    __slots__ = ("jobs", "active", "error")
+
+    def __init__(self) -> None:
+        self.jobs: collections.deque = collections.deque()
+        # Queued for a replay thread or running on one: a lane is in the
+        # ready queue at most once and held by at most one thread, so its
+        # drains never run two at once.
+        self.active = False
+        # The first failure, held until a caller raises it; the drains
+        # queued behind it are dropped.
+        self.error: Optional[BaseException] = None
+
+
+class _ReplayPool:
+    """The replay threads of the process (see the module docstring):
+    ``workers`` of them, started by the first drain, or none with one
+    worker, when a lane's drains run on the caller's thread as it queues
+    them.  A drain runs in a scratch area taken from an idle list (one
+    per worker, or per concurrent inline caller).  At most ``workers``
+    drains wait beyond those running; a caller queueing more blocks
+    until one starts."""
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        # Reentrant: a finalizer that a collection runs while this thread
+        # holds the lock (_free_state) takes it again.
+        self._changed = threading.Condition(threading.RLock())
+        self._ready: queue.SimpleQueue = queue.SimpleQueue()
+        self._scratch: List[int] = []
+        self._queued = 0
+        self._started = False
+
+    def submit(self, lane: _Lane, job: Callable[[int], None]) -> None:
+        """Queue ``job(scratch)`` on ``lane``; first raise the lane's
+        held error, if any."""
+        with self._changed:
+            if self.workers > 1 and not self._started:
+                self._start()
+            while self._queued >= self.workers:
+                self._changed.wait()
+            _raise_held(lane)
+            lane.jobs.append(job)
+            self._queued += 1
+            if lane.active:
+                return
+            lane.active = True
+        if self.workers > 1:
+            self._ready.put(lane)
+        else:
+            while self._step(lane):
+                pass
+
+    def wait(self, lane: _Lane) -> None:
+        """Block until ``lane`` has run every queued drain; raise its
+        held error, if any, as :class:`~repro.errors.SimulationError`."""
+        with self._changed:
+            while lane.active:
+                self._changed.wait()
+            _raise_held(lane)
+
+    def _start(self) -> None:
+        """Map one scratch area per worker (on this thread) and start the
+        workers."""
+        self._scratch.extend([_new_scratch() for _ in range(self.workers)])
+        for k in range(self.workers):
+            threading.Thread(target=self._work, name=f"repro-replay-{k}", daemon=True).start()
+        self._started = True
+
+    def _work(self) -> None:
+        while True:
+            lane = self._ready.get()
+            # A lane stays on the thread that runs it while it has drains
+            # queued, so its hierarchy's state stays in that CPU's caches.
+            while self._step(lane):
+                pass
+
+    def _step(self, lane: _Lane) -> bool:
+        """Run ``lane``'s next drain; whether the lane has more."""
+        with self._changed:
+            job = lane.jobs.popleft()
+            self._queued -= 1
+            scratch = self._scratch.pop() if self._scratch else None
+            self._changed.notify_all()
+        done, error = False, None
+        try:
+            if scratch is None:
+                scratch = _new_scratch()
+            job(scratch)
+            done = True
+        except Exception as exc:  # held for the lane's next caller
+            error = exc
+        finally:
+            with self._changed:
+                if scratch is not None:
+                    self._scratch.append(scratch)
+                if not done:
+                    if lane.error is None:
+                        lane.error = error
+                    self._queued -= len(lane.jobs)
+                    lane.jobs.clear()
+                more = lane.active = bool(lane.jobs)
+                self._changed.notify_all()
+        return more
+
+
+def _raise_held(lane: _Lane) -> None:
+    """Raise (and forget) ``lane``'s held error."""
+    error, lane.error = lane.error, None
+    if error is None:
+        return
+    if isinstance(error, SimulationError):
+        raise error
+    raise SimulationError(f"replay failed: {type(error).__name__}: {error}") from error
+
+
+def _new_scratch() -> int:
+    scratch = _lib.scratch_new()
+    if scratch is None:
+        raise SimulationError("the compiled replay scratch could not be allocated")
+    return scratch
+
+
+_POOL: Optional[_ReplayPool] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> _ReplayPool:
+    """The process's replay pool, made on first use with one worker per
+    CPU the process may run on."""
+    global _POOL
+    if _POOL is None:
+        with _POOL_LOCK:
+            if _POOL is None:
+                try:
+                    cpus = len(os.sched_getaffinity(0))
+                except AttributeError:  # no affinity masks on this platform
+                    cpus = os.cpu_count() or 1
+                _POOL = _ReplayPool(max(1, cpus))
+    return _POOL
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's replay threads."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _free_state(lane: _Lane, state: int) -> None:
+    """Free a hierarchy's C state once no drain of it is queued or
+    running (at exit, a live hierarchy's drain may still be)."""
+    try:
+        _pool().wait(lane)
+    except SimulationError:
+        pass  # the hierarchy is gone: nobody reads its error
+    _lib.hier_free(state)
+
+
 class NativeHierarchy(MemoryHierarchy):
     """Memory hierarchy driving the compiled replay core.
 
     Same construction contract, counters, flush and snapshot behaviour
-    as the exact hierarchy.  Segment batches queue as columns and drain
-    in one compiled call once ``_BUF_OPS`` accesses are queued (or when
-    state is read), so the Python overhead is per batch, not per
-    segment.
+    as the exact hierarchy.  Segment batches queue as columns, and once
+    ``_BUF_OPS`` accesses are queued (or at :meth:`submit`) the queue
+    goes to the hierarchy's replay lane as one compiled drain, so the
+    Python overhead is per batch, not per segment.  Drains run on the
+    replay threads in the order they were queued (:class:`_ReplayPool`);
+    :meth:`drain`, :meth:`flush`, :meth:`attach_pmu` and :meth:`reset`
+    wait for them.  Until a drain is waited for, nothing of the
+    hierarchy's state may be read.
     """
 
     engine = "fast"
@@ -1499,14 +1760,17 @@ class NativeHierarchy(MemoryHierarchy):
         super().__init__(caches, prefetch=prefetch, tlb=None, line_size=line_size)
         if tlb is not None:
             self.tlb = NativeTlb(tlb)
-        # Queued column batches, in stream order.
+        # Queued column batches, in stream order, and the lane that
+        # replays them.
         self._buf_cols: List[SegmentBatch] = []
         self._buf_ops = 0
+        self._lane = _Lane()
+        self.replay_busy_ns = 0
         # Whether the attached PMU (if any) attributes to references.
         self._attribute = False
         # The C state: it points at the caches' arrays and the TLB, owns
-        # the prefetch stream table, the PMU state and the scratch, and
-        # writes each drain's counters into ``_out``.
+        # the prefetch stream table and the PMU state, and writes each
+        # drain's counters into ``_out``.
         self._out = np.zeros(_OUT_LEVELS + 9 * len(self.caches), dtype=np.int64)
         spec = self.prefetcher.spec
         state = _lib.hier_new(
@@ -1518,7 +1782,7 @@ class NativeHierarchy(MemoryHierarchy):
         if state is None:
             raise SimulationError("the compiled hierarchy could not be allocated")
         self._state = state
-        weakref.finalize(self, _lib.hier_free, state)
+        weakref.finalize(self, _free_state, self._lane, state)
         for k, cache in enumerate(self.caches):
             _lib.hier_level(
                 state, k, cache.num_sets, cache.ways, cache._cmask,
@@ -1529,17 +1793,31 @@ class NativeHierarchy(MemoryHierarchy):
     # -- buffer management ---------------------------------------------------
 
     def drain(self) -> None:
-        """Replay any buffered ops (idempotent) and free the scratch.
+        """Replay any buffered ops and wait until every drain of this
+        hierarchy has run (idempotent).  A drain that failed raises its
+        error here, as :class:`~repro.errors.SimulationError`."""
+        self.submit()
+        _pool().wait(self._lane)
 
-        Callers drain at the end of a core's stream, and ``simulate``
-        replays one core's hierarchy at a time, so only one hierarchy
-        holds grown scratch buffers at a time.
-        """
-        self._drain_buffer()
-        _lib.hier_release(self._state)
+    def submit(self) -> None:
+        """Queue the buffered ops on the hierarchy's lane as one drain,
+        without waiting for it."""
+        queued = self._buf_cols
+        if not queued:
+            return
+        self._buf_cols = []
+        self._buf_ops = 0
+        if len(queued) == 1:
+            columns = queued[0]
+        else:
+            columns = [np.concatenate(cols) for cols in zip(*queued)]
+        columns = tuple(
+            np.ascontiguousarray(col, dtype) for col, dtype in zip(columns, _COLUMN_DTYPES)
+        )
+        _pool().submit(self._lane, functools.partial(self._replay, columns))
 
     def attach_pmu(self, mode: str = "attribution"):
-        self._drain_buffer()
+        self.drain()
         pmu = super().attach_pmu(mode)
         self._attribute = mode == "attribution"
         if _lib.hier_pmu(self._state, _PMU_MODES[mode]):
@@ -1549,6 +1827,7 @@ class NativeHierarchy(MemoryHierarchy):
     def reset(self) -> None:
         self._buf_cols = []
         self._buf_ops = 0
+        _pool().wait(self._lane)
         super().reset()
         if _lib.hier_reset(self._state):
             self._pmu_lost()
@@ -1560,7 +1839,7 @@ class NativeHierarchy(MemoryHierarchy):
         raise SimulationError("the compiled PMU state could not be allocated")
 
     def flush(self) -> None:
-        self._drain_buffer()
+        self.drain()
         super().flush()
 
     # -- segment intake ------------------------------------------------------
@@ -1570,8 +1849,8 @@ class NativeHierarchy(MemoryHierarchy):
         self.process_segments(SegmentBatch(*(np.array([value]) for value in seg)))
 
     def process_segments(self, batch: SegmentBatch) -> None:
-        """Queue a batch's columns as they are, draining right after each
-        segment that brings the queue to ``_BUF_OPS`` ops.  Everything
+        """Queue a batch's columns as they are, submitting a drain right
+        after each segment that brings the queue to ``_BUF_OPS`` ops.  Everything
         per-segment (line/page expansion, prefetcher training, TLB walks,
         PMU attribution) happens in the compiled drain, in segment order."""
         count = batch.count
@@ -1591,7 +1870,7 @@ class NativeHierarchy(MemoryHierarchy):
                 self._buf_ops = int(cum[-1])
                 return
             self._buf_cols.append(SegmentBatch(*(col[start:stop] for col in batch)))
-            self._drain_buffer()
+            self.submit()
             if stop == n:
                 return
             cum -= cum[stop - 1]
@@ -1599,26 +1878,17 @@ class NativeHierarchy(MemoryHierarchy):
 
     # -- deferred replay -----------------------------------------------------
 
-    def _drain_buffer(self) -> None:
-        """Replay the queue in one compiled call, then add up its counters
-        (and, with an attributing PMU, fold its records)."""
-        queued = self._buf_cols
-        if not queued:
-            return
-        self._buf_cols = []
-        self._buf_ops = 0
-        if len(queued) == 1:
-            columns = queued[0]
-        else:
-            columns = [np.concatenate(cols) for cols in zip(*queued)]
-        refs, base, stride, count, write, elem = (
-            np.ascontiguousarray(col, dtype)
-            for col, dtype in zip(columns, _COLUMN_DTYPES)
-        )
+    def _replay(self, columns, scratch: int) -> None:
+        """One drain, on a replay thread (or inline): replay the queued
+        columns in one compiled call, then add up its counters (and, with
+        an attributing PMU, fold its records)."""
+        refs, base, stride, count, write, elem = columns
+        start = time.perf_counter_ns()
         rec = _lib.hier_drain(
-            self._state, _addr(refs), _addr(base), _addr(stride), _addr(count),
+            self._state, scratch, _addr(refs), _addr(base), _addr(stride), _addr(count),
             _addr(write), _addr(elem), len(refs),
         )
+        self.replay_busy_ns += time.perf_counter_ns() - start
         if rec is None:
             raise SimulationError(
                 f"reference ids below -1 cannot be attributed (min {int(refs.min())})"

@@ -171,8 +171,12 @@ def render_report(report: ProfileReport, result: SimulationResult) -> str:
     """Counter table + attribution table + roofline line, for terminals,
     then the call's host seconds per ``simulate()`` stage
     (:attr:`SimulationResult.stage_s`) beside the work each stage did and
-    its rate.  Host time varies run to run, so the stage tables are
-    printed but never part of :meth:`ProfileReport.as_dict`."""
+    its rate.  The replay stage is the calling thread's share; its work
+    says how long the replay threads were busy
+    (:attr:`SimulationResult.replay_busy_s`), which is more when replay
+    overlapped trace generation.  Host time varies run to run, so the
+    stage tables are printed but never part of
+    :meth:`ProfileReport.as_dict`."""
     from repro.experiments.report import render_table
 
     params = ", ".join(f"{k}={v}" for k, v in report.params.items())
@@ -224,7 +228,8 @@ def render_report(report: ProfileReport, result: SimulationResult) -> str:
     work = {
         "tracegen": (f"{segments} segments from {result.trace_rows} rows", segments, "segment"),
         "replay": (
-            f"{line_ops} line ops; TLB {result.tlb_pages} pages, {result.tlb_walks} walks; "
+            f"{line_ops} line ops, {result.replay_busy_s:.6f} s busy on replay threads; "
+            f"TLB {result.tlb_pages} pages, {result.tlb_walks} walks; "
             f"{result.prefetch_covered} prefetch-covered lines",
             line_ops,
             "line op",

@@ -23,10 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.analysis.opcount import OpCounts
 from repro.devices.spec import DeviceSpec
 from repro.errors import SimulationError
-from repro.exec.trace import CoreWork
+from repro.exec.trace import CoreWork, SegmentBatch
+from repro.memsim.columnar import resolve_engine
 from repro.memsim.stats import snapshot
 from repro.riscv.emulator import Emulator
 from repro.timing.model import TimingResult, time_run
@@ -78,7 +81,9 @@ def time_emulated_run(
     """Time a finished, memory-traced emulation on ``device``.
 
     The emulator must have been run with ``memory.trace`` enabled (pass
-    ``trace=True`` to :func:`repro.riscv.codegen.compile_and_run`).
+    ``trace=True`` to :func:`repro.riscv.codegen.compile_and_run`).  The
+    trace replays on the engine ``REPRO_ENGINE`` names, as in
+    :func:`repro.simulate.simulate`.
     """
     if not emulator.halted:
         raise SimulationError("emulator has not finished running")
@@ -89,9 +94,9 @@ def time_emulated_run(
             "(compile_and_run(..., trace=True))"
         )
 
-    hierarchy = device.build_hierarchies(1)[0]
-    for segment in trace:
-        hierarchy.process_segment(segment)
+    hierarchy = device.build_hierarchies(1, engine=resolve_engine())[0]
+    if trace:
+        hierarchy.process_segments(SegmentBatch(*(np.array(col) for col in zip(*trace))))
     hierarchy.drain()
     if flush_writebacks:
         hierarchy.flush()

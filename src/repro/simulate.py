@@ -68,9 +68,16 @@ class SimulationResult:
     # stage (:data:`STAGES`) of this call.  ``build`` is hierarchy
     # construction plus PMU attach, ``plan`` the trace generator's
     # compilation, ``tracegen`` the pulls of batches from the per-core
-    # streams, ``replay`` feeding, draining and flushing the hierarchies,
-    # ``timing`` snapshots, work accounting and the timing model.
+    # streams, ``replay`` feeding the hierarchies, waiting for their
+    # drains and flushing them, ``timing`` snapshots, work accounting and
+    # the timing model.
     stage_s: Dict[str, float] = field(default_factory=dict)
+    # Observability only, like ``stage_s``: host seconds the replay
+    # threads spent inside compiled drains, summed over threads.  The
+    # ``replay`` stage is the calling thread's share of replay (queueing
+    # and waiting); the difference is the replay that overlapped trace
+    # generation or ran beside another core's.  0 on the exact engine.
+    replay_busy_s: float = 0.0
     # Observability only, like ``stage_s``: the work of the ``tracegen``
     # and ``replay`` stages over the whole call (every repetition, where
     # ``works`` and ``snapshots`` hold the measured ones).  Segments the
@@ -170,6 +177,11 @@ def simulate(
         core cannot load (logged once per process) or the device's
         replacement policies are outside what it models;
         :attr:`SimulationResult.engine` names the engine that replayed.
+        The fast engine replays each core's hierarchy on its own ordered
+        lane of replay threads, overlapping trace generation and the
+        other cores' replay.  That is exact because the per-core
+        hierarchies share no state: a shared cache level is split among
+        the active cores by capacity (DESIGN.md §5.3).
     """
     if pmu not in (False, True, "counters"):
         raise SimulationError(f"pmu must be False, True or 'counters', not {pmu!r}")
@@ -228,20 +240,30 @@ def simulate(
                 baselines = [snapshot(h) for h in hierarchies]
                 works = [CoreWork() for _ in range(active_cores)]
                 lap("timing")
-            for core, hierarchy in enumerate(hierarchies):
-                run = hierarchy.process_segments
-                # Trace generation and cache simulation are one pipeline:
-                # the span covers both (batches are consumed as emitted).
-                with tracer.span(
-                    "trace+memsim", cat="memsim", core=core, repetition=rep
-                ):
-                    for batch in generator.core_stream(core):
+            try:
+                for core, hierarchy in enumerate(hierarchies):
+                    run = hierarchy.process_segments
+                    # Trace generation and cache simulation are one
+                    # pipeline: the span covers the core's batches as
+                    # they are emitted and queued for replay.
+                    with tracer.span(
+                        "trace+memsim", cat="memsim", core=core, repetition=rep
+                    ):
+                        for batch in generator.core_stream(core):
+                            lap("tracegen")
+                            run(batch)
+                            lap("replay")
                         lap("tracegen")
-                        run(batch)
+                        hierarchy.submit()
                         lap("replay")
-                    lap("tracegen")
-                    hierarchy.drain()
-                    lap("replay")
+            finally:
+                # The per-core hierarchies share no state (DESIGN.md
+                # §5.3), so their drains may overlap and still count what
+                # a serial replay counts.  Wait for all of them, also when
+                # the repetition failed, so none is left in flight.
+                with tracer.span("drain", cat="memsim", repetition=rep):
+                    _drain_all(hierarchies)
+                lap("replay")
             # ``core_stream`` resets ``generator.work[core]`` on entry, so
             # after the loop it holds exactly this repetition's counts;
             # accumulate so ``works`` always matches the snapshot deltas.
@@ -278,6 +300,7 @@ def simulate(
         )
 
         timing = time_run(device, works, deltas, active_cores)
+        replay_busy_ns = sum(h.replay_busy_ns for h in hierarchies)
         lap("timing")
     return SimulationResult(
         program_name=program.name,
@@ -291,6 +314,7 @@ def simulate(
         ref_table=generator.references() if attribute else {},
         engine=engine,
         stage_s={stage: ns / 1e9 for stage, ns in stage_ns.items()},
+        replay_busy_s=replay_busy_ns / 1e9,
         trace_segments=trace_segments,
         trace_rows=trace_rows,
         line_ops=line_ops,
@@ -298,6 +322,18 @@ def simulate(
         tlb_walks=tlb_walks,
         prefetch_covered=prefetch_covered,
     )
+
+
+def _drain_all(hierarchies) -> None:
+    """Drain every hierarchy, then raise the first error one raised."""
+    error = None
+    for hierarchy in hierarchies:
+        try:
+            hierarchy.drain()
+        except SimulationError as exc:
+            error = error or exc
+    if error is not None:
+        raise error
 
 
 def _tlb_prefetch_work(hierarchies) -> List[int]:

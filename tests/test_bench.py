@@ -147,10 +147,11 @@ def test_bench_simulator_measure_cell_smoke(monkeypatch):
     assert set(cell) == {
         "panel", "device", "variant",
         "end_to_end_exact_s", "end_to_end_fast_s",
-        "engine_exact_s", "engine_fast_s",
+        "engine_exact_s", "engine_fast_s", "replay_busy_fast_s",
     }
     for engine in ("exact", "fast"):
         assert 0 < cell[f"engine_{engine}_s"] <= cell[f"end_to_end_{engine}_s"]
+    assert 0 < cell["replay_busy_fast_s"] <= cell["end_to_end_fast_s"]
 
     # ``repro.simulate`` the attribute is the function; patch the module.
     simulate_module = importlib.import_module("repro.simulate")

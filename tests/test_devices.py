@@ -83,23 +83,23 @@ class TestCatalogMatchesPaper:
 class TestHierarchyBuilding:
     def test_per_core_hierarchies(self):
         device = visionfive_jh7100()
-        hierarchies = device.build_hierarchies(2)
+        hierarchies = device.build_hierarchies(2, engine="exact")
         assert len(hierarchies) == 2
         # Shared 128 KiB L2 partitioned two ways.
         assert hierarchies[0].caches[1].size_bytes == 64 * KIB
 
     def test_private_levels_not_partitioned(self):
         device = xeon_4310t()
-        hierarchies = device.build_hierarchies(10)
+        hierarchies = device.build_hierarchies(10, engine="exact")
         assert hierarchies[0].caches[0].size_bytes == 48 * KIB
         assert hierarchies[0].caches[1].size_bytes == 1280 * KIB
         assert hierarchies[0].caches[2].size_bytes < 15 * MIB
 
     def test_active_core_bounds(self):
         with pytest.raises(DeviceError):
-            mango_pi_d1().build_hierarchies(2)
+            mango_pi_d1().build_hierarchies(2, engine="exact")
         with pytest.raises(DeviceError):
-            xeon_4310t().build_hierarchies(0)
+            xeon_4310t().build_hierarchies(0, engine="exact")
 
 
 class TestScaling:

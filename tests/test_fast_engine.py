@@ -211,13 +211,13 @@ class TestBatchIntake:
         for mode in ("segments", "batch"):
             hier = build_engines()["native"]
             sizes = drained[mode] = []
-            original = hier._drain_buffer
+            original = hier.submit
 
             def spy(original=original, sizes=sizes, hier=hier):
                 sizes.append(sum(len(cols.ref) for cols in hier._buf_cols))
                 original()
 
-            monkeypatch.setattr(hier, "_drain_buffer", spy)
+            monkeypatch.setattr(hier, "submit", spy)
             if mode == "segments":
                 for s in stream:
                     hier.process_segment(s)
@@ -920,10 +920,33 @@ class TestNegativeLines:
         assert exact.caches[0].stats.writebacks >= 3
 
 
+class TestDrainGroups:
+    @pytest.mark.parametrize("big", [False, True], ids=["groups", "one-big-segment"])
+    @pytest.mark.parametrize("policy", ["lru", "random"])
+    def test_groups_of_one_drain_change_no_counter(self, policy, big):
+        """One drain of ~20 000 lines is expanded and replayed in groups
+        of whole segments (about 4096 lines, or the largest segment's),
+        one level pass per group: every counter, dirty line and PMU table
+        is the exact engine's."""
+        rng = np.random.default_rng(5)
+        stream = [
+            seg(int(rng.integers(-4096, 4096)) * 64, 64, 900, write=k % 3 == 0, ref=k % 4)
+            for k in range(22)
+        ]
+        if big:
+            stream.insert(9, seg(0, 64, 6000, write=True, ref=5))
+        assert sum(s.count for s in stream) < _BUF_OPS  # a single drain
+        levels = [("L1", 4096, 4, policy), ("L2", 16384, 8, policy)]
+        assert_engines_agree(run_all(stream, levels=levels, flush=True))
+
+
 class TestOneCallPerDrain:
     def test_drain_is_one_compiled_call(self, monkeypatch):
         hier = build_engines()["native"]
         hier.attach_pmu()
+        # One drain first, so the replay threads and their scratch areas
+        # exist before the calls are counted.
+        hier.run(_random_stream(seed=2, n=5, span_lines=50))
         calls = []
 
         class Counting:
@@ -934,7 +957,7 @@ class TestOneCallPerDrain:
         monkeypatch.setattr(native, "_lib", Counting())
         for s in _random_stream(seed=1, n=50, span_lines=500):
             hier.process_segment(s)
-        hier._drain_buffer()
+        hier.drain()
         assert calls == ["hier_drain"]
 
 
@@ -1135,6 +1158,122 @@ class TestFigureSliceDifferential:
 
         device = scaled_device(device_key, CACHE_SCALE)
         _assert_simulations_identical(_small_blur(variant), device)
+
+
+#: Run in a child, restricted to one CPU when argv[1] is "one": every
+#: Fig. 2 cell at n = 256 and a Fig. 6 VisionFive slice, in each PMU
+#: mode, digested; with the replay pool's worker count beside it.
+_LANES_CHILD = """
+import hashlib, json, os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from repro.experiments.config import BLUR_FILTER, CACHE_SCALE, TRANSPOSE_BLOCK, scaled_device
+from repro.kernels import blur, transpose
+from repro.memsim import native
+from repro.simulate import simulate
+from repro.transforms import for_device
+from tests.test_fast_engine import pmu_state
+
+cells = []
+for key in ("xeon_4310t", "raspberry_pi_4", "mango_pi_d1", "visionfive_jh7100"):
+    device = scaled_device(key, CACHE_SCALE)
+    for variant in transpose.VARIANT_ORDER:
+        program = transpose.build(variant, 256, block=TRANSPOSE_BLOCK)
+        cells.append((for_device(program, device), device))
+device = scaled_device("visionfive_jh7100", CACHE_SCALE)
+for variant in blur.VARIANT_ORDER:
+    cells.append((for_device(blur.build(variant, 24, 96, BLUR_FILTER), device), device))
+digest = hashlib.sha256()
+for program, device in cells:
+    for pmu in (False, "counters", True):
+        result = simulate(program, device, pmu=pmu, engine="fast")
+        assert result.engine == "fast", native.native_status()
+        state = [result.seconds, [snap.as_dict() for snap in result.snapshots],
+                 [pmu_state(p) for p in result.pmus]]
+        digest.update(repr(state).encode())
+print(json.dumps({"cells": len(cells), "workers": native._pool().workers,
+                  "digest": digest.hexdigest()}))
+"""
+
+
+class TestReplayLanes:
+    def test_one_cpu_replays_inline_with_the_threads_results(self):
+        """The figure cells give the same results in a child allowed one
+        CPU (no replay thread: drains run inline) as in one allowed every
+        CPU (drains on the replay threads)."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        require_native()
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("needs os.sched_setaffinity")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]))
+        children = {
+            cpus: subprocess.Popen(
+                [sys.executable, "-c", _LANES_CHILD, cpus], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for cpus in ("one", "all")
+        }
+        runs = {}
+        try:
+            for cpus, child in children.items():
+                out, err = child.communicate(timeout=300)
+                assert child.returncode == 0, err
+                runs[cpus] = json.loads(out)
+        finally:
+            for child in children.values():
+                if child.poll() is None:
+                    child.kill()
+                    child.wait()
+        assert runs["one"]["cells"] == 25
+        assert runs["one"]["workers"] == 1
+        assert runs["all"]["workers"] == len(os.sched_getaffinity(0))
+        assert runs["one"]["digest"] == runs["all"]["digest"]
+
+    def test_dropped_hierarchy_outlives_its_queued_drains(self):
+        """A hierarchy dropped (and collected) while its drains wait
+        behind busy replay threads is freed only after they ran: they
+        still count into its caches' stats."""
+        import gc
+        import threading
+        import weakref
+
+        require_native()
+        pool = native._pool()
+        if pool.workers < 2:
+            pytest.skip("one usable CPU: drains run inline")
+        stream = _random_stream(seed=3, n=150, span_lines=4000, max_count=400)
+        exact = build_engines()["exact"]
+        exact.run(stream)
+        hier = build_engines()["native"]
+        stats = [cache.stats for cache in hier.caches]
+        release = threading.Event()
+        blockers = [native._Lane() for _ in range(pool.workers)]
+        for lane in blockers:
+            pool.submit(lane, lambda _scratch: release.wait(60))
+        try:
+            for s in stream:
+                hier.process_segment(s)
+            hier.submit()
+            lane, alive = hier._lane, weakref.ref(hier)
+            assert lane.jobs, "the drains should be queued behind the blockers"
+            del hier
+            gc.collect()
+            assert alive() is not None
+        finally:
+            release.set()
+        pool.wait(lane)
+        for blocker in blockers:
+            pool.wait(blocker)
+        gc.collect()
+        assert alive() is None
+        assert [(st.hits, st.misses, st.writebacks) for st in stats] == [
+            (c.stats.hits, c.stats.misses, c.stats.writebacks) for c in exact.caches
+        ]
 
 
 class TestFreshLoad:

@@ -234,9 +234,13 @@ class TestProfileRun:
         # Beside them the TLB's pages and walks and the prefetcher's
         # covered lines, from the counters replay already keeps.
         assert rows["replay"][3] == (
-            f"{sum(p + w for p, _m, w in ops)} line ops; TLB {result.tlb_pages} pages, "
+            f"{sum(p + w for p, _m, w in ops)} line ops, {result.replay_busy_s:.6f} s busy "
+            f"on replay threads; TLB {result.tlb_pages} pages, "
             f"{result.tlb_walks} walks; {result.prefetch_covered} prefetch-covered lines"
         )
+        # The replay threads' seconds inside compiled drains: more than
+        # nothing on the fast engine, and host time, so not in the JSON.
+        assert result.engine == "fast" and result.replay_busy_s > 0
         assert result.tlb_walks == sum(snap.tlb_walks for snap in result.snapshots) > 0
         assert result.tlb_pages > result.tlb_walks
         assert 0 < result.prefetch_covered <= ops[0][0]
@@ -245,6 +249,7 @@ class TestProfileRun:
         dumped = json.dumps(report.as_dict())
         assert "stage" not in dumped and "ns/" not in dumped and "rows" not in dumped
         assert "pages" not in dumped and "prefetch-covered" not in dumped
+        assert "busy" not in dumped
 
 
 # -- baselines -----------------------------------------------------------------

@@ -55,6 +55,35 @@ class TestTimeEmulatedRun:
         assert result.cycles > result.instructions / 2  # single-issue core
         assert 0 < result.ipc <= 1.0  # in-order 1-wide cannot exceed 1
 
+    def test_replays_on_the_engine_repro_engine_names(self, triad_inputs, monkeypatch):
+        """Under ``REPRO_ENGINE=fast`` the trace replays on the compiled
+        core, with the exact engine's counters."""
+        from repro.devices.spec import DeviceSpec
+        from repro.memsim.native import NativeHierarchy
+        from repro.memsim.stats import snapshot
+        from tests.conftest import require_native
+
+        require_native()
+        n, inputs = triad_inputs
+        _, emulator = compile_and_run(stream.triad(n, parallel=False), inputs, trace=True)
+        built = []
+        build = DeviceSpec.build_hierarchies
+
+        def spy(self, *args, **kwargs):
+            built.extend(build(self, *args, **kwargs))
+            return built[-1:]
+
+        monkeypatch.setattr(DeviceSpec, "build_hierarchies", spy)
+        timings = {}
+        for engine in ("fast", "exact"):
+            monkeypatch.setenv("REPRO_ENGINE", engine)
+            timings[engine] = time_emulated_run(emulator, mango_pi_d1(), flush_writebacks=True)
+        fast, exact = built
+        assert isinstance(fast, NativeHierarchy) and type(exact).engine == "exact"
+        assert snapshot(fast) == snapshot(exact)
+        assert snapshot(fast).levels[0].misses > 0
+        assert timings["fast"].seconds == timings["exact"].seconds
+
     def test_rvv_faster_than_scalar_on_c906_model(self, triad_inputs):
         """The paper's outlook: the C906 carries a vector unit that compiled
         C code does not use; RVV code should beat scalar on its model."""

@@ -289,3 +289,140 @@ class TestCountersMode:
         full = simulate(for_device(build(), device), device, pmu=True)
         assert record.counters == dict(counter_set(full))
         assert any(name.startswith("pmu.") for name in record.counters)
+
+
+# -- replay lanes: concurrent per-core replay ------------------------------------
+
+
+def _parallel_transpose():
+    return transpose.build("Parallel", 256, block=16)
+
+
+def _capture_hierarchies(monkeypatch):
+    """Record every hierarchy ``simulate()`` builds."""
+    from repro.devices.spec import DeviceSpec
+
+    built = []
+    build = DeviceSpec.build_hierarchies
+
+    def spy(self, *args, **kwargs):
+        hierarchies = build(self, *args, **kwargs)
+        built.extend(hierarchies)
+        return hierarchies
+
+    monkeypatch.setattr(DeviceSpec, "build_hierarchies", spy)
+    return built
+
+
+def _assert_no_lane_busy(hierarchies):
+    from repro.memsim import native
+
+    assert hierarchies and all(h.engine == "fast" for h in hierarchies)
+    assert not any(h._lane.active or h._lane.jobs for h in hierarchies)
+    assert native._pool()._queued == 0
+
+
+class TestReplayLanes:
+    """Every core's hierarchy replays on its own lane of the replay
+    threads; a failed cell raises ``SimulationError`` and leaves no drain
+    in flight."""
+
+    def _core_stream_with(self, monkeypatch, core, inject):
+        """Make core ``core``'s stream call ``inject(batch)`` after its
+        first batch (which it still yields)."""
+        from repro.exec.tracegen import TraceGenerator
+
+        stream = TraceGenerator.core_stream
+
+        def core_stream(self, which):
+            for k, batch in enumerate(stream(self, which)):
+                yield batch
+                if which == core and k == 0:
+                    yield from inject(batch)
+
+        monkeypatch.setattr(TraceGenerator, "core_stream", core_stream)
+
+    def test_unallocatable_segment_mid_stream_fails_the_cell(self, monkeypatch):
+        """A ``count=2**50`` segment in core 3's stream of a ten-core cell:
+        its drain runs out of memory on a replay thread, and ``simulate()``
+        raises that error once every other drain has run."""
+        from repro.exec.trace import SegmentBatch
+
+        require_native()
+        built = _capture_hierarchies(monkeypatch)
+
+        def huge(batch):
+            row = SegmentBatch(*(col[:1].copy() for col in batch))
+            row.count[0] = 2**50
+            yield row
+
+        self._core_stream_with(monkeypatch, 3, huge)
+        with pytest.raises(SimulationError, match="ran out of memory"):
+            simulate(_parallel_transpose(), xeon_4310t(), pmu="counters", engine="fast")
+        assert len(built) == 10
+        _assert_no_lane_busy(built)
+
+    def test_tracegen_fault_mid_stream_fails_the_cell(self, monkeypatch):
+        require_native()
+        built = _capture_hierarchies(monkeypatch)
+
+        def fault(_batch):
+            raise SimulationError("injected trace-generation fault")
+            yield  # a generator
+
+        self._core_stream_with(monkeypatch, 6, fault)
+        with pytest.raises(SimulationError, match="injected trace-generation fault"):
+            simulate(_parallel_transpose(), xeon_4310t(), engine="fast")
+        _assert_no_lane_busy(built)
+        # The next cell on the same replay threads is unaffected.
+        monkeypatch.undo()
+        clean = simulate(_parallel_transpose(), xeon_4310t(), engine="fast")
+        assert clean.snapshots == simulate(
+            _parallel_transpose(), xeon_4310t(), engine="exact"
+        ).snapshots
+
+    def test_concurrent_simulate_calls_give_serial_results(self):
+        """Four threads calling ``simulate()`` at once (the serve
+        executor's pattern) get what one call at a time gets."""
+        import sys
+        import threading
+
+        require_native()
+        cells = [
+            (_parallel_transpose(), xeon_4310t(), "counters"),
+            (transpose.build("Naive", 256), mango_pi_d1(), False),
+            (blur.build("Parallel", 24, 64, 7), visionfive_jh7100(), True),
+            (transpose.build("Dynamic", 256, block=16), get_device("raspberry_pi_4"), "counters"),
+        ]
+
+        def observe(program, device, pmu):
+            result = simulate(program, device, pmu=pmu, engine="fast")
+            pmus = [(dict(p.counters()), dict(p.ref_accesses)) for p in result.pmus]
+            return result.seconds, result.snapshots, pmus
+
+        serial = [observe(*cell) for cell in cells]
+        results, errors = [None] * len(cells), []
+
+        def run(k):
+            try:
+                for _ in range(3):
+                    got = observe(*cells[k])
+                    if results[k] is not None and got != results[k]:
+                        raise AssertionError(f"cell {k} changed between calls")
+                    results[k] = got
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cells))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == serial
